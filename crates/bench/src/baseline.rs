@@ -1,10 +1,9 @@
 //! The pre-engine reference implementation of the MSED simulator: one
 //! serial RNG stream, a full wide-word encode and decode per trial.
 //!
-//! Kept as the performance baseline the parallel residue-space engine is
-//! measured against (`benches/faultsim_engine.rs`, `bin/bench_faultsim`),
-//! and as an independent statistical cross-check: its detection-rate
-//! estimates must agree with the fast path within Monte-Carlo error.
+//! Kept as an independent statistical reference for the parallel
+//! residue-space engine: its detection-rate estimates must agree with the
+//! fast path within Monte-Carlo error.
 
 use muse_core::{Decoded, MuseCode};
 use muse_faultsim::{random_payload, MsedConfig, MsedStats, Outcome, Rng};

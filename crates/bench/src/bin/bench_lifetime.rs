@@ -1,95 +1,21 @@
-//! Machine-readable fleet-lifetime performance + rate snapshot.
+//! Machine-readable fleet-lifetime rate snapshot.
 //!
-//! Measures the lifetime simulator's throughput (DIMM-epochs/sec and
-//! erasure-mode classifications/sec) on an erasure-heavy configuration
-//! with a worker-count sweep (1, 2, 4, … up to the core count), the
-//! checkpoint overhead of the crash-safe sharded runner (plain vs
-//! checkpointed vs resumed-from-half), runs the full scenario matrix at
-//! the default fleet configuration — once with the naive estimator and
-//! once with importance sampling — and writes `BENCH_lifetime.json`
-//! (schema `lifetime-bench/v4`, field reference in the `muse-bench`
-//! crate docs). Every scenario row carries its estimator, 95% confidence
-//! intervals, and a rendered rate string that reports zero observed
-//! events as the rule-of-three upper bound rather than a bare zero.
+//! Runs the full scenario matrix at the default fleet configuration —
+//! once with the naive estimator and once with importance sampling (16x)
+//! — prints the table, and writes `BENCH_lifetime.json` (schema
+//! `lifetime-bench/v5`, field reference in the `muse-bench` crate docs).
+//! Every scenario row carries its estimator, 95% confidence intervals,
+//! and a rendered rate string that reports zero observed events as the
+//! rule-of-three upper bound rather than a bare zero.
 //!
-//! Single-core honesty: a 1-core "all threads" leg is the serial path
-//! re-timed with jitter, so on such hosts the throughput rows carry one
-//! canonical `one_thread` measurement (no `all_threads` object) and the
-//! sweep rows beyond 1 worker are explicit `"skipped_single_core": true`
-//! markers.
+//! The file is deterministic — bit-identical at any worker count, on any
+//! host — so CI regenerates it and diffs it against the committed copy.
+//! Speed is measured elsewhere (`perfbench/`, declared in
+//! `BENCHMARK.json`).
 //!
-//! Usage:
-//!
-//! * `cargo run --release -p muse-bench --bin bench_lifetime` — full
-//!   snapshot.
-//! * `... -- --smoke` — CI mode: the small fixed-seed fleet of
-//!   [`muse_lifetime::smoke_setup`] is run and its tallies asserted
-//!   against [`muse_lifetime::smoke_expected`] (the same pins
-//!   `crates/lifetime/tests/regression.rs` checks), then a reduced
-//!   snapshot is written. Exits nonzero on any drift.
+//! Usage: `cargo run --release -p muse-bench --bin bench_lifetime`.
 
-use std::time::Instant;
-
-use muse_lifetime::{
-    run_sharded, scenario_codes, simulate_fleet, smoke_setup, verify_smoke, Environment, Estimator,
-    FleetCode, FleetConfig, LifetimeReport, RunnerConfig,
-};
-
-/// Best-of-3 wall-clock seconds for one run.
-fn measure(mut f: impl FnMut()) -> f64 {
-    (0..3)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// Sweep points 1, 2, 4, … up to the core count (which is appended when
-/// not itself a power of two). A 1-core host keeps the canonical
-/// [1, 2, 4] shape so consumers always see the same rows; the >1 entries
-/// are emitted as `skipped_single_core` markers.
-fn sweep_points(logical_cores: usize) -> Vec<usize> {
-    let cap = logical_cores.max(4);
-    let mut points = Vec::new();
-    let mut t = 1;
-    while t <= cap {
-        points.push(t);
-        t *= 2;
-    }
-    if logical_cores > 1 && !points.contains(&logical_cores) {
-        points.push(logical_cores);
-        points.sort_unstable();
-    }
-    if logical_cores > 1 {
-        points.retain(|&p| p <= logical_cores);
-    }
-    points
-}
-
-/// The erasure-heavy throughput configuration: every DIMM starts degraded
-/// and transient pressure is cranked so nearly every epoch classifies
-/// reads through the erasure decoder.
-fn throughput_setup() -> (Environment, FleetConfig) {
-    (
-        Environment {
-            name: "erasure-throughput",
-            transient_fit_per_device: 5.0e7,
-            permanent_scale: [0.0, 0.0, 0.0],
-            asymmetric_transients: false,
-        },
-        FleetConfig {
-            dimms: 256,
-            years: 5.0,
-            scrub_interval_hours: 168.0,
-            initial_failed_devices: 1,
-            spares_per_dimm: 0,
-            seed: 0xBEAC,
-            ..FleetConfig::default()
-        },
-    )
-}
+use muse_lifetime::{Estimator, FleetConfig, LifetimeReport};
 
 fn scenario_json(r: &LifetimeReport) -> String {
     format!(
@@ -127,213 +53,17 @@ fn scenario_json(r: &LifetimeReport) -> String {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    let threads_available = std::thread::available_parallelism().map_or(1, |n| n.get());
-
-    if smoke {
-        // Assert the pinned smoke tallies (the single source of truth
-        // shared with crates/lifetime/tests/regression.rs).
-        let (env, config) = smoke_setup();
-        let reports: Vec<_> = scenario_codes()
-            .iter()
-            .map(|code| simulate_fleet(code, &env, &config))
-            .collect();
-        if let Err(drift) = verify_smoke(&reports) {
-            panic!("pinned smoke tally drifted: {drift}");
-        }
-        println!(
-            "smoke tallies match the pins for all {} codes",
-            reports.len()
-        );
-    }
-
-    let single_core = threads_available == 1;
-
-    // Throughput: erasure-heavy fleet, MUSE and RS. One canonical serial
-    // measurement per code; the parallel leg only exists on multi-core
-    // hosts. The first code additionally gets the worker-count sweep.
-    let (thr_env, thr_config) = throughput_setup();
-    let thr_codes = [
-        FleetCode::muse(muse_core::presets::muse_80_69()),
-        FleetCode::rs(muse_rs::RsMemoryCode::new(8, 144, 1).expect("geometry"), 4),
-    ];
-    let mut throughput_rows = Vec::new();
-    let mut sweep_rows = Vec::new();
-    for (idx, code) in thr_codes.iter().enumerate() {
-        let run = |threads: usize| {
-            let config = FleetConfig {
-                threads,
-                dimms: if smoke { 32 } else { thr_config.dimms },
-                ..thr_config
-            };
-            let mut tally = Default::default();
-            let secs = measure(|| {
-                tally = simulate_fleet(code, &thr_env, &config).tally;
-            });
-            (secs, tally)
-        };
-        let (secs_one, tally) = run(1);
-        let epochs = tally.epochs as f64;
-        let reads = tally.erasure_reads as f64;
-        println!(
-            "{:<18} {:>12.0} epochs/s {:>12.0} erasure-reads/s (1 thread; {} reads)",
-            code.name(),
-            epochs / secs_one,
-            reads / secs_one,
-            tally.erasure_reads,
-        );
-        let mut row = format!(
-            concat!(
-                "    {{\"code\": \"{}\", \"epochs\": {}, \"erasure_reads\": {}, ",
-                "\"one_thread\": {{\"seconds\": {:.6}, \"epochs_per_sec\": {:.0}, ",
-                "\"erasure_reads_per_sec\": {:.0}}}"
-            ),
-            code.name(),
-            tally.epochs,
-            tally.erasure_reads,
-            secs_one,
-            epochs / secs_one,
-            reads / secs_one,
-        );
-        if !single_core {
-            let (secs_all, _) = run(0);
-            row.push_str(&format!(
-                concat!(
-                    ", \"all_threads\": {{\"seconds\": {:.6}, \"epochs_per_sec\": {:.0}, ",
-                    "\"erasure_reads_per_sec\": {:.0}}}"
-                ),
-                secs_all,
-                epochs / secs_all,
-                reads / secs_all,
-            ));
-        }
-        row.push('}');
-        throughput_rows.push(row);
-
-        // Worker-count sweep over the first (MUSE erasure-heavy) code with
-        // per-row parallel efficiency vs the 1-worker rate.
-        if idx == 0 {
-            let serial_rate = epochs / secs_one;
-            for threads in sweep_points(threads_available) {
-                if threads == 1 {
-                    sweep_rows.push(format!(
-                        "      {{\"threads\": 1, \"seconds\": {:.6}, \"epochs_per_sec\": {:.0}, \"efficiency\": 1.0}}",
-                        secs_one, serial_rate,
-                    ));
-                } else if single_core {
-                    sweep_rows.push(format!(
-                        "      {{\"threads\": {threads}, \"skipped_single_core\": true}}"
-                    ));
-                } else {
-                    let (secs, _) = run(threads);
-                    let rate = epochs / secs;
-                    sweep_rows.push(format!(
-                        "      {{\"threads\": {}, \"seconds\": {:.6}, \"epochs_per_sec\": {:.0}, \"efficiency\": {:.3}}}",
-                        threads,
-                        secs,
-                        rate,
-                        rate / (serial_rate * threads as f64),
-                    ));
-                }
-            }
-        }
-    }
-
-    // Checkpoint overhead of the crash-safe sharded runner: the same
-    // erasure-heavy fleet plain, checkpointed every shard, and resumed
-    // from a half-complete checkpoint.
-    let ckpt_code = &thr_codes[0];
-    let ckpt_config = FleetConfig {
-        threads: 1,
-        dimms: if smoke { 32 } else { thr_config.dimms },
-        ..thr_config
-    };
-    let shards = 8u32;
-    let dir = std::env::temp_dir().join(format!("muse-bench-ckpt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let runner = RunnerConfig {
-        shards,
-        checkpoint_dir: Some(dir.clone()),
-        ..RunnerConfig::default()
-    };
-    let plain_seconds = measure(|| {
-        simulate_fleet(ckpt_code, &thr_env, &ckpt_config);
-    });
-    let mut checkpoint_writes = 0;
-    let checkpointed_seconds = measure(|| {
-        let outcome = run_sharded(ckpt_code, &thr_env, &ckpt_config, &runner, None)
-            .expect("checkpointed run");
-        checkpoint_writes = outcome.stats().checkpoint_writes;
-    });
-    // Resume: re-prime a half-complete checkpoint before every timed leg.
-    let resume_from_half_seconds = (0..3)
-        .map(|_| {
-            run_sharded(
-                ckpt_code,
-                &thr_env,
-                &ckpt_config,
-                &RunnerConfig {
-                    stop_after_shards: Some(u64::from(shards) / 2),
-                    ..runner.clone()
-                },
-                None,
-            )
-            .expect("interrupted half run");
-            let start = Instant::now();
-            run_sharded(
-                ckpt_code,
-                &thr_env,
-                &ckpt_config,
-                &RunnerConfig {
-                    resume: true,
-                    ..runner.clone()
-                },
-                None,
-            )
-            .expect("resumed run");
-            start.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min);
-    let _ = std::fs::remove_dir_all(&dir);
-    let overhead_pct = 100.0 * (checkpointed_seconds - plain_seconds) / plain_seconds;
-    println!(
-        "\ncheckpointing: plain {plain_seconds:.3}s, checkpointed {checkpointed_seconds:.3}s \
-         ({overhead_pct:+.1}% over {checkpoint_writes} writes), resume-from-half \
-         {resume_from_half_seconds:.3}s"
-    );
-    let resume_json = format!(
-        concat!(
-            "  \"resume\": {{\"shards\": {}, \"checkpoint_writes\": {}, ",
-            "\"plain_seconds\": {:.6}, \"checkpointed_seconds\": {:.6}, ",
-            "\"overhead_pct\": {:.3}, \"resume_from_half_seconds\": {:.6}}},\n"
-        ),
-        shards,
-        checkpoint_writes,
-        plain_seconds,
-        checkpointed_seconds,
-        overhead_pct,
-        resume_from_half_seconds,
-    );
-
-    // Scenario matrix rates: the full code x environment grid, once with
-    // the naive counter and once with importance sampling (16x inflation),
-    // so the snapshot always contains SDC rows with usable error bars.
-    let matrix_config = if smoke {
-        FleetConfig {
-            dimms: 64,
-            years: 2.0,
-            ..FleetConfig::default()
-        }
-    } else {
-        FleetConfig::default()
-    };
-    let mut reports = muse_lifetime::run_matrix(&matrix_config);
+    // The full code x environment grid, once with the naive counter and
+    // once with importance sampling (16x inflation), so the snapshot always
+    // contains SDC rows with usable error bars.
+    let config = FleetConfig::default();
+    let mut reports = muse_lifetime::run_matrix(&config);
     reports.extend(muse_lifetime::run_matrix(&FleetConfig {
         estimator: Estimator::importance(16.0),
-        ..matrix_config
+        ..config
     }));
     println!(
-        "\n{:<16} {:<21} {:>6} {:>22} {:>22} {:>9}",
+        "{:<16} {:<21} {:>6} {:>22} {:>22} {:>9}",
         "code", "environment", "est", "DUE/m-yr [95% CI]", "SDC/m-yr [95% CI]", "degraded"
     );
     for r in &reports {
@@ -348,41 +78,23 @@ fn main() {
         );
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"lifetime-bench/v4\",\n");
-    json.push_str(&format!(
-        "  \"host\": {},\n",
-        muse_bench::HostInfo::detect().json()
-    ));
-    json.push_str(&format!("  \"threads_available\": {threads_available},\n"));
-    json.push_str(&format!("  \"smoke\": {smoke},\n"));
-    json.push_str(&format!(
+    let fleet = format!(
         concat!(
-            "  \"fleet\": {{\"dimms\": {}, \"years\": {}, ",
+            "{{\"dimms\": {}, \"years\": {}, ",
             "\"scrub_interval_hours\": {}, \"spares_per_dimm\": {}, ",
-            "\"dimms_per_machine\": {}}},\n"
+            "\"dimms_per_machine\": {}}}"
         ),
-        matrix_config.dimms,
-        matrix_config.years,
-        matrix_config.scrub_interval_hours,
-        matrix_config.spares_per_dimm,
-        matrix_config.dimms_per_machine,
-    ));
-    json.push_str("  \"throughput\": [\n");
-    json.push_str(&throughput_rows.join(",\n"));
-    json.push_str("\n  ],\n");
-    json.push_str(&format!(
-        "  \"thread_sweep\": {{\"code\": \"{}\", \"rows\": [\n",
-        thr_codes[0].name()
-    ));
-    json.push_str(&sweep_rows.join(",\n"));
-    json.push_str("\n    ]},\n");
-    json.push_str(&resume_json);
-    json.push_str("  \"scenarios\": [\n");
+        config.dimms,
+        config.years,
+        config.scrub_interval_hours,
+        config.spares_per_dimm,
+        config.dimms_per_machine,
+    );
     let body: Vec<String> = reports.iter().map(scenario_json).collect();
-    json.push_str(&body.join(",\n"));
-    json.push_str("\n  ]\n}\n");
-    std::fs::write("BENCH_lifetime.json", &json).expect("write BENCH_lifetime.json");
-    println!("\nwrote BENCH_lifetime.json ({threads_available} CPUs)");
+    let json = format!(
+        "{{\n  \"schema\": \"lifetime-bench/v5\",\n  \"fleet\": {fleet},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+        body.join(",\n")
+    );
+    std::fs::write("BENCH_lifetime.json", json).expect("write BENCH_lifetime.json");
+    println!("\nwrote BENCH_lifetime.json");
 }

@@ -21,125 +21,29 @@
 //! | `ondie` | extension — on-die SEC × rank MUSE co-design |
 //! | `repro_all` | Everything above in sequence |
 //!
-//! # The `BENCH_faultsim.json` performance snapshot
+//! `bench_lifetime` writes the fleet-lifetime rate snapshot described
+//! below. Speed is not measured here: `perfbench/` (declared in
+//! `BENCHMARK.json`) times every layer, end to end.
 //!
-//! `cargo run --release -p muse-bench --bin bench_faultsim [trials]`
-//! measures every fault simulator and (over)writes `BENCH_faultsim.json`
-//! in the current directory, so each PR's hot-path numbers land next to
-//! the previous baseline. Schema `faultsim-bench/v3` (v3 added the
-//! `thread_sweep` object and made every parallel-leg field honest on
-//! single-core hosts — see below; v2 added the `host` object so
-//! trajectories are never compared across machines unknowingly):
+//! # The `BENCH_lifetime.json` rate snapshot
 //!
-//! ```json
-//! {
-//!   "schema": "faultsim-bench/v3",
-//!   "host": {"logical_cores": 8, "os": "linux", "arch": "x86_64"},
-//!   "threads_available": 8,          // CPUs visible to the run
-//!   "trials": 20000,                 // base trial count (CLI arg)
-//!   "msed_speedup_vs_naive": {"one_thread": 9.8, "all_threads": 61.2},
-//!   "thread_sweep": {                // flagship MSED kernel scaling proof
-//!     "name": "msed_muse_144_132",
-//!     "trials": 20000,
-//!     "rows": [
-//!       {"threads": 1, "seconds": 0.0003, "trials_per_sec": 60000000,
-//!        "efficiency": 1.0},          // rate / (serial_rate * threads)
-//!       {"threads": 2, "seconds": 0.0002, "trials_per_sec": 112000000,
-//!        "efficiency": 0.93}
-//!     ]
-//!   },
-//!   "results": [
-//!     {
-//!       "name": "msed_muse_144_132", // simulator + code under test
-//!       "trials": 20000,             // this row's trial count (some rows
-//!                                    // scale the base count down because a
-//!                                    // trial covers many words/devices)
-//!       "one_thread":  {"seconds": 0.0003, "trials_per_sec": 60000000},
-//!       "all_threads": {"seconds": 0.0001, "trials_per_sec": 448000000}
-//!     }
-//!   ]
-//! }
-//! ```
-//!
-//! **Single-core hosts** (`host.logical_cores == 1`): an "all threads"
-//! leg there would just re-time the serial path with jitter, so the
-//! emitter measures one canonical `one_thread` object per row (no
-//! `all_threads` key), omits `msed_speedup_vs_naive.all_threads` rather
-//! than reporting a sub-1x artifact, and keeps the sweep's canonical
-//! `[1, 2, 4]` row shape with the >1 rows as explicit markers:
-//!
-//! ```json
-//! {"threads": 2, "skipped_single_core": true}
-//! ```
-//!
-//! Timings are best-of-3 wall-clock; `msed_naive_wide_serial` is the
-//! pre-engine wide-word loop kept as the speedup baseline (serial by
-//! definition — it never has an `all_threads` leg), and
-//! `msed_rs_144_112_t2` tracks the syndrome-domain `t = 2` RS path that
-//! replaced the wide-PGZ-per-trial fallback. CI validates the committed
-//! file against this schema (including the required simulator rows and
-//! the sweep shape) and asserts a freshly measured
-//! `msed_speedup_vs_naive.one_thread` floor so kernel regressions fail
-//! loudly. Regenerate on a quiet machine and commit the file when a PR
-//! changes simulator performance.
-//!
-//! # The `BENCH_lifetime.json` fleet snapshot
-//!
-//! `cargo run --release -p muse-bench --bin bench_lifetime` measures the
-//! fleet-lifetime simulator (`muse-lifetime`) and (over)writes
-//! `BENCH_lifetime.json`. Schema `lifetime-bench/v4` (v4 added the
-//! `thread_sweep` object and the single-core honesty rule — on 1-core
-//! hosts the throughput rows carry only `one_thread` and the sweep rows
-//! beyond 1 worker are `{"threads": N, "skipped_single_core": true}`
-//! markers, exactly as in `faultsim-bench/v3`; v3 added the `host`
-//! object; v2 added the per-row estimator tag, event counts, 95%
-//! confidence intervals, and the rendered rate strings; v1 rows carried
-//! only the bare point rates):
+//! `cargo run --release -p muse-bench --bin bench_lifetime` runs the
+//! fleet-lifetime scenario matrix (`muse-lifetime`) and (over)writes
+//! `BENCH_lifetime.json`, schema `lifetime-bench/v5`:
 //!
 //! ```json
 //! {
-//!   "schema": "lifetime-bench/v4",
-//!   "host": {"logical_cores": 8, "os": "linux", "arch": "x86_64"},
-//!   "threads_available": 8,     // CPUs visible to the run
-//!   "smoke": false,             // true under the CI `--smoke` mode
+//!   "schema": "lifetime-bench/v5",
 //!   "fleet": {                  // the scenario-matrix configuration
-//!     "dimms": 1024, "years": 5.0, "scrub_interval_hours": 12.0,
+//!     "dimms": 1024, "years": 5, "scrub_interval_hours": 12,
 //!     "spares_per_dimm": 0, "dimms_per_machine": 8
-//!   },
-//!   "throughput": [             // erasure-heavy fleet, 1 vs all workers
-//!     {
-//!       "code": "MUSE(80,69)",
-//!       "epochs": 33280,         // DIMM-epochs simulated per run
-//!       "erasure_reads": 158721, // degraded-mode classifications per run
-//!       "one_thread":  {"seconds": 0.04, "epochs_per_sec": 700000,
-//!                       "erasure_reads_per_sec": 13000000},
-//!       "all_threads": {"seconds": 0.01, "epochs_per_sec": 4900000,
-//!                       "erasure_reads_per_sec": 91000000}
-//!     }
-//!   ],
-//!   "thread_sweep": {           // worker scaling of the first code
-//!     "code": "MUSE(80,69)",
-//!     "rows": [
-//!       {"threads": 1, "seconds": 0.04, "epochs_per_sec": 700000,
-//!        "efficiency": 1.0},    // rate / (serial_rate * threads)
-//!       {"threads": 2, "seconds": 0.02, "epochs_per_sec": 1300000,
-//!        "efficiency": 0.93}
-//!     ]
-//!   },
-//!   "resume": {                 // crash-safe sharded-runner overhead
-//!     "shards": 8,              // shard count of the measured run
-//!     "checkpoint_writes": 8,   // generations persisted
-//!     "plain_seconds": 0.21,            // simulate_fleet, no sharding
-//!     "checkpointed_seconds": 0.21,     // sharded + checkpoint every shard
-//!     "overhead_pct": 0.5,              // checkpointed vs plain
-//!     "resume_from_half_seconds": 0.10  // resume of a half-done checkpoint
 //!   },
 //!   "scenarios": [              // one row per code x environment x estimator
 //!     {
 //!       "code": "MUSE(144,132)", "environment": "chipkill-heavy",
 //!       "machine_years": 640.0,
 //!       "estimator": "is",      // "naive" or "is" (importance sampling)
-//!       "bias": 16.0,           // rate-inflation factor (1.0 for naive)
+//!       "bias": 16,             // rate-inflation factor (1 for naive)
 //!       "due_per_machine_year": 2.5,
 //!       "due_events": 1600,     // observed (unweighted) DUE events
 //!       "due_ci95": [2.1, 2.9], // 95% confidence interval on the rate
@@ -159,20 +63,10 @@
 //! both the unbiased naive counts and the importance-sampled rates whose
 //! likelihood-ratio reweighting resolves rare SDC events with error bars.
 //! When a row observed zero events its `*_display` string is the
-//! rule-of-three 95% upper bound (`"<4.7e-3 @95%"`), never a bare zero;
-//! CI rejects snapshots whose SDC columns are neither positive nor
-//! bounded that way.
-//!
-//! `--smoke` (used by CI) first asserts the pinned small-fleet tallies of
-//! `crates/lifetime/tests/regression.rs` (via
-//! `muse_lifetime::verify_smoke`), then writes a reduced snapshot.
-//! All rates are deterministic — bit-identical at any worker count.
-//!
-//! The `resume` row exercises the `lifetime-ckpt/v1` checkpoint store
-//! (two alternating generations, atomic write-temp-fsync-rename,
-//! CRC-32-validated records; full layout in the `muse-lifetime`
-//! `checkpoint` module docs): the overhead of persisting every shard
-//! boundary, and the wall-clock of resuming a run interrupted halfway.
+//! rule-of-three 95% upper bound (`"<4.7e-3 @95%"`), never a bare zero.
+//! Every field is deterministic — bit-identical at any worker count and on
+//! any host — so CI regenerates the file and fails on any diff against
+//! the committed copy.
 //!
 //! # Observability artifacts: `muse-trace/v1` and the Prometheus textfile
 //!
@@ -275,9 +169,7 @@
 pub mod baseline;
 pub mod experiments;
 pub mod format;
-pub mod host;
 
 pub use baseline::naive_msed;
 pub use experiments::*;
 pub use format::{bar, print_table};
-pub use host::HostInfo;

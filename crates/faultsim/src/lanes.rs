@@ -31,11 +31,6 @@
 //!    everyone) and finish the exact transition-table classification. No
 //!    trial ever re-enters a scalar replay.
 //!
-//! With the `simd` cargo feature on a runtime-detected AVX2 host, stage 1
-//! runs as a split pipeline instead: a decode pass materializes the strike
-//! columns, and `vpgatherdq` folds four lanes per iteration — bit-identical
-//! to the portable pass (`simd_parity` test, cross-feature CI).
-//!
 //! Unavailable on mixed-width layouts, scattered (non-affine) check spans,
 //! or geometries past the verified divisor domains; `muse_msed` falls back
 //! to the same-stream scalar oracle there, so the lane kernel is an
@@ -122,9 +117,6 @@ pub(crate) struct LaneKernel<'k> {
     sym_div: MagicDiv,
     /// Pattern-pair decode: divide by `2^width − 1`.
     pat_div: MagicDiv,
-    /// Runtime-detected AVX2 (only ever true with the `simd` feature).
-    #[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(dead_code))]
-    use_avx2: bool,
 }
 
 /// Per-worker stage buffers, sized for one engine block. Grow-only, never
@@ -137,34 +129,12 @@ pub(crate) struct LaneBuffers {
     packed: Vec<u32>,
     /// Compacted indices of trials needing per-trial attention.
     exceptional: Vec<u32>,
-    /// Decoded strike columns (strike-major), used by the AVX2 split
-    /// pipeline only — the portable pass keeps everything in registers.
-    #[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(dead_code))]
-    syms: Vec<u32>,
-    #[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(dead_code))]
-    pats: Vec<u32>,
-    #[cfg_attr(not(all(feature = "simd", target_arch = "x86_64")), allow(dead_code))]
-    cnts: Vec<u32>,
 }
 
 fn grow<T: Clone + Default>(v: &mut Vec<T>, len: usize) {
     if v.len() < len {
         v.resize(len, T::default());
     }
-}
-
-/// Standalone compaction pass for the AVX2 split pipeline (the portable
-/// pass fuses this into stage 1): collects indices of trials needing the
-/// walk with a branch-free conditional append. Returns the count.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-fn compact(buf: &mut LaneBuffers, len: usize) -> usize {
-    let mut n_exc = 0usize;
-    for t in 0..len {
-        buf.exceptional[n_exc] = t as u32;
-        let exc = (buf.rems[t] == 0) | (buf.packed[t] != SyndromeKernel::NO_ENTRY);
-        n_exc += exc as usize;
-    }
-    n_exc
 }
 
 impl<'k> LaneKernel<'k> {
@@ -202,7 +172,6 @@ impl<'k> LaneKernel<'k> {
             quad_div: MagicDiv::new(n * (n - 1), pb.checked_mul(pb)?)?,
             sym_div: MagicDiv::new(n - 1, n)?,
             pat_div: MagicDiv::new(pb, pb)?,
-            use_avx2: avx2_available(),
         })
     }
 
@@ -273,16 +242,8 @@ impl<'k> LaneKernel<'k> {
         grow(&mut buf.exceptional, len);
 
         // Stage 1: decode + fold + probe + compact, one fused branchless
-        // pass (the AVX2 build splits it to feed the vector fold).
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        let n_exc = if self.use_avx2 {
-            self.stage1_avx2(buf, len, quad_col, cnt_col, x_col);
-            compact(buf, len)
-        } else {
-            self.stage1_portable(buf, len, quad_col, cnt_col, x_col)
-        };
-        #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-        let n_exc = self.stage1_portable(buf, len, quad_col, cnt_col, x_col);
+        // pass.
+        let n_exc = self.stage1(buf, len, quad_col, cnt_col, x_col);
 
         // The bulk majority (~88%) is Detected: one batched tally.
         sink(TrialOutcome::Detected, (len - n_exc) as u64);
@@ -345,13 +306,13 @@ impl<'k> LaneKernel<'k> {
         }
     }
 
-    /// The fused portable stage 1: per lane, decode the draws, gather the
+    /// The fused stage 1: per lane, decode the draws, gather the
     /// four residues, reduce the syndrome branchlessly (`x.min(x − m)`
     /// compiles to a cmov — an `if x ≥ m` on data-random values
     /// mispredicts half the time), probe the fused ELC table, and append
     /// exceptional indices branch-free. Consecutive lanes are independent,
     /// so the loads pipeline. Returns the exceptional count.
-    fn stage1_portable(
+    fn stage1(
         &self,
         buf: &mut LaneBuffers,
         len: usize,
@@ -401,175 +362,6 @@ impl<'k> LaneKernel<'k> {
             n_exc += ((rem == 0) | (packed != SyndromeKernel::NO_ENTRY)) as usize;
         }
         n_exc
-    }
-
-    /// The AVX2 split pipeline behind the `simd` feature: a decode pass
-    /// materializes the strike columns, `vpgatherdq` folds four lanes per
-    /// iteration, and a probe pass fills the fused-table column.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    fn stage1_avx2(
-        &self,
-        buf: &mut LaneBuffers,
-        len: usize,
-        quad_col: &[u32],
-        cnt_col: &[u32],
-        x_col: &[u32],
-    ) {
-        grow(&mut buf.syms, 2 * len);
-        grow(&mut buf.pats, 2 * len);
-        grow(&mut buf.cnts, 2 * len);
-        {
-            let (sym0, sym1) = buf.syms.split_at_mut(len);
-            let (pat0, pat1) = buf.pats.split_at_mut(len);
-            let (cnt0, cnt1) = buf.cnts.split_at_mut(len);
-            for t in 0..len {
-                let (a, b, p0, p1, c0, c1) = self.decode(quad_col[t], cnt_col[t], x_col[t] as u64);
-                sym0[t] = a;
-                sym1[t] = b;
-                pat0[t] = p0;
-                pat1[t] = p1;
-                cnt0[t] = c0 as u32;
-                cnt1[t] = c1 as u32;
-            }
-        }
-        for i in 0..2 {
-            // SAFETY: AVX2 confirmed at runtime; every index is
-            // `(sym << width) + content` with `sym < n`,
-            // `content`/`content ^ pat` ≤ width mask — in bounds by
-            // construction.
-            unsafe {
-                simd_x86::fold_column_avx2(
-                    self.residues,
-                    self.m,
-                    self.width,
-                    &buf.syms[i * len..(i + 1) * len],
-                    &buf.pats[i * len..(i + 1) * len],
-                    &buf.cnts[i * len..(i + 1) * len],
-                    &mut buf.rems[..len],
-                    i == 0,
-                );
-            }
-        }
-        for (p, &rem) in buf.packed[..len].iter_mut().zip(&buf.rems[..len]) {
-            *p = self.elc_fused[rem as usize];
-        }
-    }
-
-    /// Portable single-column fold, kept as the bit-exactness yardstick
-    /// for the AVX2 fold (`simd_parity`): one strike column's residue
-    /// deltas folded into every lane's syndrome — written outright when
-    /// `init`, accumulated modularly otherwise.
-    #[cfg(any(test, all(feature = "simd", target_arch = "x86_64")))]
-    #[allow(dead_code)]
-    fn fold_column(&self, syms: &[u32], pats: &[u32], cnts: &[u32], rems: &mut [u64], init: bool) {
-        let (m, w) = (self.m, self.width);
-        let len = rems.len();
-        assert!(syms.len() == len && pats.len() == len && cnts.len() == len);
-        for t in 0..len {
-            let base = (syms[t] << w) as usize;
-            let content = cnts[t];
-            let before = self.residues[base + content as usize];
-            let after = self.residues[base + (content ^ pats[t]) as usize];
-            let delta = after + (m - before);
-            let delta = delta.min(delta.wrapping_sub(m));
-            if init {
-                rems[t] = delta;
-            } else {
-                let next = rems[t] + delta;
-                rems[t] = next.min(next.wrapping_sub(m));
-            }
-        }
-    }
-}
-
-/// Whether the AVX2 specialization is compiled in *and* the host supports
-/// it. Always false without the `simd` cargo feature — the fused portable
-/// pass is the only stage-1 path then.
-fn avx2_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
-    }
-}
-
-/// AVX2 stage-1 fold: four lanes per iteration, residues fetched with
-/// `vpgatherdq`. Opt-in via the `simd` cargo feature and runtime-gated on
-/// host support; bit-identical to [`LaneKernel::fold_column`] (asserted by
-/// the `simd_parity` test below and the feature-matrix CI equivalence
-/// runs).
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod simd_x86 {
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::*;
-
-    /// # Safety
-    ///
-    /// Caller must have verified AVX2 support at runtime. Slices must all
-    /// share one length; every `(sym << width) + content` and
-    /// `(sym << width) + (content ^ pat)` index must be in bounds for
-    /// `residues`. With `init` the syndrome column is written outright
-    /// (first strike); otherwise it accumulates modularly.
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn fold_column_avx2(
-        residues: &[u64],
-        m: u64,
-        width: u32,
-        syms: &[u32],
-        pats: &[u32],
-        cnts: &[u32],
-        rems: &mut [u64],
-        init: bool,
-    ) {
-        let len = rems.len();
-        debug_assert!(syms.len() == len && pats.len() == len && cnts.len() == len);
-        let shift = _mm_cvtsi32_si128(width as i32);
-        let mvec = _mm256_set1_epi64x(m as i64);
-        // Unsigned `x ≥ m` via signed compare is sound: every operand is
-        // `< 2m < 2^33`, far below the sign bit.
-        let mfence = _mm256_set1_epi64x((m - 1) as i64);
-        let table = residues.as_ptr() as *const i64;
-        let chunks = len / 4;
-        for c in 0..chunks {
-            let o = c * 4;
-            let sym = _mm_loadu_si128(syms.as_ptr().add(o) as *const __m128i);
-            let pat = _mm_loadu_si128(pats.as_ptr().add(o) as *const __m128i);
-            let content = _mm_loadu_si128(cnts.as_ptr().add(o) as *const __m128i);
-            let base = _mm_sll_epi32(sym, shift);
-            let idx_before = _mm_add_epi32(base, content);
-            let idx_after = _mm_add_epi32(base, _mm_xor_si128(content, pat));
-            let before = _mm256_i32gather_epi64::<8>(table, idx_before);
-            let after = _mm256_i32gather_epi64::<8>(table, idx_after);
-            // delta = after + (m − before), conditionally reduced.
-            let delta = _mm256_add_epi64(after, _mm256_sub_epi64(mvec, before));
-            let over = _mm256_cmpgt_epi64(delta, mfence);
-            let delta = _mm256_sub_epi64(delta, _mm256_and_si256(over, mvec));
-            let next = if init {
-                delta
-            } else {
-                let rem = _mm256_loadu_si256(rems.as_ptr().add(o) as *const __m256i);
-                let next = _mm256_add_epi64(rem, delta);
-                let over = _mm256_cmpgt_epi64(next, mfence);
-                _mm256_sub_epi64(next, _mm256_and_si256(over, mvec))
-            };
-            _mm256_storeu_si256(rems.as_mut_ptr().add(o) as *mut __m256i, next);
-        }
-        // Scalar tail (< 4 lanes), identical arithmetic.
-        for t in chunks * 4..len {
-            let base = (syms[t] << width) as usize;
-            let before = residues[base + cnts[t] as usize];
-            let after = residues[base + (cnts[t] ^ pats[t]) as usize];
-            let mut delta = after + (m - before);
-            if delta >= m {
-                delta -= m;
-            }
-            let next = if init { delta } else { rems[t] + delta };
-            rems[t] = next.min(next.wrapping_sub(m));
-        }
     }
 }
 
@@ -669,82 +461,35 @@ mod tests {
         );
     }
 
-    /// The portable fold matches per-lane scalar kernel calls exactly.
+    /// Stage 1's fused fold leaves each lane's syndrome equal to the two
+    /// strikes' scalar `flip_delta`s summed modularly.
     #[test]
     fn fold_column_matches_flip_delta() {
         let code = presets::muse_144_132();
         let kernel = code.kernel().expect("preset supports the kernel");
         let lanes = LaneKernel::new(kernel).expect("uniform widths");
         let n = kernel.num_symbols() as u32;
-        let wmask = ((1u32 << lanes.width) - 1) as u64;
-        let mut state = 0x1357_9BDFu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let pb = (1u32 << lanes.width) - 1;
         let len = 257;
-        let syms: Vec<u32> = (0..len).map(|_| (next() % n as u64) as u32).collect();
-        let pats: Vec<u32> = (0..len).map(|_| 1 + (next() % wmask) as u32).collect();
-        let cnts: Vec<u32> = (0..len).map(|_| (next() & wmask) as u32).collect();
-        let mut rems = vec![0u64; len];
-        lanes.fold_column(&syms, &pats, &cnts, &mut rems, true);
+        let mut rng = Rng::seeded(0x1357_9BDF);
+        let mut quad_col = vec![0u32; len];
+        let mut cnt_col = vec![0u32; len];
+        let mut x_col = vec![0u32; len];
+        Bounded32::new(n * (n - 1) * pb * pb).fill(&mut rng, &mut quad_col);
+        rng.fill_u32s(&mut cnt_col);
+        Bounded32::new(kernel.modulus() as u32).fill(&mut rng, &mut x_col);
+        let mut buf = LaneBuffers::default();
+        grow(&mut buf.rems, len);
+        grow(&mut buf.packed, len);
+        grow(&mut buf.exceptional, len);
+        lanes.stage1(&mut buf, len, &quad_col, &cnt_col, &x_col);
         for t in 0..len {
-            let expected = kernel.flip_delta(syms[t] as usize, cnts[t] as u16, pats[t] as u16);
-            assert_eq!(rems[t], expected, "lane {t}");
-        }
-        // A second fold accumulates modularly.
-        let snapshot = rems.clone();
-        lanes.fold_column(&syms, &pats, &cnts, &mut rems, false);
-        for t in 0..len {
-            assert_eq!(rems[t], kernel.add_mod(snapshot[t], snapshot[t]));
-        }
-    }
-
-    /// With the `simd` feature on an AVX2 host, the vector fold must be
-    /// bit-identical to the portable one.
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    #[test]
-    fn simd_parity() {
-        if !std::arch::is_x86_feature_detected!("avx2") {
-            return;
-        }
-        for code in [presets::muse_144_132(), presets::muse_268_256()] {
-            let kernel = code.kernel().expect("preset supports the kernel");
-            let lanes = LaneKernel::new(kernel).expect("uniform widths");
-            let n = kernel.num_symbols() as u32;
-            let wmask = ((1u32 << lanes.width) - 1) as u64;
-            let mut state = 0xFEED_F00Du64;
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
-            // Deliberately non-multiple-of-4 length to cover the tail.
-            let len = 1023;
-            let syms: Vec<u32> = (0..len).map(|_| (next() % n as u64) as u32).collect();
-            let pats: Vec<u32> = (0..len).map(|_| 1 + (next() % wmask) as u32).collect();
-            let cnts: Vec<u32> = (0..len).map(|_| (next() & wmask) as u32).collect();
-            for init in [true, false] {
-                let mut scalar = vec![7u64; len];
-                let mut vector = vec![7u64; len];
-                lanes.fold_column(&syms, &pats, &cnts, &mut scalar, init);
-                unsafe {
-                    simd_x86::fold_column_avx2(
-                        lanes.residues,
-                        lanes.m,
-                        lanes.width,
-                        &syms,
-                        &pats,
-                        &cnts,
-                        &mut vector,
-                        init,
-                    );
-                }
-                assert_eq!(scalar, vector, "{} init={init}", code.name());
-            }
+            let (a, b, p0, p1, c0, c1) = lanes.decode(quad_col[t], cnt_col[t], x_col[t] as u64);
+            let expected = kernel.add_mod(
+                kernel.flip_delta(a as usize, c0, p0 as u16),
+                kernel.flip_delta(b as usize, c1, p1 as u16),
+            );
+            assert_eq!(buf.rems[t], expected, "lane {t}");
         }
     }
 
@@ -757,7 +502,9 @@ mod tests {
         for code in [
             presets::muse_144_132(),
             presets::muse_144_128(),
+            presets::muse_80_69(),
             presets::muse_80_70(),
+            presets::muse_268_256(),
         ] {
             let kernel = code.kernel().expect("preset supports the kernel");
             let lanes = LaneKernel::new(kernel).expect("uniform widths");

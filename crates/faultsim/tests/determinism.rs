@@ -55,7 +55,7 @@ fn msed_identical_with_auto_threads() {
 
 #[test]
 fn msed_lane_path_identical_across_thread_counts() {
-    // The k = 2 lane kernel (SIMD path under `--features simd`) consumes
+    // The k = 2 lane kernel consumes
     // pre-filled per-block draw columns, so worker count must never show:
     // exercise a non-multiple-of-block trial count (4 blocks + 904-trial
     // tail) on a lane-eligible preset and on the interleaved layout that

@@ -1,11 +1,9 @@
 //! Lane kernel ⇄ scalar oracle equivalence: `muse_msed` (lane-parallel
-//! where the layout allows, AVX2 under `--features simd`) must produce
-//! tallies identical to `muse_msed_scalar` (the draw-for-draw scalar
-//! reference) on every preset, trial count, and thread count. Both consume
-//! the same pre-filled draw columns, so any divergence is a lane-kernel
-//! bug, never a sampling difference. CI runs this suite with the `simd`
-//! feature both off and on; on AVX2 hosts the feature run additionally
-//! proves the vector fold bit-identical through whole simulations.
+//! where the layout allows) must produce tallies identical to
+//! `muse_msed_scalar` (the draw-for-draw scalar reference) on every preset,
+//! trial count, and thread count. Both consume the same pre-filled draw
+//! columns, so any divergence is a lane-kernel bug, never a sampling
+//! difference.
 
 use muse_core::{presets, MuseCode};
 use muse_faultsim::{muse_msed, muse_msed_scalar, MsedConfig};

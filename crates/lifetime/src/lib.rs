@@ -582,9 +582,9 @@ pub fn simulate_fleet(code: &FleetCode, env: &Environment, config: &FleetConfig)
 /// The canonical CI smoke setup: a small fleet that starts degraded (one
 /// retired chip per DIMM) under an aggressive synthetic environment, so
 /// every classification path — erasure reads, DUEs, SDCs, retirements —
-/// is exercised in under a second. Consumed by both
-/// `tests/regression.rs` and `bench_lifetime --smoke` so the pins cannot
-/// drift apart.
+/// is exercised in under a second. Consumed by `tests/regression.rs`,
+/// the CLI's `lifetime --smoke` and the service's smoke jobs, so the pins
+/// cannot drift apart.
 pub fn smoke_setup() -> (Environment, FleetConfig) {
     (
         Environment {
@@ -670,8 +670,9 @@ pub fn smoke_expected() -> Vec<SmokeExpectation> {
 
 /// Checks a batch of [`smoke_setup`] reports — one per [`scenario_codes`]
 /// entry, in order — against the [`smoke_expected`] pins. Shared by the
-/// regression tests, `bench_lifetime --smoke`, and the CLI's crash-
-/// recovery smoke so all three compare against the same baselines.
+/// regression tests and the CLI's `lifetime --smoke` (which CI's
+/// crash-recovery and telemetry smokes run), so both compare against the
+/// same baselines.
 ///
 /// # Errors
 ///

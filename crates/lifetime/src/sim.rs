@@ -99,12 +99,7 @@ impl Plan {
     pub fn new(code: &FleetCode, env: &Environment, config: &FleetConfig) -> Self {
         let devices = code.devices() as u32;
         let hours = config.scrub_interval_hours;
-        let p_mode =
-            |mode: FailureMode, scale: f64| (mode.fit_per_device() * scale * hours / 1e9).min(1.0);
-        let [s_single, s_multi, s_whole] = env.permanent_scale;
-        let p_single = p_mode(FailureMode::SingleBit, s_single);
-        let p_multi = p_mode(FailureMode::SingleDeviceMultiBit, s_multi);
-        let p_whole = p_mode(FailureMode::WholeDevice, s_whole);
+        let [(_, p_single), (_, p_multi), (_, p_whole)] = arrival_probabilities(env, config);
         Self {
             epochs: config.epochs(),
             cdf_single: CountCdf::binomial(devices, p_single),
@@ -133,8 +128,8 @@ impl Plan {
 }
 
 /// Per-epoch permanent-fault arrival probabilities per device, by biased
-/// channel name — the inputs of the supervisor's weight-cap saturation
-/// diagnostic (`(bias − 1) · p > EXTRA_P_CAP` means the channel's
+/// channel name — the binomial arrival rates of [`Plan`], and the inputs
+/// of the supervisor's weight-cap saturation diagnostic (`(bias − 1) · p > EXTRA_P_CAP` means the channel's
 /// effective inflation is clipped).
 pub(crate) fn arrival_probabilities(
     env: &Environment,

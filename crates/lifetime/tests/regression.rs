@@ -1,6 +1,6 @@
 //! Reproducibility pins: exact fleet tallies for the fixed smoke
-//! configuration ([`muse_lifetime::smoke_setup`] — the same setup
-//! `bench_lifetime --smoke` asserts in CI).
+//! configuration ([`muse_lifetime::smoke_setup`] — the same setup the
+//! CLI's `lifetime --smoke` and the service's `smoke-check` assert in CI).
 //!
 //! The pinned values live in [`muse_lifetime::smoke_expected`] and pin the
 //! composed behaviour of the per-cell RNG streams, the arrival sampling,
