@@ -133,8 +133,9 @@
 //! `<id>.job` specs (`muse-job/v1` JSON; the 16-hex id *is* the config
 //! hash, so identical submissions dedup structurally), `active/` the one
 //! claimed job, `done/` `<id>.result` (`muse-result/v1`), `failed/` the
-//! spec plus `<id>.err`, `cache/` `<id>.res` binary tally records
-//! (`muse-result-cache/v1`, CRC-32 + embedded-hash fenced), and
+//! spec plus `<id>.err`, `cache/` `<id>.res` finished tallies stored as
+//! one-shard `lifetime-ckpt/v2` records (CRC-32 + embedded-hash fenced;
+//! anything unreadable is recomputed), and
 //! `checkpoints/<id>/` the in-flight two-generation checkpoint store.
 //! Every transition is an atomic rename; there is no other state.
 //!

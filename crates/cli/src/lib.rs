@@ -1168,22 +1168,44 @@ mod tests {
         assert!(out.contains("0 dropped"), "{out}");
         assert!(out.contains("metrics: Prometheus textfile"), "{out}");
         // Every JSONL line parses as a schema-valid muse-trace/v1 event,
+        // seq is gap-free (nothing was dropped, so it is the line index),
         // and the stream is bracketed by run_start/run_end per cell.
         let body = std::fs::read_to_string(&trace).unwrap();
         let mut kinds = Vec::new();
-        for line in body.lines() {
-            let (_seq, event) = muse_telemetry::TraceEvent::parse_line(line).unwrap();
+        for (i, line) in body.lines().enumerate() {
+            let (seq, event) = muse_telemetry::TraceEvent::parse_line(line).unwrap();
+            assert_eq!(seq, i as u64, "{line}");
             kinds.push(event.kind());
         }
         assert_eq!(kinds.iter().filter(|k| **k == "run_start").count(), 4);
         assert_eq!(kinds.iter().filter(|k| **k == "run_end").count(), 4);
+        assert_eq!(kinds.first(), Some(&"run_start"), "{kinds:?}");
+        assert_eq!(kinds.last(), Some(&"run_end"), "{kinds:?}");
         assert!(kinds.contains(&"shard_start"), "{kinds:?}");
         assert!(kinds.contains(&"heartbeat"), "{kinds:?}");
-        // The Prometheus textfile carries the core instruments.
+        // The Prometheus textfile carries the core instruments, typed, with
+        // a zero drop count and a histogram whose +Inf bucket is its count.
         let prom = std::fs::read_to_string(&metrics).unwrap();
-        assert!(prom.contains("# TYPE muse_lifetime_shards_completed_total counter"));
+        for typed in [
+            "# TYPE muse_lifetime_shards_completed_total counter",
+            "# TYPE muse_lifetime_shard_wall_ms histogram",
+            "# TYPE muse_trace_dropped_events gauge",
+        ] {
+            assert!(prom.lines().any(|l| l == typed), "{typed}\n{prom}");
+        }
         assert!(prom.contains("muse_sim_trials_total"));
-        assert!(prom.contains("muse_lifetime_shard_wall_ms_bucket"));
+        let sample = |name: &str| -> f64 {
+            prom.lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+                .unwrap_or_else(|| panic!("no sample {name}\n{prom}"))
+        };
+        assert_eq!(sample("muse_trace_dropped_events"), 0.0);
+        let count = sample("muse_lifetime_shard_wall_ms_count");
+        assert!(count > 0.0, "{prom}");
+        assert_eq!(
+            sample("muse_lifetime_shard_wall_ms_bucket{le=\"+Inf\"}"),
+            count
+        );
         // A bad trace path fails fast instead of running the matrix.
         assert!(run_str("lifetime --smoke --trace /nonexistent-dir/t.jsonl").is_err());
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,5 +1,4 @@
-//! Durable, crash-safe fleet checkpoints: the `lifetime-ckpt/v2` format
-//! (reading `v1` payloads transparently).
+//! Durable, crash-safe fleet checkpoints: the `lifetime-ckpt/v2` format.
 //!
 //! A checkpoint captures everything the sharded runner
 //! ([`run_sharded`](crate::run_sharded)) needs to continue an interrupted
@@ -9,7 +8,12 @@
 //! FleetConfig)` triple so a checkpoint can never silently resume under
 //! different parameters.
 //!
-//! # On-disk layout (`lifetime-ckpt/v2`, with v1 read-compat)
+//! This is the only on-disk format of a [`LifetimeTally`]: the service's
+//! result cache stores each finished run as a one-shard checkpoint
+//! (shard 0 of 1), so [`Checkpoint::encode`] and [`Checkpoint::decode`]
+//! are the one serializer and the one parser of a tally.
+//!
+//! # On-disk layout (`lifetime-ckpt/v2`)
 //!
 //! One checkpoint file is a fixed header followed by one record per
 //! completed shard, every piece independently CRC-32 checksummed:
@@ -17,7 +21,7 @@
 //! ```text
 //! header (56 bytes):
 //!   0   8  magic  b"MLCKPT1\n"
-//!   8   4  format version (u32 LE) = 2 (1 accepted on read)
+//!   8   4  format version (u32 LE) = 2
 //!   12  4  shard count of the run's shard plan (u32 LE)
 //!   16  8  config_hash (u64 LE)
 //!   24  8  generation (u64 LE, monotonically increasing per save)
@@ -34,46 +38,43 @@
 //!   188  4  CRC-32 of bytes 0..188
 //! ```
 //!
-//! A **version-1** record is 96 bytes — the same first 92 bytes followed
-//! directly by its CRC, with no weighted accumulators. [`Checkpoint::decode`]
-//! still accepts such payloads (the weighted sums load as zero, which is
-//! exactly what the naive estimator that wrote them would have recorded),
-//! so pre-v2 checkpoints resume unchanged. The config-hash domain string
-//! stays `"lifetime-ckpt/v1"` for the same reason: the hash fingerprints
-//! the *run configuration*, not the container format, and changing it
-//! would orphan every existing naive checkpoint. Importance-sampling runs
-//! can never adopt an old checkpoint anyway — their estimator feeds extra
-//! bytes into [`FleetConfig::canonical_bytes`], giving a different hash.
+//! Any other version — including the 96-byte-record `v1` layout of older
+//! builds — decodes as [`CheckpointError::BadFormat`]. Checkpoints are
+//! transient run state, so a resume that finds only such files warns and
+//! starts over rather than carrying a second reader.
+//!
+//! The string `"lifetime-ckpt/v1"` that opens every [`config_hash`] is a
+//! frozen domain separator, not a format version: the hash fingerprints
+//! the *run configuration*, and it is kept so that service job ids and
+//! existing v2 checkpoints stay valid.
 //!
 //! # Generation policy and corruption fallback
 //!
 //! A [`CheckpointStore`] keeps **two generations** in alternating slot
 //! files (`<prefix>.g0` / `<prefix>.g1`, slot = generation mod 2). Every
-//! save is atomic — write to `<prefix>.tmp`, `fsync`, rename over the
-//! slot — so a crash mid-write can at worst corrupt the *newest*
-//! generation, never the previous one. [`CheckpointStore::load`] decodes
-//! both slots and returns the valid checkpoint with the highest
-//! generation; if the newest slot is truncated or bit-flipped (any CRC,
-//! magic, or length check fails) it **falls back to the previous
-//! generation** and reports the fallback, and the resumed run simply
-//! recomputes the shards that generation had not yet recorded. Only when
-//! both slots are unreadable does a resume start from scratch.
+//! save is atomic — [`write_durable`] writes `<prefix>.tmp`, `fsync`s it
+//! and renames it over the slot — so a crash mid-write can at worst
+//! corrupt the *newest* generation, never the previous one.
+//! [`CheckpointStore::load`] decodes both slots and returns the valid
+//! checkpoint with the highest generation; if the newest slot is
+//! truncated or bit-flipped (any CRC, magic, or length check fails) it
+//! **falls back to the previous generation** and reports the fallback,
+//! and the resumed run simply recomputes the shards that generation had
+//! not yet recorded. Only when both slots are unreadable does a resume
+//! start from scratch, with a warning.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::estimator::WeightedCount;
-use crate::iofault::{injected_io_error, IoFaultPlan};
+use crate::iofault::{write_durable, IoFaultPlan};
 use crate::{Environment, FleetCode, FleetConfig, LifetimeTally};
 
-/// Magic bytes opening every checkpoint file (shared by v1 and v2).
+/// Magic bytes opening every checkpoint file.
 pub const MAGIC: [u8; 8] = *b"MLCKPT1\n";
-/// Checkpoint format version written by this build. Version 1 payloads
-/// are still accepted on read (their weighted sums load as zero).
+/// The checkpoint format version, the only one this build reads or writes.
 pub const FORMAT_VERSION: u32 = 2;
 const HEADER_LEN: usize = 56;
-const RECORD_LEN_V1: usize = 96;
-const RECORD_LEN_V2: usize = 192;
+const RECORD_LEN: usize = 192;
 const TALLY_FIELDS: usize = 11;
 
 /// Why a checkpoint payload failed to decode.
@@ -81,7 +82,7 @@ const TALLY_FIELDS: usize = 11;
 pub enum CheckpointError {
     /// The payload is shorter than its header and records claim.
     Truncated,
-    /// The magic bytes or format version do not match `lifetime-ckpt/v1`.
+    /// The magic bytes or format version do not match `lifetime-ckpt/v2`.
     BadFormat,
     /// A CRC-32 check failed (bit rot or a torn write).
     BadChecksum,
@@ -94,7 +95,7 @@ impl std::fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Truncated => write!(f, "checkpoint truncated"),
-            Self::BadFormat => write!(f, "not a lifetime-ckpt/v1 payload"),
+            Self::BadFormat => write!(f, "not a lifetime-ckpt/v2 payload"),
             Self::BadChecksum => write!(f, "checkpoint CRC mismatch"),
             Self::BadStructure => write!(f, "checkpoint structurally invalid"),
         }
@@ -105,7 +106,7 @@ impl std::error::Error for CheckpointError {}
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `bytes` — the per-record
 /// integrity check of the checkpoint format.
-pub fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
         crc ^= b as u32;
@@ -177,10 +178,11 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    fn encode_header(&self, version: u32, record_len: usize) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + record_len * self.done.len());
+    /// Serializes to the `lifetime-ckpt/v2` byte layout.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN + RECORD_LEN * self.done.len());
         out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.shard_count.to_le_bytes());
         out.extend_from_slice(&self.config_hash.to_le_bytes());
         out.extend_from_slice(&self.generation.to_le_bytes());
@@ -190,12 +192,6 @@ impl Checkpoint {
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
         debug_assert_eq!(out.len(), HEADER_LEN);
-        out
-    }
-
-    /// Serializes to the `lifetime-ckpt/v2` byte layout.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = self.encode_header(FORMAT_VERSION, RECORD_LEN_V2);
         for &(shard, ref tally) in &self.done {
             let start = out.len();
             out.extend_from_slice(&shard.to_le_bytes());
@@ -212,58 +208,33 @@ impl Checkpoint {
         out
     }
 
-    /// Serializes to the legacy `lifetime-ckpt/v1` byte layout (96-byte
-    /// records, no weighted accumulators — they are simply dropped).
-    /// Kept so the v1 read-compat path stays testable against bytes a
-    /// pre-v2 build would actually have written.
-    pub fn encode_v1(&self) -> Vec<u8> {
-        let mut out = self.encode_header(1, RECORD_LEN_V1);
-        for &(shard, ref tally) in &self.done {
-            let start = out.len();
-            out.extend_from_slice(&shard.to_le_bytes());
-            for field in tally_fields(tally) {
-                out.extend_from_slice(&field.to_le_bytes());
-            }
-            let crc = crc32(&out[start..]);
-            out.extend_from_slice(&crc.to_le_bytes());
-        }
-        out
-    }
-
-    /// Decodes and fully validates a `lifetime-ckpt/v1` or `/v2` payload:
-    /// magic, version, exact length, header and per-record CRCs, and
-    /// shard-index structure. Any corruption — truncation anywhere, any
-    /// flipped bit — yields an error rather than a partial checkpoint.
-    /// Version-1 records carry no weighted accumulators; those load as
-    /// zero (what the naive estimator that wrote them recorded).
+    /// Decodes and fully validates a `lifetime-ckpt/v2` payload: magic,
+    /// version, exact length, header and per-record CRCs, and shard-index
+    /// structure. Any corruption — truncation anywhere, any flipped bit —
+    /// yields an error rather than a partial checkpoint.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
         if bytes.len() < HEADER_LEN {
             return Err(CheckpointError::Truncated);
         }
-        if bytes[..8] != MAGIC {
-            return Err(CheckpointError::BadFormat);
-        }
         let u32_at = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
         let u64_at = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
         let u128_at = |off: usize| u128::from_le_bytes(bytes[off..off + 16].try_into().unwrap());
-        let record_len = match u32_at(8) {
-            1 => RECORD_LEN_V1,
-            2 => RECORD_LEN_V2,
-            _ => return Err(CheckpointError::BadFormat),
-        };
+        if bytes[..8] != MAGIC || u32_at(8) != FORMAT_VERSION {
+            return Err(CheckpointError::BadFormat);
+        }
         if crc32(&bytes[..52]) != u32_at(52) {
             return Err(CheckpointError::BadChecksum);
         }
         let shard_count = u32_at(12);
         let records = u32_at(48) as usize;
-        if bytes.len() != HEADER_LEN + record_len * records {
+        if bytes.len() != HEADER_LEN + RECORD_LEN * records {
             return Err(CheckpointError::Truncated);
         }
         let mut done = Vec::with_capacity(records);
         let mut prev: Option<u32> = None;
         for r in 0..records {
-            let base = HEADER_LEN + record_len * r;
-            let crc_off = base + record_len - 4;
+            let base = HEADER_LEN + RECORD_LEN * r;
+            let crc_off = base + RECORD_LEN - 4;
             if crc32(&bytes[base..crc_off]) != u32_at(crc_off) {
                 return Err(CheckpointError::BadChecksum);
             }
@@ -276,17 +247,17 @@ impl Checkpoint {
             for (i, field) in fields.iter_mut().enumerate() {
                 *field = u64_at(base + 4 + 8 * i);
             }
-            let mut tally = tally_from_fields(fields);
-            if record_len == RECORD_LEN_V2 {
-                let wbase = base + 4 + 8 * TALLY_FIELDS;
-                let wc = |i: usize| WeightedCount {
-                    sum_q64: u128_at(wbase + 32 * i),
-                    sumsq_q32: u128_at(wbase + 32 * i + 16),
-                };
-                tally.due_weighted = wc(0);
-                tally.sdc_weighted = wc(1);
-                tally.weight_sum = wc(2);
-            }
+            let wbase = base + 4 + 8 * TALLY_FIELDS;
+            let wc = |i: usize| WeightedCount {
+                sum_q64: u128_at(wbase + 32 * i),
+                sumsq_q32: u128_at(wbase + 32 * i + 16),
+            };
+            let tally = LifetimeTally {
+                due_weighted: wc(0),
+                sdc_weighted: wc(1),
+                weight_sum: wc(2),
+                ..tally_from_fields(fields)
+            };
             done.push((shard, tally));
         }
         Ok(Self {
@@ -362,10 +333,9 @@ impl CheckpointStore {
         &self.slots[(generation % 2) as usize]
     }
 
-    /// Atomically persists `checkpoint` into its generation's slot:
-    /// write-to-temp, `fsync`, rename. The previous generation's slot is
-    /// untouched, so a crash at any instant leaves at least one valid
-    /// checkpoint behind.
+    /// Atomically persists `checkpoint` into its generation's slot through
+    /// [`write_durable`]. The previous generation's slot is untouched, so a
+    /// crash at any instant leaves at least one valid checkpoint behind.
     ///
     /// With an [`IoFaultPlan`] attached ([`Self::open_with_faults`]),
     /// injected ENOSPC / fsync / rename faults surface here as `Err` —
@@ -376,37 +346,13 @@ impl CheckpointStore {
     /// (bit rot), exercising the same fallback.
     pub fn save(&self, checkpoint: &Checkpoint) -> std::io::Result<()> {
         let generation = checkpoint.generation;
-        if let Some(f) = &self.faults {
-            if f.enospc(generation) {
-                return Err(injected_io_error("ENOSPC", generation));
-            }
-        }
-        let bytes = checkpoint.encode();
-        let write_len = match &self.faults {
-            Some(f) if f.short_write(generation) => bytes.len() / 2,
-            _ => bytes.len(),
-        };
-        let mut file = std::fs::File::create(&self.tmp)?;
-        file.write_all(&bytes[..write_len])?;
-        if let Some(f) = &self.faults {
-            if f.fsync_fails(generation) {
-                return Err(injected_io_error("fsync failure", generation));
-            }
-        }
-        file.sync_all()?;
-        drop(file);
-        if let Some(f) = &self.faults {
-            if f.rename_fails(generation) {
-                return Err(injected_io_error("rename failure", generation));
-            }
-        }
-        std::fs::rename(&self.tmp, self.slot_path(generation))?;
-        if let Some(f) = &self.faults {
-            if f.corrupts_record(generation) {
-                self.corrupt(generation, Corruption::BitFlip)?;
-            }
-        }
-        Ok(())
+        write_durable(
+            &self.tmp,
+            self.slot_path(generation),
+            &checkpoint.encode(),
+            self.faults.as_ref(),
+            generation,
+        )
     }
 
     /// Loads the newest valid checkpoint, falling back to the previous
@@ -467,18 +413,17 @@ impl CheckpointStore {
 
 /// FNV-1a 64-bit over the canonical encodings of the full run
 /// configuration — the stable fingerprint stored in every checkpoint (and
-/// the future result-cache key): a checkpoint resumes only under the
-/// exact `(code, environment, config)` that produced it.
+/// the service's job id and result-cache key): a checkpoint resumes only
+/// under the exact `(code, environment, config)` that produced it.
 ///
 /// [`FleetConfig::threads`] is deliberately **excluded** (via
 /// [`FleetConfig::canonical_bytes`]): tallies are bit-identical at any
 /// thread count, so moving a checkpoint to a machine with different
 /// parallelism must not invalidate it.
 ///
-/// The domain string is frozen at `"lifetime-ckpt/v1"` even though the
-/// container format is now v2: the hash fingerprints the run
-/// configuration, not the byte layout, and rolling it would orphan
-/// every pre-v2 checkpoint (see the module docs).
+/// The leading `"lifetime-ckpt/v1"` is a frozen domain separator, not the
+/// container format version: changing it would change every hash and so
+/// invalidate service job ids and existing v2 checkpoints.
 pub fn config_hash(code: &FleetCode, env: &Environment, config: &FleetConfig) -> u64 {
     let mut hash = 0xCBF2_9CE4_8422_2325u64;
     let mut eat = |bytes: &[u8]| {
@@ -532,39 +477,15 @@ mod tests {
     }
 
     #[test]
-    fn v1_payload_decodes_with_zero_weighted_sums() {
-        let c = sample();
-        let decoded = Checkpoint::decode(&c.encode_v1()).unwrap();
-        // Everything but the weighted accumulators survives the trip...
-        let mut expect = c.clone();
-        for (_, t) in &mut expect.done {
-            t.due_weighted = WeightedCount::default();
-            t.sdc_weighted = WeightedCount::default();
-            t.weight_sum = WeightedCount::default();
-        }
-        assert_eq!(decoded, expect);
-        // ...and the v1 payload really is the legacy 96-byte-record size.
-        assert_eq!(c.encode_v1().len(), 56 + 96 * 3);
-        assert_eq!(c.encode().len(), 56 + 192 * 3);
+    fn v2_layout_is_pinned() {
+        assert_eq!(sample().encode().len(), 56 + 192 * 3);
     }
 
     #[test]
-    fn every_v1_truncation_and_bitflip_fails() {
-        let bytes = sample().encode_v1();
-        for len in 0..bytes.len() {
-            assert!(
-                Checkpoint::decode(&bytes[..len]).is_err(),
-                "v1 prefix of {len} bytes decoded"
-            );
-        }
-        for bit in 0..bytes.len() * 8 {
-            let mut mangled = bytes.clone();
-            mangled[bit / 8] ^= 1 << (bit % 8);
-            assert!(
-                Checkpoint::decode(&mangled).is_err(),
-                "v1 flip of bit {bit} decoded"
-            );
-        }
+    fn other_versions_are_bad_format() {
+        let mut bytes = sample().encode();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        assert_eq!(Checkpoint::decode(&bytes), Err(CheckpointError::BadFormat));
     }
 
     #[test]

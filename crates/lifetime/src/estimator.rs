@@ -109,11 +109,9 @@ impl Estimator {
 
     /// Canonical encoding for
     /// [`config_hash`](crate::config_hash): a variant tag plus the bias
-    /// factor's IEEE-754 bit pattern.
-    /// [`FleetConfig::canonical_bytes`](crate::FleetConfig::canonical_bytes)
-    /// appends this **only for non-naive estimators**, so every hash
-    /// computed before the estimator existed — and every
-    /// `lifetime-ckpt/v1` checkpoint carrying one — stays valid.
+    /// factor's IEEE-754 bit pattern. The naive estimator encodes as
+    /// **no bytes at all** and a biased one always adds some, so naive
+    /// and biased runs never share a hash.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         match self {
             Self::Naive => Vec::new(),

@@ -2,8 +2,9 @@
 //!
 //! Where [`FaultPlan`](crate::FaultPlan) injects *execution* failures
 //! (kills, hangs, delays), an `IoFaultPlan` injects *storage and sink*
-//! failures into every durable-write path: the checkpoint store, the
-//! service result cache, and wrapped telemetry sinks. Every decision is a
+//! failures: into [`write_durable`], the one durable-write path (behind
+//! both the checkpoint store and the service result cache), and into
+//! wrapped telemetry sinks. Every decision is a
 //! pure function of `(seed ⊕ domain, op index)` through the same
 //! counter-based [`Rng`] streams the simulator uses, so a chaos run is
 //! exactly reproducible: the same seed injects the same ENOSPC at the
@@ -16,9 +17,11 @@
 //!
 //! # Fault classes and their contracts
 //!
+//! The first five rows are injected by [`write_durable`], in this order.
+//!
 //! | Fault | Effect | Contract under chaos |
 //! |---|---|---|
-//! | `enospc` | durable write fails before any byte lands | loud `Err`, previous state intact |
+//! | `enospc` | `write_durable` fails before any byte lands | loud `Err`, previous state intact |
 //! | `short_write` | only half the payload reaches the temp file | silent torn record; CRC rejects it on read, fallback loads |
 //! | `fsync_fail` | `fsync` reports failure after the write | loud `Err`, previous state intact |
 //! | `rename_fail` | atomic rename into place fails | loud `Err`, previous state intact |
@@ -30,6 +33,7 @@
 //! as absence. No path returns corrupted data as if it were valid.
 
 use std::io::{self, Write};
+use std::path::Path;
 
 use muse_faultsim::Rng;
 
@@ -146,8 +150,59 @@ impl IoFaultPlan {
 
 /// The injected error for durable-write faults — message carries the
 /// fault class and op index so test assertions and logs are precise.
-pub fn injected_io_error(kind: &str, op: u64) -> io::Error {
+fn injected_io_error(kind: &str, op: u64) -> io::Error {
     io::Error::other(format!("injected {kind} (io chaos, op {op})"))
+}
+
+/// The one durable-write path: writes `bytes` to `tmp`, `fsync`s it and
+/// renames it over `dest`, so a crash at any instant leaves either the old
+/// `dest` or the complete new one. Checkpoint saves and result-cache
+/// records both commit through here.
+///
+/// With a plan attached, each fault class is decided on `op` in write
+/// order: ENOSPC before any byte lands, a torn (half-length) payload,
+/// an `fsync` failure, a rename failure, and finally single-bit rot of
+/// the committed `dest`. Injected failures return `Err` with `dest`
+/// untouched; torn and rotted payloads commit "successfully" and are left
+/// for the reader's CRC checks to reject.
+///
+/// # Errors
+///
+/// Real or injected I/O failure.
+pub fn write_durable(
+    tmp: &Path,
+    dest: &Path,
+    bytes: &[u8],
+    faults: Option<&IoFaultPlan>,
+    op: u64,
+) -> io::Result<()> {
+    let inject = |fires: fn(&IoFaultPlan, u64) -> bool| faults.is_some_and(|f| fires(f, op));
+    if inject(IoFaultPlan::enospc) {
+        return Err(injected_io_error("ENOSPC", op));
+    }
+    let write_len = if inject(IoFaultPlan::short_write) {
+        bytes.len() / 2
+    } else {
+        bytes.len()
+    };
+    let mut file = std::fs::File::create(tmp)?;
+    file.write_all(&bytes[..write_len])?;
+    if inject(IoFaultPlan::fsync_fails) {
+        return Err(injected_io_error("fsync failure", op));
+    }
+    file.sync_all()?;
+    drop(file);
+    if inject(IoFaultPlan::rename_fails) {
+        return Err(injected_io_error("rename failure", op));
+    }
+    std::fs::rename(tmp, dest)?;
+    if inject(IoFaultPlan::corrupts_record) {
+        let mut committed = std::fs::read(dest)?;
+        let mid = committed.len() / 2;
+        committed[mid] ^= 0x10;
+        std::fs::write(dest, &committed)?;
+    }
+    Ok(())
 }
 
 struct ChaosSink {

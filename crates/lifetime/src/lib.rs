@@ -73,11 +73,11 @@ mod supervisor;
 pub mod telemetry;
 
 pub use checkpoint::{
-    config_hash, crc32, Checkpoint, CheckpointError, CheckpointStore, Corruption, Loaded,
+    config_hash, Checkpoint, CheckpointError, CheckpointStore, Corruption, Loaded,
 };
 pub use classify::{FleetBackend, FleetContext};
 pub use estimator::{Estimator, RateEstimate, WeightedCount};
-pub use iofault::{injected_io_error, IoFaultPlan};
+pub use iofault::{write_durable, IoFaultPlan};
 pub use muse_core::{Classifier, Entropy, MuseClassifier, Strike, WordRead};
 pub use muse_rs::RsClassifier;
 pub use shard::ShardPlan;
@@ -379,12 +379,11 @@ impl FleetConfig {
     /// thread count, so a checkpoint must stay valid when the worker
     /// count changes (e.g. resuming on a different machine).
     ///
-    /// The [`estimator`](Self::estimator) is appended **only when
-    /// non-naive**: a naive config encodes exactly as it did before the
-    /// estimator field existed, so pre-estimator hashes — and every
-    /// `lifetime-ckpt/v1` checkpoint carrying one — stay resumable,
-    /// while a biased run can never silently adopt a naive checkpoint
-    /// (or vice versa).
+    /// The [`estimator`](Self::estimator) contributes bytes **only when
+    /// non-naive** (see [`Estimator::canonical_bytes`]), so a biased run
+    /// can never silently adopt a naive checkpoint (or vice versa). The
+    /// encoding is frozen: any change would alter every [`config_hash`],
+    /// orphaning existing checkpoints and service job ids.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(&self.dimms.to_le_bytes());
@@ -506,12 +505,8 @@ impl LifetimeReport {
         code: &FleetCode,
         env: &Environment,
         config: &FleetConfig,
-        tally: LifetimeTally,
+        t: LifetimeTally,
     ) -> Self {
-        Self::new(code, env, config, tally)
-    }
-
-    fn new(code: &FleetCode, env: &Environment, config: &FleetConfig, t: LifetimeTally) -> Self {
         let my = config.machine_years();
         let due_events = t.due_words + t.data_loss_events;
         let (due_estimate, sdc_estimate) = match config.estimator {
@@ -576,7 +571,7 @@ impl LifetimeReport {
 /// ```
 pub fn simulate_fleet(code: &FleetCode, env: &Environment, config: &FleetConfig) -> LifetimeReport {
     let tally = sim::run_fleet(code, env, config);
-    LifetimeReport::new(code, env, config, tally)
+    LifetimeReport::from_tally(code, env, config, tally)
 }
 
 /// The canonical CI smoke setup: a small fleet that starts degraded (one

@@ -57,7 +57,9 @@ pub struct RunnerConfig {
     pub checkpoint_prefix: String,
     /// Persist a generation after this many newly completed shards.
     pub checkpoint_every: u32,
-    /// Resume from the newest valid checkpoint instead of starting clean.
+    /// Resume from the newest valid checkpoint instead of starting clean
+    /// (slot files that all fail to decode draw a warning, then a clean
+    /// start).
     pub resume: bool,
     /// Retries per shard before the run fails (injected kills consume
     /// attempts).
@@ -455,6 +457,12 @@ pub fn run_sharded_with(
                         / config.dimms_per_machine as f64,
                     fell_back: loaded.fell_back,
                 });
+            } else if (0..2).any(|g| store.slot_path(g).exists()) {
+                telemetry.warn(
+                    "warning: no checkpoint slot holds a readable lifetime-ckpt/v2 \
+                     checkpoint (corrupt, or written in an older format); \
+                     starting over from shard 0",
+                );
             }
         } else {
             store.clear()?;
@@ -747,7 +755,7 @@ pub fn run_sharded_with(
         total.merge(*tally);
     }
     Ok(ShardedOutcome::Complete {
-        report: LifetimeReport::new(code, env, config, total),
+        report: LifetimeReport::from_tally(code, env, config, total),
         stats,
     })
 }

@@ -1,7 +1,6 @@
 //! Property tests over the `lifetime-ckpt/v2` codec: arbitrary
 //! checkpoints — weighted accumulators included — round-trip exactly,
-//! legacy v1 payloads decode with zeroed weighted sums, and any
-//! corruption — truncation at a random point, a random flipped bit — is
+//! and any corruption — truncation at a random point, a random flipped bit — is
 //! rejected by the CRC/structure checks rather than decoded into a wrong
 //! checkpoint (the invariant the corruption-fallback path of the sharded
 //! runner rests on).
@@ -94,34 +93,14 @@ proptest! {
     }
 
     #[test]
-    fn v1_payloads_decode_with_weighted_sums_zeroed(
-        shard_count in 1u32..=MAX_SHARDS as u32,
-        include in prop::collection::vec(any::<bool>(), MAX_SHARDS..MAX_SHARDS + 1),
-        fields in prop::collection::vec(
-            any::<u64>(), MAX_SHARDS * FIELDS_PER_SHARD..MAX_SHARDS * FIELDS_PER_SHARD + 1),
-    ) {
-        let ckpt = build(7, 8, shard_count, 4096, 9, &include, &fields);
-        let decoded = Checkpoint::decode(&ckpt.encode_v1()).expect("v1 decode");
-        let mut expect = ckpt.clone();
-        for (_, t) in &mut expect.done {
-            t.due_weighted = WeightedCount::default();
-            t.sdc_weighted = WeightedCount::default();
-            t.weight_sum = WeightedCount::default();
-        }
-        prop_assert_eq!(decoded, expect);
-    }
-
-    #[test]
     fn truncation_never_decodes(
         shard_count in 1u32..=MAX_SHARDS as u32,
         include in prop::collection::vec(any::<bool>(), MAX_SHARDS..MAX_SHARDS + 1),
         fields in prop::collection::vec(
             any::<u64>(), MAX_SHARDS * FIELDS_PER_SHARD..MAX_SHARDS * FIELDS_PER_SHARD + 1),
         cut in any::<u64>(),
-        legacy in any::<bool>(),
     ) {
-        let ckpt = build(1, 2, shard_count, 1024, 3, &include, &fields);
-        let bytes = if legacy { ckpt.encode_v1() } else { ckpt.encode() };
+        let bytes = build(1, 2, shard_count, 1024, 3, &include, &fields).encode();
         // Any strict prefix must fail (length or CRC check).
         let len = (cut % bytes.len() as u64) as usize;
         prop_assert!(Checkpoint::decode(&bytes[..len]).is_err(),
@@ -135,10 +114,8 @@ proptest! {
         fields in prop::collection::vec(
             any::<u64>(), MAX_SHARDS * FIELDS_PER_SHARD..MAX_SHARDS * FIELDS_PER_SHARD + 1),
         flip in any::<u64>(),
-        legacy in any::<bool>(),
     ) {
-        let ckpt = build(4, 5, shard_count, 2048, 6, &include, &fields);
-        let mut bytes = if legacy { ckpt.encode_v1() } else { ckpt.encode() };
+        let mut bytes = build(4, 5, shard_count, 2048, 6, &include, &fields).encode();
         let bit = (flip % (bytes.len() as u64 * 8)) as usize;
         bytes[bit / 8] ^= 1 << (bit % 8);
         prop_assert!(Checkpoint::decode(&bytes).is_err(),

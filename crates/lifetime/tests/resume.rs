@@ -6,8 +6,9 @@
 use std::path::PathBuf;
 
 use muse_lifetime::{
-    run_sharded, simulate_fleet, smoke_setup, CheckpointStore, Corruption, Environment, Estimator,
-    FaultPlan, FleetCode, FleetConfig, LifetimeTally, RunnerConfig, RunnerError, ShardedOutcome,
+    run_sharded, run_sharded_with, simulate_fleet, smoke_setup, CheckpointStore, Corruption,
+    Environment, Estimator, FaultPlan, FleetCode, FleetConfig, FleetTelemetry, LifetimeTally,
+    RunnerConfig, RunnerError, ShardedOutcome,
 };
 
 /// A small degraded fleet under the aggressive smoke environment so every
@@ -203,14 +204,13 @@ fn is_interrupt_at_every_shard_boundary_resumes_bit_identically() {
 }
 
 #[test]
-fn v1_checkpoint_written_by_old_code_resumes() {
-    // Naive checkpoints written by the pre-estimator build were 96-byte
-    // `lifetime-ckpt/v1` records. Rewrite the newest slot with the exact
-    // bytes such a build would have produced (`encode_v1`) and resume:
-    // the v2 reader must accept them and converge bit-identically.
+fn unreadable_checkpoints_warn_then_start_over() {
+    // Slot files that all fail to decode — here both slots carry a
+    // version-1 header, the layout of older builds — must not restart
+    // silently: the resume warns once, then recomputes every shard.
     let (code, env, config) = setup();
     let baseline = simulate_fleet(&code, &env, &config).tally;
-    let dir = TempDir::new("v1-compat");
+    let dir = TempDir::new("old-format");
     let first = run_sharded(
         &code,
         &env,
@@ -224,11 +224,24 @@ fn v1_checkpoint_written_by_old_code_resumes() {
     .expect("interrupted run");
     assert!(matches!(first, ShardedOutcome::Interrupted { .. }));
     let store = CheckpointStore::open(&dir.0, "fleet").expect("store");
-    let loaded = store.load().expect("checkpoint present");
-    assert!(!loaded.fell_back);
-    let legacy = loaded.checkpoint.encode_v1();
-    std::fs::write(store.slot_path(loaded.checkpoint.generation), legacy).expect("rewrite as v1");
-    let outcome = run_sharded(
+    let mut bytes = store
+        .load()
+        .expect("checkpoint present")
+        .checkpoint
+        .encode();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    for generation in 0..2 {
+        std::fs::write(store.slot_path(generation), &bytes).expect("write v1 header");
+    }
+    assert!(store.load().is_none(), "a v1 header must not decode");
+    let warnings = std::cell::RefCell::new(Vec::new());
+    let telemetry = FleetTelemetry {
+        warn: Some(Box::new(|line: &str| {
+            warnings.borrow_mut().push(line.to_string())
+        })),
+        ..FleetTelemetry::disabled()
+    };
+    let outcome = run_sharded_with(
         &code,
         &env,
         &config,
@@ -237,13 +250,15 @@ fn v1_checkpoint_written_by_old_code_resumes() {
             ..runner(&dir)
         },
         None,
+        &telemetry,
     )
-    .expect("resumed from v1 bytes");
-    let stats = outcome.stats().clone();
-    let info = stats.resume.expect("v1 checkpoint was loaded");
-    assert_eq!(info.shards_done, 3);
-    assert!(!info.fell_back, "a valid v1 payload is not corruption");
+    .expect("restarted run");
+    assert!(outcome.stats().resume.is_none());
+    assert_eq!(outcome.stats().shards_run, 6);
     assert_eq!(complete(outcome).tally, baseline);
+    let warnings = warnings.borrow();
+    assert_eq!(warnings.len(), 1, "{warnings:?}");
+    assert!(warnings[0].contains("starting over"), "{warnings:?}");
 }
 
 #[test]

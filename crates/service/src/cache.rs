@@ -1,45 +1,29 @@
-//! The on-disk result cache: `muse-result-cache/v1` records.
+//! The on-disk result cache: one-shard `lifetime-ckpt/v2` records.
 //!
 //! One record caches the complete [`LifetimeTally`] of one finished
 //! run, keyed — in the file name *and* inside the CRC-protected payload
-//! — by the run's [`config_hash`](muse_lifetime::config_hash). A lookup
-//! only ever returns a tally whose embedded hash matches the request
-//! and whose CRC verifies; anything else (truncation, bit rot, a record
-//! renamed over the wrong key) is reported as [`CacheLookup::Corrupt`]
-//! and treated as a miss. **A corrupt cache can cost a recompute, never
-//! a wrong number.**
+//! — by the run's [`config_hash`](muse_lifetime::config_hash). The record
+//! at `<hash:016x>.res` is a [`Checkpoint`] holding exactly shard 0 of 1,
+//! so the cache shares the checkpoint's byte layout, CRCs and decoder
+//! rather than keeping a format of its own; the header's generation,
+//! DIMM count and epoch cursor are written as fixed values and ignored
+//! on read.
 //!
-//! # Record layout (`<hash:016x>.res`, 208 bytes)
+//! A lookup only ever returns a tally whose embedded hash matches the
+//! request and whose CRCs verify; anything else (truncation, bit rot, a
+//! record renamed over the wrong key, a record in an older format) is
+//! reported as [`CacheLookup::Corrupt`] and treated as a miss. **A
+//! corrupt cache can cost a recompute, never a wrong number.**
 //!
-//! ```text
-//! 0    8  magic  b"MRESLT1\n"
-//! 8    4  version (u32 LE) = 1
-//! 12   8  config_hash (u64 LE) — must equal the requested key
-//! 20  88  the 11 raw LifetimeTally counters (u64 LE, declaration order)
-//! 108 96  the 3 WeightedCount accumulators, sum_q64 then sumsq_q32 (u128 LE)
-//! 204  4  CRC-32 of bytes 0..204
-//! ```
-//!
-//! Writes are atomic (temp + rename) and routed through the same
-//! [`IoFaultPlan`] seam as checkpoints, keyed by the config hash — so
-//! the chaos suite can tear, starve, or rot cache records at exact,
-//! reproducible keys. A failed cache write is a warning for the caller,
-//! never a job failure: the cache is an optimization, correctness lives
-//! in the run itself.
+//! Writes go through [`write_durable`], the same path as checkpoint
+//! saves, keyed by the config hash — so the chaos suite can tear,
+//! starve, or rot cache records at exact, reproducible keys. A failed
+//! cache write is a warning for the caller, never a job failure: the
+//! cache is an optimization, correctness lives in the run itself.
 
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use muse_lifetime::estimator::WeightedCount;
-use muse_lifetime::{crc32, injected_io_error, IoFaultPlan, LifetimeTally};
-
-/// Magic bytes opening every cache record.
-pub const RESULT_MAGIC: [u8; 8] = *b"MRESLT1\n";
-/// Schema name of the record format (for docs and error messages).
-pub const RESULT_SCHEMA: &str = "muse-result-cache/v1";
-const RECORD_VERSION: u32 = 1;
-const RECORD_LEN: usize = 208;
-const TALLY_FIELDS: usize = 11;
+use muse_lifetime::{write_durable, Checkpoint, IoFaultPlan, LifetimeTally};
 
 /// Outcome of a cache lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,8 +32,9 @@ pub enum CacheLookup {
     Hit(LifetimeTally),
     /// No record on disk.
     Miss,
-    /// A record exists but failed validation (CRC, magic, length, or
-    /// embedded-hash mismatch). Callers count it and recompute.
+    /// A record exists but failed validation (CRC, magic, version,
+    /// length, embedded-hash mismatch, or not exactly shard 0 of 1).
+    /// Callers count it and recompute.
     Corrupt,
 }
 
@@ -58,76 +43,6 @@ pub enum CacheLookup {
 pub struct ResultCache {
     dir: PathBuf,
     faults: Option<IoFaultPlan>,
-}
-
-fn tally_fields(t: &LifetimeTally) -> [u64; TALLY_FIELDS] {
-    [
-        t.epochs,
-        t.degraded_epochs,
-        t.corrected_words,
-        t.due_words,
-        t.sdc_words,
-        t.erasure_reads,
-        t.devices_retired,
-        t.rows_retired,
-        t.spare_rebuilds,
-        t.data_loss_events,
-        t.dimm_replacements,
-    ]
-}
-
-fn encode(hash: u64, t: &LifetimeTally) -> Vec<u8> {
-    let mut out = Vec::with_capacity(RECORD_LEN);
-    out.extend_from_slice(&RESULT_MAGIC);
-    out.extend_from_slice(&RECORD_VERSION.to_le_bytes());
-    out.extend_from_slice(&hash.to_le_bytes());
-    for field in tally_fields(t) {
-        out.extend_from_slice(&field.to_le_bytes());
-    }
-    for wc in [t.due_weighted, t.sdc_weighted, t.weight_sum] {
-        out.extend_from_slice(&wc.sum_q64.to_le_bytes());
-        out.extend_from_slice(&wc.sumsq_q32.to_le_bytes());
-    }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    debug_assert_eq!(out.len(), RECORD_LEN);
-    out
-}
-
-fn decode(bytes: &[u8], want_hash: u64) -> Option<LifetimeTally> {
-    if bytes.len() != RECORD_LEN || bytes[..8] != RESULT_MAGIC {
-        return None;
-    }
-    let u32_at = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-    let u64_at = |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
-    let u128_at = |off: usize| u128::from_le_bytes(bytes[off..off + 16].try_into().unwrap());
-    if u32_at(8) != RECORD_VERSION
-        || crc32(&bytes[..RECORD_LEN - 4]) != u32_at(RECORD_LEN - 4)
-        || u64_at(12) != want_hash
-    {
-        return None;
-    }
-    let f = |i: usize| u64_at(20 + 8 * i);
-    let wc = |i: usize| WeightedCount {
-        sum_q64: u128_at(108 + 32 * i),
-        sumsq_q32: u128_at(108 + 32 * i + 16),
-    };
-    Some(LifetimeTally {
-        epochs: f(0),
-        degraded_epochs: f(1),
-        corrected_words: f(2),
-        due_words: f(3),
-        sdc_words: f(4),
-        erasure_reads: f(5),
-        devices_retired: f(6),
-        rows_retired: f(7),
-        spare_rebuilds: f(8),
-        data_loss_events: f(9),
-        dimm_replacements: f(10),
-        due_weighted: wc(0),
-        sdc_weighted: wc(1),
-        weight_sum: wc(2),
-    })
 }
 
 impl ResultCache {
@@ -155,62 +70,44 @@ impl ResultCache {
     /// returned: a [`CacheLookup::Hit`] tally is bit-exact by
     /// construction.
     pub fn get(&self, hash: u64) -> CacheLookup {
-        match std::fs::read(self.record_path(hash)) {
-            Ok(bytes) => match decode(&bytes, hash) {
-                Some(tally) => CacheLookup::Hit(tally),
-                None => CacheLookup::Corrupt,
+        let Ok(bytes) = std::fs::read(self.record_path(hash)) else {
+            return CacheLookup::Miss;
+        };
+        match Checkpoint::decode(&bytes) {
+            Ok(c) if c.config_hash == hash && c.shard_count == 1 => match c.done[..] {
+                [(0, tally)] => CacheLookup::Hit(tally),
+                _ => CacheLookup::Corrupt,
             },
-            Err(_) => CacheLookup::Miss,
+            _ => CacheLookup::Corrupt,
         }
     }
 
-    /// Atomically persists the record for `hash`: write-to-temp,
-    /// `fsync`, rename, with every step subject to the attached
-    /// [`IoFaultPlan`] (keyed by `hash`). A post-commit
-    /// `corrupt_record` fault flips one bit in the committed file —
-    /// the bit-rot case [`Self::get`]'s CRC exists to catch.
+    /// Atomically persists the record for `hash` through
+    /// [`write_durable`], with every step subject to the attached
+    /// [`IoFaultPlan`] (keyed by `hash`). A post-commit `corrupt_record`
+    /// fault flips one bit in the committed file — the bit-rot case
+    /// [`Self::get`]'s CRC exists to catch.
     ///
     /// # Errors
     ///
     /// Real or injected I/O failure; the previous record (if any) is
     /// intact either way.
     pub fn put(&self, hash: u64, tally: &LifetimeTally) -> std::io::Result<()> {
-        if let Some(f) = &self.faults {
-            if f.enospc(hash) {
-                return Err(injected_io_error("ENOSPC", hash));
-            }
-        }
-        let bytes = encode(hash, tally);
-        let write_len = match &self.faults {
-            Some(f) if f.short_write(hash) => bytes.len() / 2,
-            _ => bytes.len(),
+        let record = Checkpoint {
+            config_hash: hash,
+            generation: 1,
+            shard_count: 1,
+            dimms: 0,
+            epoch_cursor: 0,
+            done: vec![(0, *tally)],
         };
-        let tmp = self.dir.join(format!("{hash:016x}.tmp"));
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(&bytes[..write_len])?;
-        if let Some(f) = &self.faults {
-            if f.fsync_fails(hash) {
-                return Err(injected_io_error("fsync failure", hash));
-            }
-        }
-        file.sync_all()?;
-        drop(file);
-        if let Some(f) = &self.faults {
-            if f.rename_fails(hash) {
-                return Err(injected_io_error("rename failure", hash));
-            }
-        }
-        let path = self.record_path(hash);
-        std::fs::rename(&tmp, &path)?;
-        if let Some(f) = &self.faults {
-            if f.corrupts_record(hash) {
-                let mut bytes = std::fs::read(&path)?;
-                let mid = bytes.len() / 2;
-                bytes[mid] ^= 0x08;
-                std::fs::write(&path, &bytes)?;
-            }
-        }
-        Ok(())
+        write_durable(
+            &self.dir.join(format!("{hash:016x}.tmp")),
+            &self.record_path(hash),
+            &record.encode(),
+            self.faults.as_ref(),
+            hash,
+        )
     }
 }
 

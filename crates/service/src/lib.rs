@@ -16,7 +16,7 @@
 //! <root>/active/<id>.job        claimed by a daemon (rename from queue/)
 //! <root>/done/<id>.result       finished (JSON result, muse-result/v1)
 //! <root>/failed/<id>.job|.err   failed loudly (spec kept + error text)
-//! <root>/cache/<hash>.res       result cache (CRC + config_hash fenced)
+//! <root>/cache/<hash>.res       result cache (one-shard lifetime-ckpt/v2 records)
 //! <root>/checkpoints/<id>/      per-job lifetime-ckpt/v2 checkpoints
 //! ```
 //!
@@ -42,7 +42,8 @@
 //!
 //! # Chaos coverage
 //!
-//! Every durable-write path (checkpoints, cache records) threads an
+//! Checkpoints and cache records both commit through
+//! [`write_durable`](muse_lifetime::write_durable), which threads an
 //! [`IoFaultPlan`](muse_lifetime::IoFaultPlan); `tests/chaos.rs` sweeps
 //! injected kills, shard hangs (watchdog), ENOSPC, torn writes, rename
 //! and fsync failures, cache-record corruption, and failing/blocked
@@ -56,7 +57,7 @@ mod cache;
 mod daemon;
 mod job;
 
-pub use cache::{CacheLookup, ResultCache, RESULT_MAGIC, RESULT_SCHEMA};
+pub use cache::{CacheLookup, ResultCache};
 pub use daemon::{
     serve, JobResult, ServiceConfig, ServiceReport, ServiceTelemetry, Spool, SpoolStatus,
 };
