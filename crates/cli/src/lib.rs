@@ -278,7 +278,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let code = preset(it.next().ok_or_else(|| err("msed needs a preset"))?)?;
             let rest: Vec<&str> = it.collect();
             let trials: u64 = parse_or(&rest, "--trials", 10_000)?;
-            let devices: usize = parse_or(&rest, "--devices", 2)?;
+            let devices = parse_devices(&rest, code.symbol_map().num_symbols())?;
             let threads: usize = parse_or(&rest, "--threads", 0)?;
             let stats = muse_msed(
                 &code,
@@ -308,10 +308,10 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 return Err(err("--device-bits must be in 1..=16"));
             }
             let trials: u64 = parse_or(&rest, "--trials", 10_000)?;
-            let devices: usize = parse_or(&rest, "--devices", 2)?;
             let threads: usize = parse_or(&rest, "--threads", 0)?;
             let code = muse_rs::RsMemoryCode::new(symbol_bits, 144, t)
                 .map_err(|e| err(format!("bad RS geometry: {e}")))?;
+            let devices = parse_devices(&rest, (code.n_bits() / device_bits) as usize)?;
             let stats = muse_faultsim::rs_msed(
                 &code,
                 device_bits,
@@ -937,6 +937,18 @@ fn parse_or<T: std::str::FromStr>(rest: &[&str], flag: &str, default: T) -> Resu
     }
 }
 
+/// `--devices <k>` (default 2): how many of the code's `count` devices
+/// fail at once in an MSED experiment.
+fn parse_devices(rest: &[&str], count: usize) -> Result<usize, CliError> {
+    let devices = parse_or(rest, "--devices", 2)?;
+    if !(1..=count).contains(&devices) {
+        return Err(err(format!(
+            "--devices must be in 1..={count} (the code has {count} devices)"
+        )));
+    }
+    Ok(devices)
+}
+
 /// `--estimator naive|is` plus `--bias <factor>`; `--bias` implies `is`,
 /// and `is` without `--bias` defaults to a 16x rate inflation.
 fn parse_estimator(rest: &[&str]) -> Result<muse_lifetime::Estimator, CliError> {
@@ -1031,6 +1043,31 @@ mod tests {
     fn msed_reports_rate() {
         let out = run_str("msed muse80_69 --trials 500").unwrap();
         assert!(out.contains("% of 500 2-device errors detected"), "{out}");
+    }
+
+    #[test]
+    fn msed_devices_outside_the_code_are_rejected() {
+        // MUSE(144,132) has 36 x4 devices: 0 would inject nothing, and 37
+        // cannot fail at once.
+        for devices in [0, 37, 40] {
+            let e = run_str(&format!("msed muse144_132 --trials 10 --devices {devices}"));
+            assert!(e.unwrap_err().0.contains("1..=36"), "--devices {devices}");
+        }
+        let out = run_str("msed muse144_132 --trials 10 --devices 36").unwrap();
+        assert!(out.contains("36-device errors"), "{out}");
+    }
+
+    #[test]
+    fn rsmsed_devices_outside_the_code_are_rejected() {
+        // 144 bits over x4 devices = 36 devices; over x8, 18.
+        for (devices, bits) in [(0, 4), (37, 4), (19, 8)] {
+            let e = run_str(&format!(
+                "rsmsed --trials 10 --devices {devices} --device-bits {bits}"
+            ));
+            assert!(e.is_err(), "--devices {devices} --device-bits {bits}");
+        }
+        let out = run_str("rsmsed --trials 10 --devices 18 --device-bits 8").unwrap();
+        assert!(out.contains("18-device errors"), "{out}");
     }
 
     #[test]

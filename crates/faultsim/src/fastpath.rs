@@ -14,19 +14,23 @@
 //!   uniform by less than `m/2^k ≤ 2⁻³⁵` in total variation — far below
 //!   Monte-Carlo resolution);
 //! * the injected corruption, a short list of `(symbol, xor-pattern)`
-//!   pairs whose syndrome is accumulated with
-//!   [`SyndromeKernel`](muse_core::SyndromeKernel) table lookups.
+//!   pairs whose syndrome is accumulated with [`SyndromeKernel`] table
+//!   lookups.
 //!
 //! No wide word — and no payload limb — is ever materialized on this path.
-//! [`TrialPlan`] holds the per-configuration sampling constants and
-//! supports columnar replay: whole blocks of symbol/pattern/content draws
-//! are bulk-filled ([`Bounded32::fill`], [`Rng::fill_u64s`]) and consumed
-//! per trial, which removes the serial RNG dependency between consecutive
-//! trials. The in-module property tests reconstruct wide codewords
-//! consistent with each sampled trial and prove the classification matches
-//! the wide decoder, preset by preset.
+//! This module holds what differs between the simulators: [`TrialPlan`]'s
+//! per-configuration sampling constants, and the two fixed-capacity MSED
+//! trials that replay bulk-filled draw columns ([`Bounded32::fill`],
+//! [`Rng::fill_u64s`]), which removes the serial RNG dependency between
+//! consecutive trials. What they share lives in `muse-core`: a symbol's
+//! content is assembled by [`SyndromeKernel::content_from_raw`], every
+//! read ends in [`SyndromeKernel::finish_read`], and the Vec-based
+//! simulators keep their lazily sampled contents in a
+//! [`MuseClassifier`](muse_core::MuseClassifier). The in-module property
+//! tests reconstruct wide codewords consistent with each sampled trial and
+//! prove the classification matches the wide decoder, preset by preset.
 
-use muse_core::{FastDecode, SyndromeKernel};
+use muse_core::{ReadOutcome, SyndromeKernel};
 
 use crate::rng::Bounded32;
 use crate::Rng;
@@ -131,9 +135,9 @@ impl TrialPlan {
     }
 
     /// Draws `k` distinct symbols with a fresh nonzero corruption pattern
-    /// each, appending them to the scratch's injection list.
+    /// each, appending them to `strikes`.
     #[inline]
-    pub fn inject_distinct(&self, scratch: &mut CodewordScratch, rng: &mut Rng, k: usize) {
+    pub fn inject_distinct(&self, strikes: &mut Vec<(usize, u16)>, rng: &mut Rng, k: usize) {
         debug_assert!(k <= self.picks.len(), "plan built for fewer strikes");
         let mut halves = HalfDraws::default();
         let mut sorted = [0usize; MAX_STRIKES];
@@ -146,7 +150,7 @@ impl TrialPlan {
             let draw = self.picks[i].of_half(rng, half) as usize;
             let sym = place_distinct(&mut sorted, i, draw);
             let pattern = self.pick_pattern(rng, &mut halves, sym);
-            scratch.injected.push((sym, pattern));
+            strikes.push((sym, pattern));
         }
     }
 }
@@ -177,212 +181,61 @@ pub(crate) fn place_distinct(chosen: &mut [usize; 8], i: usize, mut sym: usize) 
     sym
 }
 
-/// Per-worker scratch for content-space trials: lazily sampled symbol
-/// contents plus the trial's injected corruption.
-pub(crate) struct CodewordScratch {
-    contents: Vec<u16>,
-    stamps: Vec<u64>,
-    generation: u64,
-    /// The check value `X`, drawn uniformly over `[0, m)` on first use by a
-    /// symbol owning check-region bits.
-    x: Option<u64>,
-    x_pick: Bounded32,
-    /// The injected corruption of the current trial. Invariant: at most
-    /// one entry per symbol (merge multiple fault mechanisms into one XOR
-    /// pattern before pushing) — [`Self::syndrome`] and [`classify`] treat
-    /// each entry's pattern as the symbol's *total* flip.
-    pub injected: Vec<(usize, u16)>,
-}
-
-impl CodewordScratch {
-    pub fn new(kernel: &SyndromeKernel) -> Self {
-        let n_sym = kernel.num_symbols();
-        Self {
-            contents: vec![0; n_sym],
-            stamps: vec![u64::MAX; n_sym],
-            generation: 0,
-            x: None,
-            x_pick: Bounded32::new(u32::try_from(kernel.modulus()).expect("kernel moduli fit u32")),
-            injected: Vec::with_capacity(8),
-        }
-    }
-
-    /// Starts a trial: invalidates the content cache, the check value, and
-    /// the injection list. Nothing is drawn until first observed.
-    #[inline]
-    pub fn begin_trial(&mut self) {
-        self.generation = self.generation.wrapping_add(1);
-        self.x = None;
-        self.injected.clear();
-    }
-
-    /// The trial's check value, drawn on first use.
-    #[inline]
-    fn check_value(&mut self, rng: &mut Rng) -> u64 {
-        match self.x {
-            Some(x) => x,
-            None => {
-                let x = self.x_pick.sample(rng) as u64;
-                self.x = Some(x);
-                x
-            }
-        }
-    }
-
-    /// The original (pre-corruption) content of `sym` in the stored word,
-    /// sampled on first observation per trial.
-    #[inline]
-    pub fn content(&mut self, kernel: &SyndromeKernel, rng: &mut Rng, sym: usize) -> u16 {
-        if self.stamps[sym] != self.generation {
-            let raw = rng.next_u64() as u16;
-            return self.supply_content(kernel, rng, sym, raw);
-        }
-        self.contents[sym]
-    }
-
-    /// Like [`Self::content`], but takes the symbol's raw content bits from
-    /// a pre-filled draw column instead of the live stream (`raw` is
-    /// ignored when the content is already cached this trial). Check-region
-    /// bits are filled from the trial's check value.
-    #[inline]
-    pub fn supply_content(
-        &mut self,
-        kernel: &SyndromeKernel,
-        rng: &mut Rng,
-        sym: usize,
-        raw: u16,
-    ) -> u16 {
-        if self.stamps[sym] != self.generation {
-            let content = if kernel.needs_check_value(sym) {
-                let x = self.check_value(rng);
-                kernel.apply_check_bits(sym, raw & kernel.payload_mask(sym), x)
-            } else {
-                raw & kernel.width_mask(sym)
-            };
-            self.contents[sym] = content;
-            self.stamps[sym] = self.generation;
-        }
-        self.contents[sym]
-    }
-
-    /// The contents observed this trial (`None` = never sampled, free) and
-    /// the check value, if one was drawn. Any wide codeword agreeing with
-    /// the observed contents is consistent with the trial.
-    #[cfg(test)]
-    pub fn observed(&self) -> (Vec<Option<u16>>, Option<u64>) {
-        (
-            (0..self.contents.len())
-                .map(|s| (self.stamps[s] == self.generation).then(|| self.contents[s]))
-                .collect(),
-            self.x,
-        )
-    }
-
-    /// Pins every symbol content (and the check value) to those of a real
-    /// codeword, making the trial an exact replay of a wide-word trial.
-    #[cfg(test)]
-    pub fn prefill(&mut self, contents: &[u16], x: u64) {
-        self.generation = self.generation.wrapping_add(1);
-        self.injected.clear();
-        self.x = Some(x);
-        self.contents.copy_from_slice(contents);
-        for stamp in &mut self.stamps {
-            *stamp = self.generation;
-        }
-    }
-
-    /// Syndrome of the current trial's injected corruption.
-    #[inline]
-    pub fn syndrome(&mut self, kernel: &SyndromeKernel, rng: &mut Rng) -> u64 {
-        debug_assert!(
-            self.injected
-                .iter()
-                .enumerate()
-                .all(|(i, &(s, _))| self.injected[..i].iter().all(|&(t, _)| t != s)),
-            "injected symbols must be unique; XOR-merge patterns per symbol"
-        );
-        let mut rem = 0;
-        for idx in 0..self.injected.len() {
-            let (sym, pattern) = self.injected[idx];
-            let content = self.content(kernel, rng, sym);
-            rem = kernel.add_mod(rem, kernel.flip_delta(sym, content, pattern));
-        }
-        rem
-    }
-}
-
-/// Fixed-capacity record of one columnar-replay trial — the MSED hot path.
+/// Fixed-capacity record of one columnar-replay trial — the MSED hot path
+/// for strike counts other than 2.
 ///
-/// Unlike [`CodewordScratch`] (whose content cache lives in per-symbol
-/// vectors), an inline trial keeps its strikes in a small fixed array that
-/// stays in registers when the record is a non-escaping local, so
-/// consecutive trials share no memory traffic and the CPU overlaps their
-/// table lookups. Capacity is [`MAX_STRIKES`] simultaneous device
-/// failures; larger experiments take the Vec-based content path.
+/// Unlike a [`MuseClassifier`](muse_core::MuseClassifier) (whose content
+/// cache lives in per-symbol vectors), an inline trial keeps its strikes in
+/// small fixed arrays that stay in registers when the record is a
+/// non-escaping local, so consecutive trials share no memory traffic and
+/// the CPU overlaps their table lookups. Capacity is [`MAX_STRIKES`]
+/// simultaneous device failures; larger experiments take the Vec-based
+/// content path.
 #[derive(Default)]
 pub(crate) struct InlineTrial {
-    /// `(symbol, pattern, content)` per strike.
-    strikes: [(u32, u16, u16); MAX_STRIKES],
+    /// `(symbol, pattern)` per strike.
+    strikes: [(usize, u16); MAX_STRIKES],
+    /// Stored content per strike.
+    contents: [u16; MAX_STRIKES],
     len: usize,
     /// Content drawn for a correction target outside the strikes.
-    extra: Option<(u32, u16)>,
+    extra: Option<(usize, u16)>,
     /// The trial's check value, drawn on first use.
     x: Option<u64>,
 }
 
 impl InlineTrial {
-    /// The observations of the last trial, in [`CodewordScratch::observed`]
+    /// The observations of the last trial, in
+    /// [`MuseClassifier::observed`](muse_core::MuseClassifier::observed)
     /// form, for reference reconstruction.
     #[cfg(test)]
     pub fn observed(&self, n_sym: usize) -> (Vec<Option<u16>>, Option<u64>) {
         let mut observed = vec![None; n_sym];
-        for &(s, _, c) in &self.strikes[..self.len] {
-            observed[s as usize] = Some(c);
+        for (&(s, _), &c) in self.strikes().iter().zip(&self.contents) {
+            observed[s] = Some(c);
         }
         if let Some((s, c)) = self.extra {
-            observed[s as usize] = Some(c);
+            observed[s] = Some(c);
         }
         (observed, self.x)
     }
 
-    /// The strikes of the last trial.
+    /// The `(symbol, pattern)` strikes of the last trial.
     #[cfg(test)]
-    pub fn strikes(&self) -> &[(u32, u16, u16)] {
+    pub fn strikes(&self) -> &[(usize, u16)] {
         &self.strikes[..self.len]
-    }
-}
-
-/// A symbol content assembled from raw uniform bits: payload bits masked to
-/// the symbol width, check-region bits (if any) filled from the trial's
-/// check value, drawn on first use.
-#[inline]
-pub(crate) fn content_from_raw(
-    kernel: &SyndromeKernel,
-    x_pick: Bounded32,
-    rng: &mut Rng,
-    x: &mut Option<u64>,
-    sym: usize,
-    raw: u16,
-) -> u16 {
-    if kernel.needs_check_value(sym) {
-        let xv = match *x {
-            Some(v) => v,
-            None => {
-                let v = x_pick.sample(rng) as u64;
-                *x = Some(v);
-                v
-            }
-        };
-        kernel.apply_check_bits(sym, raw & kernel.payload_mask(sym), xv)
-    } else {
-        raw & kernel.width_mask(sym)
     }
 }
 
 /// Runs one content-space MSED trial from pre-drawn columns: `draws[i]` is
 /// the `i`-th strike's `(distinct-symbol draw, final nonzero pattern, raw
-/// content bits)`. Classification reproduces the wide decoder bit-for-bit
-/// (property-tested below alongside [`classify`]).
+/// content bits)`. The check value and an outside-strike correction
+/// target's content are drawn live, on first use, and the read ends in
+/// [`SyndromeKernel::finish_read`].
+///
+/// `inline(always)`: the caller is a per-trial hot loop, and a real call
+/// here forces the strike arrays through memory (measured ~2× on the MSED
+/// columnar path).
 #[inline(always)]
 pub(crate) fn msed_inline_trial(
     kernel: &SyndromeKernel,
@@ -390,60 +243,46 @@ pub(crate) fn msed_inline_trial(
     rng: &mut Rng,
     trial: &mut InlineTrial,
     draws: &[(u32, u16, u16)],
-) -> TrialOutcome {
+) -> ReadOutcome {
     assert!(
         draws.len() <= MAX_STRIKES,
         "at most {MAX_STRIKES} simultaneous device failures on the fast path"
     );
-    let mut resolved = [(0u32, 0u16, 0u16); MAX_STRIKES];
+    let InlineTrial {
+        strikes,
+        contents,
+        len,
+        extra,
+        x,
+    } = trial;
+    *len = draws.len();
+    *extra = None;
+    *x = None;
     let mut chosen = [0usize; MAX_STRIKES];
-    for (i, (&(sym_draw, pattern, raw), slot)) in draws.iter().zip(&mut resolved).enumerate() {
-        let sym = place_distinct(&mut chosen, i, sym_draw as usize);
-        *slot = (sym as u32, pattern, raw);
-    }
-    msed_inline_trial_resolved(kernel, x_pick, rng, trial, &resolved[..draws.len()])
-}
-
-/// [`msed_inline_trial`] with the distinct-symbol resolution already done:
-/// `draws[i]` carries the `i`-th strike's final symbol index instead of its
-/// distinct draw. The lane kernel's ordered replay enters here — its lane
-/// pass resolved every symbol up front — drawing live randomness in exactly
-/// the places (and order) the draw-for-draw scalar path would.
-///
-/// `inline(always)`: both callers are per-trial hot loops, and a real call
-/// here forces the strike array through memory (measured ~2× on the MSED
-/// columnar path).
-#[inline(always)]
-pub(crate) fn msed_inline_trial_resolved(
-    kernel: &SyndromeKernel,
-    x_pick: Bounded32,
-    rng: &mut Rng,
-    trial: &mut InlineTrial,
-    draws: &[(u32, u16, u16)],
-) -> TrialOutcome {
-    assert!(
-        draws.len() <= MAX_STRIKES,
-        "at most {MAX_STRIKES} simultaneous device failures on the fast path"
-    );
-    trial.x = None;
-    trial.extra = None;
-    trial.len = draws.len();
     let mut rem = 0u64;
-    for (i, &(sym, pattern, raw)) in draws.iter().enumerate() {
-        let content = content_from_raw(kernel, x_pick, rng, &mut trial.x, sym as usize, raw);
-        rem = kernel.add_mod(rem, kernel.flip_delta(sym as usize, content, pattern));
-        trial.strikes[i] = (sym, pattern, content);
+    for (i, &(sym_draw, pattern, raw)) in draws.iter().enumerate() {
+        let sym = place_distinct(&mut chosen, i, sym_draw as usize);
+        let content = kernel.content_from_raw(sym, raw, || {
+            *x.get_or_insert_with(|| x_pick.sample(rng) as u64)
+        });
+        rem = kernel.add_mod(rem, kernel.flip_delta(sym, content, pattern));
+        strikes[i] = (sym, pattern);
+        contents[i] = content;
     }
-    let (outcome, extra) = classify_strikes(
-        kernel,
-        x_pick,
-        rng,
-        &trial.strikes[..draws.len()],
-        rem,
-        &mut trial.x,
-    );
-    trial.extra = extra;
-    outcome
+    let strikes = &strikes[..draws.len()];
+    kernel.finish_read(rem, strikes, |symbol| {
+        match strikes.iter().position(|&(s, _)| s == symbol) {
+            Some(i) => contents[i],
+            None => {
+                let raw = rng.next_u64() as u16;
+                let c = kernel.content_from_raw(symbol, raw, || {
+                    *x.get_or_insert_with(|| x_pick.sample(rng) as u64)
+                });
+                *extra = Some((symbol, c));
+                c
+            }
+        }
+    })
 }
 
 /// One double-strike MSED trial from the k = 2 fully-columnar draw scheme,
@@ -473,7 +312,7 @@ pub(crate) fn msed_trial_k2_cols(
     cnt: u32,
     x: u64,
     extra: u32,
-) -> (TrialOutcome, Option<(u32, u16)>) {
+) -> (ReadOutcome, Option<(usize, u16)>) {
     let n = kernel.num_symbols() as u32;
     let pb = (1u32 << kernel.symbol_bits(0)) - 1;
     let sp = quad % (n * (n - 1));
@@ -483,195 +322,28 @@ pub(crate) fn msed_trial_k2_cols(
     let b = r + (r >= a) as usize;
     let p0 = 1 + (qp / pb) as u16;
     let p1 = 1 + (qp % pb) as u16;
-    let content = |sym: usize, raw: u16| {
-        if kernel.needs_check_value(sym) {
-            kernel.apply_check_bits(sym, raw & kernel.payload_mask(sym), x)
-        } else {
-            raw & kernel.width_mask(sym)
-        }
-    };
-    let c0 = content(a, cnt as u16);
-    let c1 = content(b, (cnt >> 16) as u16);
+    let c0 = kernel.content_from_raw(a, cnt as u16, || x);
+    let c1 = kernel.content_from_raw(b, (cnt >> 16) as u16, || x);
     let rem = kernel.add_mod(kernel.flip_delta(a, c0, p0), kernel.flip_delta(b, c1, p1));
-    if rem == 0 {
-        let intact = p0 & kernel.payload_mask(a) == 0 && p1 & kernel.payload_mask(b) == 0;
-        return if intact {
-            (TrialOutcome::CleanIntact, None)
+    let mut consulted = None;
+    let outcome = kernel.finish_read(rem, &[(a, p0), (b, p1)], |symbol| {
+        if symbol == a {
+            c0
+        } else if symbol == b {
+            c1
         } else {
-            (TrialOutcome::CleanCorrupted, None)
-        };
-    }
-    match kernel.classify(rem) {
-        FastDecode::Clean => unreachable!("nonzero remainder"),
-        FastDecode::Detected => (TrialOutcome::Detected, None),
-        FastDecode::Correct { symbol } => {
-            let mut consulted = None;
-            let (original, injected, other_clean) = if symbol == a {
-                (c0, p0, p1 & kernel.payload_mask(b) == 0)
-            } else if symbol == b {
-                (c1, p1, p0 & kernel.payload_mask(a) == 0)
-            } else {
-                let c = content(symbol, extra as u16);
-                consulted = Some((symbol as u32, c));
-                let clean = p0 & kernel.payload_mask(a) == 0 && p1 & kernel.payload_mask(b) == 0;
-                (c, 0, clean)
-            };
-            let outcome = match kernel.correct(rem, original ^ injected) {
-                None => TrialOutcome::Detected,
-                Some(corrected) => {
-                    if (corrected ^ original) & kernel.payload_mask(symbol) == 0 && other_clean {
-                        TrialOutcome::CorrectedRight
-                    } else {
-                        TrialOutcome::Miscorrected
-                    }
-                }
-            };
-            (outcome, consulted)
+            let c = kernel.content_from_raw(symbol, extra as u16, || x);
+            consulted = Some((symbol, c));
+            c
         }
-    }
-}
-
-/// The classification tail shared by [`msed_inline_trial`] and the
-/// two-phase block loop in `muse_msed`: given a trial's strikes (with their
-/// contents) and accumulated syndrome, the exact decode outcome. Returns
-/// any content freshly sampled for a correction target outside the strikes.
-#[inline]
-pub(crate) fn classify_strikes(
-    kernel: &SyndromeKernel,
-    x_pick: Bounded32,
-    rng: &mut Rng,
-    strikes: &[(u32, u16, u16)],
-    rem: u64,
-    x: &mut Option<u64>,
-) -> (TrialOutcome, Option<(u32, u16)>) {
-    if rem == 0 {
-        let intact = strikes
-            .iter()
-            .all(|&(s, p, _)| p & kernel.payload_mask(s as usize) == 0);
-        return if intact {
-            (TrialOutcome::CleanIntact, None)
-        } else {
-            (TrialOutcome::CleanCorrupted, None)
-        };
-    }
-    match kernel.classify(rem) {
-        FastDecode::Clean => unreachable!("nonzero remainder"),
-        FastDecode::Detected => (TrialOutcome::Detected, None),
-        FastDecode::Correct { symbol } => {
-            let mut extra = None;
-            let (original, injected_pattern) =
-                match strikes.iter().find(|&&(s, _, _)| s as usize == symbol) {
-                    Some(&(_, p, c)) => (c, p),
-                    None => {
-                        let raw = rng.next_u64() as u16;
-                        let c = content_from_raw(kernel, x_pick, rng, x, symbol, raw);
-                        extra = Some((symbol as u32, c));
-                        (c, 0)
-                    }
-                };
-            let outcome = match kernel.correct(rem, original ^ injected_pattern) {
-                None => TrialOutcome::Detected,
-                Some(corrected) => {
-                    let payload_restored = (corrected ^ original) & kernel.payload_mask(symbol)
-                        == 0
-                        && strikes.iter().all(|&(s, p, _)| {
-                            s as usize == symbol || p & kernel.payload_mask(s as usize) == 0
-                        });
-                    if payload_restored {
-                        TrialOutcome::CorrectedRight
-                    } else {
-                        TrialOutcome::Miscorrected
-                    }
-                }
-            };
-            (outcome, extra)
-        }
-    }
-}
-
-/// Exact decode outcome of one corrupted word, in residue space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TrialOutcome {
-    /// Zero syndrome and the corruption never left the check bits: the word
-    /// reads back correct.
-    CleanIntact,
-    /// Zero syndrome but payload bits flipped — a truly silent corruption.
-    CleanCorrupted,
-    /// Flagged detected-but-uncorrectable.
-    Detected,
-    /// Corrected back to the original payload.
-    CorrectedRight,
-    /// "Corrected" into wrong data.
-    Miscorrected,
-}
-
-/// Classifies the current trial, reproducing the wide decoder bit-for-bit
-/// (cross-validated by `tests/syndrome_equivalence.rs` in `muse-core` and
-/// the in-module property tests below).
-#[inline]
-pub(crate) fn classify(
-    kernel: &SyndromeKernel,
-    scratch: &mut CodewordScratch,
-    rng: &mut Rng,
-) -> TrialOutcome {
-    let rem = scratch.syndrome(kernel, rng);
-    classify_rem(kernel, scratch, rng, rem)
-}
-
-/// [`classify`] with the syndrome already accumulated (the columnar hot
-/// loops fold the syndrome while injecting).
-#[inline]
-pub(crate) fn classify_rem(
-    kernel: &SyndromeKernel,
-    scratch: &mut CodewordScratch,
-    rng: &mut Rng,
-    rem: u64,
-) -> TrialOutcome {
-    if rem == 0 {
-        let intact = scratch
-            .injected
-            .iter()
-            .all(|&(s, p)| p & kernel.payload_mask(s) == 0);
-        return if intact {
-            TrialOutcome::CleanIntact
-        } else {
-            TrialOutcome::CleanCorrupted
-        };
-    }
-    match kernel.classify(rem) {
-        FastDecode::Clean => unreachable!("nonzero remainder"),
-        FastDecode::Detected => TrialOutcome::Detected,
-        FastDecode::Correct { symbol } => {
-            let original = scratch.content(kernel, rng, symbol);
-            let injected_pattern = scratch
-                .injected
-                .iter()
-                .find(|&&(s, _)| s == symbol)
-                .map_or(0, |&(_, p)| p);
-            match kernel.correct(rem, original ^ injected_pattern) {
-                None => TrialOutcome::Detected,
-                Some(corrected) => {
-                    let payload_restored = (corrected ^ original) & kernel.payload_mask(symbol)
-                        == 0
-                        && scratch
-                            .injected
-                            .iter()
-                            .all(|&(s, p)| s == symbol || p & kernel.payload_mask(s) == 0);
-                    if payload_restored {
-                        TrialOutcome::CorrectedRight
-                    } else {
-                        TrialOutcome::Miscorrected
-                    }
-                }
-            }
-        }
-    }
+    });
+    (outcome, consulted)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use muse_core::{presets, Decoded, MuseCode, Word};
+    use muse_core::{presets, Decoded, MuseClassifier, MuseCode, Word};
 
     fn preset_codes() -> Vec<MuseCode> {
         let mut codes = presets::table1();
@@ -679,28 +351,29 @@ mod tests {
         codes
     }
 
-    fn check_outcome(name: &str, trial: usize, fast: TrialOutcome, wide: Decoded, payload: Word) {
+    fn check_outcome(name: &str, trial: usize, fast: ReadOutcome, wide: Decoded, payload: Word) {
         match (fast, wide) {
-            (TrialOutcome::CleanIntact, Decoded::Clean { payload: p }) => {
+            (ReadOutcome::CleanIntact, Decoded::Clean { payload: p }) => {
                 assert_eq!(p, payload, "{name}: trial {trial}")
             }
-            (TrialOutcome::CleanCorrupted, Decoded::Clean { payload: p }) => {
+            (ReadOutcome::CleanCorrupted, Decoded::Clean { payload: p }) => {
                 assert_ne!(p, payload, "{name}: trial {trial}")
             }
-            (TrialOutcome::Detected, Decoded::Detected) => {}
-            (TrialOutcome::CorrectedRight, Decoded::Corrected { payload: p, .. }) => {
+            (ReadOutcome::Detected, Decoded::Detected) => {}
+            (ReadOutcome::CorrectedRight, Decoded::Corrected { payload: p, .. }) => {
                 assert_eq!(p, payload, "{name}: trial {trial}")
             }
-            (TrialOutcome::Miscorrected, Decoded::Corrected { payload: p, .. }) => {
+            (ReadOutcome::Miscorrected, Decoded::Corrected { payload: p, .. }) => {
                 assert_ne!(p, payload, "{name}: trial {trial}")
             }
             (fast, wide) => panic!("{name}: trial {trial}: fast {fast:?} vs wide {wide:?}"),
         }
     }
 
-    /// Exact replay: pin the scratch contents to a real encoded codeword
-    /// and verify the content-space classification matches the wide decoder
-    /// for random corruptions — every preset, no sampling approximation.
+    /// Exact replay: pin the classifier's contents to a real encoded
+    /// codeword and verify the content-space classification matches the
+    /// wide decoder for random corruptions — every preset, no sampling
+    /// approximation.
     #[test]
     fn prefilled_trials_match_wide_decoder() {
         for code in preset_codes() {
@@ -708,7 +381,8 @@ mod tests {
                 continue;
             };
             let plan = TrialPlan::new(kernel, 3);
-            let mut scratch = CodewordScratch::new(kernel);
+            let mut classifier = MuseClassifier::new(kernel);
+            let mut strikes = Vec::new();
             let mut rng = Rng::seeded(0xFEED);
             for trial in 0..300 {
                 // A fresh random payload per trial, encoded wide.
@@ -720,14 +394,15 @@ mod tests {
                 let cw = code.encode(&payload);
                 let contents = kernel.contents_of_word(code.symbol_map(), &cw);
                 let x = (cw & Word::mask(code.r_bits())).to_u64().expect("r ≤ 32");
-                scratch.prefill(&contents, x);
+                classifier.pin(&contents, x);
 
                 let k = 1 + (trial % 3);
-                plan.inject_distinct(&mut scratch, &mut rng, k);
-                let fast = classify(kernel, &mut scratch, &mut rng);
+                strikes.clear();
+                plan.inject_distinct(&mut strikes, &mut rng, k);
+                let fast = classifier.read_healthy(&mut rng, &strikes);
 
                 let mut corrupted = cw;
-                for &(sym, pattern) in &scratch.injected {
+                for &(sym, pattern) in &strikes {
                     code.symbol_map()
                         .apply_xor_pattern(&mut corrupted, sym, pattern as u64);
                 }
@@ -901,16 +576,18 @@ mod tests {
                 continue;
             };
             let plan = TrialPlan::new(kernel, 3);
-            let mut scratch = CodewordScratch::new(kernel);
+            let mut classifier = MuseClassifier::new(kernel);
+            let mut strikes = Vec::new();
             let mut rng = Rng::seeded(0xC0DE);
             let mut reconstructed = 0u32;
             for trial in 0..400 {
-                scratch.begin_trial();
+                classifier.begin_read();
                 let k = 1 + (trial % 3);
-                plan.inject_distinct(&mut scratch, &mut rng, k);
-                let fast = classify(kernel, &mut scratch, &mut rng);
+                strikes.clear();
+                plan.inject_distinct(&mut strikes, &mut rng, k);
+                let fast = classifier.read_healthy(&mut rng, &strikes);
 
-                let (observed, x) = scratch.observed();
+                let (observed, x) = classifier.observed();
                 let Some(cw) = reconstruct(&code, &observed, x) else {
                     continue; // no window clear of the observed symbols
                 };
@@ -918,7 +595,7 @@ mod tests {
                 let payload = code.payload_of(&cw);
                 assert_eq!(code.encode(&payload), cw, "systematic roundtrip");
                 let mut corrupted = cw;
-                for &(sym, pattern) in &scratch.injected {
+                for &(sym, pattern) in &strikes {
                     code.symbol_map()
                         .apply_xor_pattern(&mut corrupted, sym, pattern as u64);
                 }
@@ -968,12 +645,9 @@ mod tests {
                 reconstructed += 1;
                 let payload = code.payload_of(&cw);
                 let mut corrupted = cw;
-                for &(sym, pattern, _) in trial.strikes() {
-                    code.symbol_map().apply_xor_pattern(
-                        &mut corrupted,
-                        sym as usize,
-                        pattern as u64,
-                    );
+                for &(sym, pattern) in trial.strikes() {
+                    code.symbol_map()
+                        .apply_xor_pattern(&mut corrupted, sym, pattern as u64);
                 }
                 check_outcome(code.name(), t, fast, code.decode(&corrupted), payload);
             }
@@ -1020,18 +694,11 @@ mod tests {
                 let r = (sp % (n - 1)) as usize;
                 let b = r + (r >= a) as usize;
                 let strikes = [(a, 1 + (qp / pb) as u16), (b, 1 + (qp % pb) as u16)];
-                let content = |sym: usize, raw: u16| {
-                    if kernel.needs_check_value(sym) {
-                        kernel.apply_check_bits(sym, raw & kernel.payload_mask(sym), x)
-                    } else {
-                        raw & kernel.width_mask(sym)
-                    }
-                };
                 let mut observed = vec![None; kernel.num_symbols()];
-                observed[a] = Some(content(a, cnt as u16));
-                observed[b] = Some(content(b, (cnt >> 16) as u16));
+                observed[a] = Some(kernel.content_from_raw(a, cnt as u16, || x));
+                observed[b] = Some(kernel.content_from_raw(b, (cnt >> 16) as u16, || x));
                 if let Some((sym, c)) = consulted {
-                    observed[sym as usize] = Some(c);
+                    observed[sym] = Some(c);
                 }
                 let Some(cw) = reconstruct(&code, &observed, Some(x)) else {
                     continue;
@@ -1058,16 +725,16 @@ mod tests {
         let code = presets::muse_144_132();
         let kernel = code.kernel().expect("presets support the kernel");
         let plan = TrialPlan::new(kernel, 3);
-        let mut scratch = CodewordScratch::new(kernel);
+        let mut strikes = Vec::new();
         let mut rng = Rng::seeded(9);
         let n = kernel.num_symbols();
         let mut hits = vec![0u32; n];
         for _ in 0..4_000 {
-            scratch.begin_trial();
-            plan.inject_distinct(&mut scratch, &mut rng, 3);
-            let mut syms: Vec<usize> = scratch.injected.iter().map(|&(s, _)| s).collect();
+            strikes.clear();
+            plan.inject_distinct(&mut strikes, &mut rng, 3);
+            let mut syms: Vec<usize> = strikes.iter().map(|&(s, _)| s).collect();
             assert_eq!(syms.len(), 3);
-            for &(s, p) in &scratch.injected {
+            for &(s, p) in &strikes {
                 assert!(p != 0 && (p as u32) < (1 << kernel.symbol_bits(s)));
                 hits[s] += 1;
             }
@@ -1085,20 +752,20 @@ mod tests {
     fn contents_respect_symbol_widths_and_check_bits() {
         for code in [presets::muse_144_132(), presets::muse_80_69()] {
             let kernel = code.kernel().expect("presets support the kernel");
-            let mut scratch = CodewordScratch::new(kernel);
+            let mut classifier = MuseClassifier::new(kernel);
             let mut rng = Rng::seeded(3);
             for _ in 0..50 {
-                scratch.begin_trial();
+                classifier.begin_read();
                 for sym in 0..kernel.num_symbols() {
-                    let c = scratch.content(kernel, &mut rng, sym);
+                    let c = classifier.content(&mut rng, sym);
                     assert_eq!(c & !kernel.width_mask(sym), 0, "width overflow");
                 }
-                let (_, x) = scratch.observed();
+                let (contents, x) = classifier.observed();
                 let x = x.expect("some symbol owns check bits");
                 assert!(x < kernel.modulus());
                 // Check-region bits must match X exactly.
-                for sym in 0..kernel.num_symbols() {
-                    let c = scratch.contents[sym];
+                for (sym, c) in contents.into_iter().enumerate() {
+                    let c = c.expect("every symbol observed");
                     let expect = kernel.apply_check_bits(sym, c & kernel.payload_mask(sym), x);
                     assert_eq!(c, expect, "check bits of symbol {sym}");
                 }
@@ -1110,17 +777,17 @@ mod tests {
     fn untouched_trials_draw_nothing() {
         let code = presets::muse_144_132();
         let kernel = code.kernel().expect("presets support the kernel");
-        let mut scratch = CodewordScratch::new(kernel);
-        scratch.begin_trial();
-        let (observed, x) = scratch.observed();
+        let mut classifier = MuseClassifier::new(kernel);
+        classifier.begin_read();
+        let (observed, x) = classifier.observed();
         assert!(observed.iter().all(Option::is_none));
         assert_eq!(x, None, "no check symbol observed ⇒ no X drawn");
         // Observing a payload-only symbol still leaves X undrawn.
         let mut rng = Rng::seeded(1);
         let sym = kernel.num_symbols() - 1;
         assert!(!kernel.needs_check_value(sym));
-        scratch.content(kernel, &mut rng, sym);
-        let (observed, x) = scratch.observed();
+        classifier.content(&mut rng, sym);
+        let (observed, x) = classifier.observed();
         assert_eq!(observed.iter().flatten().count(), 1);
         assert_eq!(x, None);
     }

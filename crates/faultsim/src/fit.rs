@@ -10,10 +10,10 @@
 //! errors, and the projection combines them into DIMM-level rates of
 //! detected-uncorrectable errors (DUE) and silent data corruptions (SDC).
 
-use muse_core::MuseCode;
+use muse_core::{MuseClassifier, MuseCode, WordRead};
 
 use crate::engine::{SimEngine, Tally};
-use crate::fastpath::{classify, CodewordScratch, HalfDraws, TrialOutcome, TrialPlan};
+use crate::fastpath::{HalfDraws, TrialPlan};
 use crate::rng::Bounded32;
 
 /// A DRAM device failure mode.
@@ -112,36 +112,37 @@ pub fn measure_mode_threaded(
     let tally: ModeTally = SimEngine::new(threads).run_blocked(
         seed ^ 0xF17,
         trials,
-        || CodewordScratch::new(kernel),
-        |range, rng, scratch, tally: &mut ModeTally| {
+        || (MuseClassifier::new(kernel), Vec::new()),
+        |range, rng, (classifier, strikes), tally: &mut ModeTally| {
             for _ in range {
-                scratch.begin_trial();
+                classifier.begin_read();
+                strikes.clear();
                 let mut halves = HalfDraws::default();
                 match mode {
                     FailureMode::SingleBit => {
                         let sym = plan.pick_symbol(rng, &mut halves);
                         let bit = plan.pick_bit(rng, &mut halves, sym) as u16;
-                        scratch.injected.push((sym, 1 << bit));
+                        strikes.push((sym, 1 << bit));
                     }
                     FailureMode::WholeDevice => {
                         let sym = plan.pick_symbol(rng, &mut halves);
                         let pattern = plan.pick_pattern(rng, &mut halves, sym);
-                        scratch.injected.push((sym, pattern));
+                        strikes.push((sym, pattern));
                     }
                     FailureMode::SingleDeviceMultiBit => {
                         let sym = plan.pick_symbol(rng, &mut halves);
                         let half = halves.next(rng);
                         let pattern = 2 + multibit[sym].of_half(rng, half) as u16;
-                        scratch.injected.push((sym, pattern));
+                        strikes.push((sym, pattern));
                     }
                     FailureMode::TwoDevices => {
-                        plan.inject_distinct(scratch, rng, 2);
+                        plan.inject_distinct(strikes, rng, 2);
                     }
                 }
-                match classify(kernel, scratch, rng) {
-                    TrialOutcome::Detected => tally.due += 1,
-                    TrialOutcome::CleanIntact | TrialOutcome::CorrectedRight => tally.correct += 1,
-                    TrialOutcome::CleanCorrupted | TrialOutcome::Miscorrected => tally.sdc += 1,
+                match WordRead::from(classifier.read_healthy(rng, strikes)) {
+                    WordRead::Correct => tally.correct += 1,
+                    WordRead::Due => tally.due += 1,
+                    WordRead::Sdc => tally.sdc += 1,
                 }
             }
         },

@@ -7,11 +7,13 @@
 //! parallelism — consecutive trials serialized behind each other's lookups
 //! and, worse, behind *data-dependent live draws* (the lazily sampled check
 //! value `X`). This module removes both. The k = 2 draw scheme is fully
-//! columnar (see [`fastpath::msed_trial_k2_cols`]): one quad-packed bounded
-//! draw carries a trial's two distinct symbols *and* two nonzero patterns,
-//! and the check value and outside-strike correction content are
-//! unconditional per-trial columns — no live randomness at all. A whole
-//! engine block then moves through the kernel in branchless stages:
+//! columnar (see
+//! [`msed_trial_k2_cols`](crate::fastpath::msed_trial_k2_cols)): one
+//! quad-packed bounded draw carries a trial's two distinct symbols *and*
+//! two nonzero patterns, and the check value and outside-strike correction
+//! content are unconditional per-trial columns — no live randomness at
+//! all. A whole engine block then moves through the kernel in branchless
+//! stages:
 //!
 //! 1. **Decode + fold + probe** (one fused pass per lane): unpack the quad
 //!    draw with divisions by the runtime constants `n(n−1)`, `n−1` and
@@ -28,17 +30,15 @@
 //!    addition.
 //! 3. **Walk** — the exceptional few re-derive their draws from the
 //!    original columns (pure ALU, cheaper than storing six columns for
-//!    everyone) and finish the exact transition-table classification. No
-//!    trial ever re-enters a scalar replay.
+//!    everyone) and end in [`SyndromeKernel::finish_read`], the same finish
+//!    as every other MUSE read. No trial ever re-enters a scalar replay.
 //!
 //! Unavailable on mixed-width layouts, scattered (non-affine) check spans,
 //! or geometries past the verified divisor domains; `muse_msed` falls back
 //! to the same-stream scalar oracle there, so the lane kernel is an
 //! implementation detail the draws never observe.
 
-use muse_core::SyndromeKernel;
-
-use crate::fastpath::TrialOutcome;
+use muse_core::{ReadOutcome, SyndromeKernel};
 
 /// Multiply-shift division by a runtime constant (Granlund–Montgomery
 /// round-up magic), exact over a construction-verified dividend domain —
@@ -93,12 +93,12 @@ impl MagicDiv {
 /// [`LaneKernel::new`] returns `None` for layouts the columnar stages
 /// cannot shape — see the module docs.
 pub(crate) struct LaneKernel<'k> {
+    /// The kernel behind the raw tables; the walk finishes through it.
+    kernel: &'k SyndromeKernel,
     /// Flat residue table; symbol `s` content `x` at `(s << width) + x`.
     residues: &'k [u64],
     /// Fused remainder → `(transition offset << 12) | symbol` table.
     elc_fused: &'k [u32],
-    /// Flat content-transition blocks behind the fused entries.
-    transitions: &'k [u16],
     /// Per-symbol payload masks.
     payload_masks: Vec<u16>,
     /// Per-symbol affine check-span constants, packed
@@ -125,8 +125,6 @@ pub(crate) struct LaneKernel<'k> {
 pub(crate) struct LaneBuffers {
     /// Per-trial modular syndrome.
     rems: Vec<u64>,
-    /// Per-trial fused-table probe results.
-    packed: Vec<u32>,
     /// Compacted indices of trials needing per-trial attention.
     exceptional: Vec<u32>,
 }
@@ -162,9 +160,9 @@ impl<'k> LaneKernel<'k> {
         let n = n as u32;
         let pb = (1u32 << width) - 1;
         Some(Self {
+            kernel,
             residues: kernel.raw_residues(),
             elc_fused: kernel.raw_elc_fused(),
-            transitions: kernel.raw_transitions(),
             payload_masks: (0..n as usize).map(|s| kernel.payload_mask(s)).collect(),
             check_info,
             width,
@@ -184,8 +182,8 @@ impl<'k> LaneKernel<'k> {
         let s = sym as usize;
         debug_assert!(s < self.check_info.len());
         // SAFETY: private fn; every caller passes a symbol < n — the quad
-        // divider's verified decode domain (stage 1) or a fused-table
-        // entry, which the kernel builds from symbol indices (walk).
+        // divider's verified decode domain (stage 1) or the symbol
+        // `finish_read` matched (walk).
         let (info, pmask) = unsafe {
             (
                 *self.check_info.get_unchecked(s),
@@ -213,13 +211,13 @@ impl<'k> LaneKernel<'k> {
     /// Runs one engine block of `len` trials through the staged lanes.
     ///
     /// The four pre-filled draw columns are exactly those of
-    /// [`fastpath::msed_trial_k2_cols`]: the quad-packed
-    /// symbols-and-patterns draw, two raw 16-bit contents per trial, the
-    /// per-trial check value, and the raw content bits of a potential
-    /// outside-strike correction target. No live randomness — outcomes are
-    /// a pure function of the columns. `sink` receives `(outcome, count)`
-    /// batches in an unspecified order (tallies are associative; the
-    /// bulk-Detected majority arrives as one batch).
+    /// [`msed_trial_k2_cols`](crate::fastpath::msed_trial_k2_cols): the
+    /// quad-packed symbols-and-patterns draw, two raw 16-bit contents per
+    /// trial, the per-trial check value, and the raw content bits of a
+    /// potential outside-strike correction target. No live randomness —
+    /// outcomes are a pure function of the columns. `sink` receives
+    /// `(outcome, count)` batches in an unspecified order (tallies are
+    /// associative; the bulk-Detected majority arrives as one batch).
     #[allow(clippy::too_many_arguments)]
     pub fn run_block(
         &self,
@@ -229,7 +227,7 @@ impl<'k> LaneKernel<'k> {
         cnt_col: &[u32],
         x_col: &[u32],
         extra_col: &[u32],
-        mut sink: impl FnMut(TrialOutcome, u64),
+        mut sink: impl FnMut(ReadOutcome, u64),
     ) {
         assert!(
             quad_col.len() == len
@@ -238,7 +236,6 @@ impl<'k> LaneKernel<'k> {
                 && extra_col.len() == len
         );
         grow(&mut buf.rems, len);
-        grow(&mut buf.packed, len);
         grow(&mut buf.exceptional, len);
 
         // Stage 1: decode + fold + probe + compact, one fused branchless
@@ -246,7 +243,7 @@ impl<'k> LaneKernel<'k> {
         let n_exc = self.stage1(buf, len, quad_col, cnt_col, x_col);
 
         // The bulk majority (~88%) is Detected: one batched tally.
-        sink(TrialOutcome::Detected, (len - n_exc) as u64);
+        sink(ReadOutcome::Detected, (len - n_exc) as u64);
 
         // Stage 3: the exceptional walk. Strikes are re-derived from the
         // draw columns — a handful of ALU ops on ~12% of trials beats
@@ -255,54 +252,20 @@ impl<'k> LaneKernel<'k> {
             let t = t as usize;
             let x = x_col[t] as u64;
             let (s0, s1, p0, p1, c0, c1) = self.decode(quad_col[t], cnt_col[t], x);
-            let (p0, p1) = (p0 as u16, p1 as u16);
-            if buf.rems[t] == 0 {
-                // Zero syndrome: silent — and truly intact only when both
-                // patterns sit entirely in check bits.
-                let intact = p0 & self.payload_masks[s0 as usize] == 0
-                    && p1 & self.payload_masks[s1 as usize] == 0;
-                sink(
-                    if intact {
-                        TrialOutcome::CleanIntact
-                    } else {
-                        TrialOutcome::CleanCorrupted
-                    },
-                    1,
-                );
-                continue;
-            }
-            // Compaction keeps only `packed != NO_ENTRY` past this point: a
-            // correction candidate.
-            let packed = buf.packed[t];
-            let symbol = packed & 0xFFF;
-            let (original, injected, other_clean) = if s0 == symbol {
-                (c0, p0, p1 & self.payload_masks[s1 as usize] == 0)
-            } else if s1 == symbol {
-                (c1, p1, p0 & self.payload_masks[s0 as usize] == 0)
-            } else {
-                // Correction target outside the strikes: its content comes
-                // from the pre-drawn extra column — still no live draw.
-                let c = self.content(symbol, extra_col[t] as u16, x);
-                let clean = p0 & self.payload_masks[s0 as usize] == 0
-                    && p1 & self.payload_masks[s1 as usize] == 0;
-                (c, 0, clean)
-            };
-            let corrected =
-                self.transitions[(packed >> 12) as usize + (original ^ injected) as usize];
-            if corrected == SyndromeKernel::NO_TRANSITION {
-                sink(TrialOutcome::Detected, 1);
-                continue;
-            }
-            let payload_restored =
-                (corrected ^ original) & self.payload_masks[symbol as usize] == 0 && other_clean;
-            sink(
-                if payload_restored {
-                    TrialOutcome::CorrectedRight
+            let strikes = [(s0 as usize, p0 as u16), (s1 as usize, p1 as u16)];
+            let outcome = self.kernel.finish_read(buf.rems[t], &strikes, |symbol| {
+                if symbol == s0 as usize {
+                    c0
+                } else if symbol == s1 as usize {
+                    c1
                 } else {
-                    TrialOutcome::Miscorrected
-                },
-                1,
-            );
+                    // Correction target outside the strikes: its content
+                    // comes from the pre-drawn extra column — still no
+                    // live draw.
+                    self.content(symbol as u32, extra_col[t] as u16, x)
+                }
+            });
+            sink(outcome, 1);
         }
     }
 
@@ -355,7 +318,6 @@ impl<'k> LaneKernel<'k> {
             buf.rems[t] = rem;
             // SAFETY: rem < m = elc_fused.len().
             let packed = unsafe { *self.elc_fused.get_unchecked(rem as usize) };
-            buf.packed[t] = packed;
             // Branch-free conditional append: zero syndrome or a
             // correction candidate goes to the walk.
             buf.exceptional[n_exc] = t as u32;
@@ -431,15 +393,7 @@ mod tests {
                 for _ in 0..64 {
                     let raw = next() as u16;
                     let x = next() % kernel.modulus();
-                    let expect = if kernel.needs_check_value(sym as usize) {
-                        kernel.apply_check_bits(
-                            sym as usize,
-                            raw & kernel.payload_mask(sym as usize),
-                            x,
-                        )
-                    } else {
-                        raw & kernel.width_mask(sym as usize)
-                    };
+                    let expect = kernel.content_from_raw(sym as usize, raw, || x);
                     assert_eq!(lanes.content(sym, raw, x), expect, "symbol {sym}");
                 }
             }
@@ -480,7 +434,6 @@ mod tests {
         Bounded32::new(kernel.modulus() as u32).fill(&mut rng, &mut x_col);
         let mut buf = LaneBuffers::default();
         grow(&mut buf.rems, len);
-        grow(&mut buf.packed, len);
         grow(&mut buf.exceptional, len);
         lanes.stage1(&mut buf, len, &quad_col, &cnt_col, &x_col);
         for t in 0..len {

@@ -10,8 +10,8 @@
 //! The MUSE path runs on the [`SimEngine`] with the incremental
 //! residue-syndrome kernel: no codeword is ever built — a trial draws the
 //! contents of the symbols it corrupts, accumulates the syndrome with
-//! per-symbol table lookups, and finishes with a fast-ELC transition check
-//! (see [`muse_core::SyndromeKernel`]). The dominant `k = 2` case is
+//! per-symbol table lookups, and finishes like every MUSE read in
+//! [`SyndromeKernel::finish_read`]. The dominant `k = 2` case is
 //! fully columnar: each engine block pre-fills four flat draw columns —
 //! one *quad* draw packing both distinct symbol indices and both nonzero
 //! patterns into a single bounded integer, two raw contents, an
@@ -23,15 +23,14 @@
 //! therefore every tally — is identical on both paths and bit-identical
 //! at any `threads` setting.
 
-use muse_core::{MuseCode, Word};
+use muse_core::{MuseClassifier, MuseCode, ReadOutcome, SyndromeKernel, Word};
 use muse_rs::RsMemoryCode;
 #[cfg(test)]
 use muse_rs::RsMemoryDecoded;
 
 use crate::engine::{SimEngine, Tally};
 use crate::fastpath::{
-    self, classify, msed_inline_trial, msed_trial_k2_cols, place_distinct, CodewordScratch,
-    InlineTrial, TrialOutcome, TrialPlan,
+    self, msed_inline_trial, msed_trial_k2_cols, place_distinct, InlineTrial, TrialPlan,
 };
 use crate::lanes::{LaneBuffers, LaneKernel};
 use crate::rng::Bounded32;
@@ -137,6 +136,11 @@ impl Default for MsedConfig {
 /// Devices are the code's symbols. Each trial corrupts `failing_devices`
 /// distinct symbols with independent uniform non-identity bit patterns.
 ///
+/// # Panics
+///
+/// Panics if `failing_devices` is 0 or exceeds the code's symbol count,
+/// or if the code carries no syndrome kernel.
+///
 /// # Examples
 ///
 /// ```
@@ -150,17 +154,38 @@ impl Default for MsedConfig {
 /// assert!(stats.detection_rate() > 75.0 && stats.detection_rate() < 95.0);
 /// ```
 pub fn muse_msed(code: &MuseCode, config: MsedConfig) -> MsedStats {
+    route_muse_msed(code, config, true)
+}
+
+/// [`muse_msed`] with the lane kernel switched off: every route runs its
+/// draw-for-draw scalar form — the lane kernel's bit-exactness oracle. Not
+/// part of the public API; exposed for the `lane_equivalence` integration
+/// suite (and anyone auditing the lane kernel), which asserts `muse_msed ==
+/// muse_msed_scalar` tally-for-tally on every preset, trial count, and
+/// thread count.
+#[doc(hidden)]
+pub fn muse_msed_scalar(code: &MuseCode, config: MsedConfig) -> MsedStats {
+    route_muse_msed(code, config, false)
+}
+
+/// The one MSED route decision. `lanes` lets the k = 2 columnar route use
+/// the lane kernel where the layout allows; the draw stream, and so every
+/// tally, is the same either way.
+fn route_muse_msed(code: &MuseCode, config: MsedConfig, lanes: bool) -> MsedStats {
     let kernel = crate::require_kernel(code, "MSED");
     let k = config.failing_devices;
+    let n_sym = kernel.num_symbols();
+    assert!(
+        (1..=n_sym).contains(&k),
+        "cannot corrupt {k} of {n_sym} devices: failing_devices must be in 1..={n_sym}"
+    );
     if k > fastpath::MAX_STRIKES {
         // Beyond the fixed-capacity inline arrays: draws go through the
         // Vec-based distinct sampler instead of the columnar fills.
-        let n_sym = kernel.num_symbols();
-        assert!(k <= n_sym, "cannot corrupt {k} of {n_sym} devices");
-        return muse_msed_generic(kernel, config, |scratch, rng| {
+        return muse_msed_generic(kernel, config, |strikes, rng| {
             for sym in rng.choose_k(n_sym, k) {
                 let pattern = rng.nonzero_below(1 << kernel.symbol_bits(sym)) as u16;
-                scratch.injected.push((sym, pattern));
+                strikes.push((sym, pattern));
             }
         });
     }
@@ -168,8 +193,8 @@ pub fn muse_msed(code: &MuseCode, config: MsedConfig) -> MsedStats {
     let Some(uniform_pattern) = plan.uniform_pattern() else {
         // Mixed symbol widths: patterns cannot be column-filled ahead of
         // the symbol draw.
-        return muse_msed_generic(kernel, config, |scratch, rng| {
-            plan.inject_distinct(scratch, rng, k)
+        return muse_msed_generic(kernel, config, |strikes, rng| {
+            plan.inject_distinct(strikes, rng, k)
         });
     };
     if k == 2 {
@@ -177,29 +202,31 @@ pub fn muse_msed(code: &MuseCode, config: MsedConfig) -> MsedStats {
             // The canonical double-symbol experiment: the fully-columnar
             // quad-packed draw scheme, lane-kernel accelerated where the
             // layout allows.
-            return muse_msed_columnar_k2(kernel, quad_bound, config, false);
+            return muse_msed_columnar_k2(kernel, quad_bound, config, lanes);
         }
     }
     muse_msed_columnar_scalar(kernel, &plan, uniform_pattern, k, config)
 }
 
-/// The generic content-space route: `inject` pushes one trial's strikes
-/// into the scratch, and classification stays in the syndrome domain — no
-/// codeword is ever materialized on any strike count or layout.
+/// The generic content-space route: `inject` pushes one trial's strikes,
+/// and a [`MuseClassifier`] samples contents and classifies the read in
+/// the syndrome domain — no codeword is ever materialized on any strike
+/// count or layout.
 fn muse_msed_generic(
-    kernel: &muse_core::SyndromeKernel,
+    kernel: &SyndromeKernel,
     config: MsedConfig,
-    inject: impl Fn(&mut CodewordScratch, &mut Rng) + Sync,
+    inject: impl Fn(&mut Vec<(usize, u16)>, &mut Rng) + Sync,
 ) -> MsedStats {
     SimEngine::new(config.threads).run_blocked(
         config.seed,
         config.trials,
-        || CodewordScratch::new(kernel),
-        |range, rng, scratch, stats: &mut MsedStats| {
+        || (MuseClassifier::new(kernel), Vec::new()),
+        |range, rng, (classifier, strikes), stats: &mut MsedStats| {
             for _ in range {
-                scratch.begin_trial();
-                inject(scratch, rng);
-                stats.record(outcome_of(classify(kernel, scratch, rng)));
+                classifier.begin_read();
+                strikes.clear();
+                inject(strikes, rng);
+                stats.record(outcome_of(classifier.read_healthy(rng, strikes)));
             }
         },
     )
@@ -209,7 +236,7 @@ fn muse_msed_generic(
 /// applicability gate of the fully-columnar scheme. `None` (a geometry far
 /// past any real preset) sends k = 2 down the generic per-strike columnar
 /// path instead.
-fn k2_quad_bound(kernel: &muse_core::SyndromeKernel) -> Option<u32> {
+fn k2_quad_bound(kernel: &SyndromeKernel) -> Option<u32> {
     let n = kernel.num_symbols() as u64;
     let pb = (1u64 << kernel.symbol_bits(0)) - 1;
     u32::try_from(n * (n - 1) * pb * pb).ok()
@@ -217,24 +244,20 @@ fn k2_quad_bound(kernel: &muse_core::SyndromeKernel) -> Option<u32> {
 
 /// The k = 2 columnar path: four bulk-filled draw columns per engine block
 /// (see [`msed_trial_k2_cols`] for the scheme), classified by the lane
-/// kernel when the layout supports it — or by the draw-for-draw scalar
-/// oracle (`force_scalar`, or a layout the lanes refuse). Both consume the
-/// same fills and no live randomness, so the draw stream — and therefore
-/// every tally — is identical either way, at any thread count.
+/// kernel when `lanes` is set and the layout supports it — otherwise by the
+/// draw-for-draw scalar oracle. Both consume the same fills and no live
+/// randomness, so the draw stream — and therefore every tally — is
+/// identical either way, at any thread count.
 fn muse_msed_columnar_k2(
-    kernel: &muse_core::SyndromeKernel,
+    kernel: &SyndromeKernel,
     quad_bound: u32,
     config: MsedConfig,
-    force_scalar: bool,
+    lanes: bool,
 ) -> MsedStats {
     const BLOCK: usize = SimEngine::TRIAL_BLOCK as usize;
     let quad_pick = Bounded32::new(quad_bound);
     let x_pick = Bounded32::new(u32::try_from(kernel.modulus()).expect("kernel moduli fit u32"));
-    let lanes = if force_scalar {
-        None
-    } else {
-        LaneKernel::new(kernel)
-    };
+    let lanes = if lanes { LaneKernel::new(kernel) } else { None };
     SimEngine::new(config.threads).run_blocked(
         config.seed,
         config.trials,
@@ -281,16 +304,16 @@ fn muse_msed_columnar_k2(
     )
 }
 
-/// Maps a fast-path trial outcome onto the MSED tally class. The decoder
-/// reads a zero syndrome as "no error": any corruption landing there passes
-/// silently, payload-intact or not.
+/// Maps a read outcome onto the MSED tally class. The decoder reads a zero
+/// syndrome as "no error": any corruption landing there passes silently,
+/// payload-intact or not.
 #[inline]
-fn outcome_of(outcome: TrialOutcome) -> Outcome {
+fn outcome_of(outcome: ReadOutcome) -> Outcome {
     match outcome {
-        TrialOutcome::CleanIntact | TrialOutcome::CleanCorrupted => Outcome::Silent,
-        TrialOutcome::Detected => Outcome::Detected,
-        TrialOutcome::CorrectedRight => Outcome::Corrected,
-        TrialOutcome::Miscorrected => Outcome::Miscorrected,
+        ReadOutcome::CleanIntact | ReadOutcome::CleanCorrupted => Outcome::Silent,
+        ReadOutcome::Detected => Outcome::Detected,
+        ReadOutcome::CorrectedRight => Outcome::Corrected,
+        ReadOutcome::Miscorrected => Outcome::Miscorrected,
     }
 }
 
@@ -300,14 +323,14 @@ fn outcome_of(outcome: TrialOutcome) -> Outcome {
 /// path uses the pair-packed fully-columnar scheme in
 /// [`muse_msed_columnar_k2`] instead.)
 fn muse_msed_columnar_scalar(
-    kernel: &muse_core::SyndromeKernel,
+    kernel: &SyndromeKernel,
     plan: &TrialPlan,
     uniform_pattern: Bounded32,
     k: usize,
     config: MsedConfig,
 ) -> MsedStats {
     const BLOCK: usize = SimEngine::TRIAL_BLOCK as usize;
-    let content16 = crate::rng::Bounded32::new(1 << 16);
+    let content16 = Bounded32::new(1 << 16);
     SimEngine::new(config.threads).run_blocked(
         config.seed,
         config.trials,
@@ -349,33 +372,6 @@ fn muse_msed_columnar_scalar(
     )
 }
 
-/// [`muse_msed`] forced down the draw-for-draw scalar columnar path — the
-/// lane kernel's bit-exactness oracle. Not part of the public API; exposed
-/// for the `lane_equivalence` integration suite (and anyone auditing the
-/// lane kernel), which asserts `muse_msed == muse_msed_scalar` tally-for-tally
-/// on every preset, trial count, and thread count.
-#[doc(hidden)]
-pub fn muse_msed_scalar(code: &MuseCode, config: MsedConfig) -> MsedStats {
-    let kernel = crate::require_kernel(code, "MSED");
-    let k = config.failing_devices;
-    assert!(
-        k <= fastpath::MAX_STRIKES,
-        "the scalar reference covers the fixed-capacity path only"
-    );
-    let plan = TrialPlan::new(kernel, k);
-    match plan.uniform_pattern() {
-        // Mixed-width layouts never take the lane kernel; the public entry
-        // point already runs the scalar path.
-        None => muse_msed(code, config),
-        Some(_) if k == 2 && k2_quad_bound(kernel).is_some() => {
-            muse_msed_columnar_k2(kernel, k2_quad_bound(kernel).unwrap(), config, true)
-        }
-        Some(uniform_pattern) => {
-            muse_msed_columnar_scalar(kernel, &plan, uniform_pattern, k, config)
-        }
-    }
-}
-
 /// How an RS "correction" of a beyond-model error is classified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RsDetectMode {
@@ -401,6 +397,11 @@ pub enum RsDetectMode {
 /// codeword — symbol contents are only sampled in the rare
 /// shortened-top-symbol range check. The wide encode/decode pipeline
 /// survives as the property-test oracle only.
+///
+/// # Panics
+///
+/// Panics if `failing_devices` is 0 or exceeds the code's
+/// `device_bits`-wide device count.
 pub fn rs_msed(
     code: &RsMemoryCode,
     device_bits: u32,
@@ -410,7 +411,10 @@ pub fn rs_msed(
     let n_devices = (code.n_bits() / device_bits) as usize;
     let ctx = RsFastMsed::new(code, device_bits, mode);
     let k = config.failing_devices;
-    assert!(k <= n_devices, "cannot corrupt {k} of {n_devices} devices");
+    assert!(
+        (1..=n_devices).contains(&k),
+        "cannot corrupt {k} of {n_devices} devices: failing_devices must be in 1..={n_devices}"
+    );
     if k > fastpath::MAX_STRIKES {
         // Beyond the fixed-capacity arrays: Vec-based distinct sampling,
         // same error-domain classification backend.
@@ -678,21 +682,25 @@ fn classify_rs_wide(
 }
 
 /// Whether an RS symbol-error value only touches bits of one
-/// `device_bits`-wide physical device.
+/// `device_bits`-wide physical device: its lowest and highest set bits
+/// fall in the same device (zero touches none and counts as confined).
 fn error_confined_to_device(
     code: &RsMemoryCode,
     device_bits: u32,
     symbol: usize,
     value: u16,
 ) -> bool {
-    let base = symbol as u32 * code.symbol_bits();
-    let mut devices = std::collections::HashSet::new();
-    for bit in 0..code.symbol_bits() {
-        if value >> bit & 1 == 1 {
-            devices.insert((base + bit) / device_bits);
-        }
+    debug_assert!(
+        u32::from(value) >> code.symbol_bits() == 0,
+        "value fits its symbol"
+    );
+    if value == 0 {
+        return true;
     }
-    devices.len() <= 1
+    let base = symbol as u32 * code.symbol_bits();
+    let low = base + value.trailing_zeros();
+    let high = base + (u16::BITS - 1 - value.leading_zeros());
+    low / device_bits == high / device_bits
 }
 
 /// A `Word` with uniformly random low `bits`.
@@ -913,6 +921,28 @@ mod tests {
             quick(2_000),
         );
         assert_eq!(stats.corrected, 2_000, "{stats:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "failing_devices must be in 1..=36")]
+    fn muse_zero_failing_devices_panics() {
+        // Zero strikes would tally every trial as a silent corruption.
+        let config = MsedConfig {
+            failing_devices: 0,
+            ..quick(10)
+        };
+        muse_msed(&presets::muse_144_132(), config);
+    }
+
+    #[test]
+    #[should_panic(expected = "failing_devices must be in 1..=36")]
+    fn rs_zero_failing_devices_panics() {
+        let config = MsedConfig {
+            failing_devices: 0,
+            ..quick(10)
+        };
+        let code = RsMemoryCode::new(8, 144, 1).unwrap();
+        rs_msed(&code, 4, RsDetectMode::DeviceConfined, config);
     }
 
     #[test]

@@ -32,13 +32,12 @@
 
 #[cfg(test)]
 use muse_core::Decoded;
-use muse_core::MuseCode;
+use muse_core::{MuseClassifier, MuseCode, WordRead};
 use muse_secded::SecDed;
 #[cfg(test)]
 use muse_secded::{SecDecoded, Word};
 
 use crate::engine::{SimEngine, Tally};
-use crate::fastpath::{classify, CodewordScratch, TrialOutcome};
 #[cfg(test)]
 use crate::random_payload;
 use crate::rng::{Bounded32, CountCdf};
@@ -232,10 +231,11 @@ pub fn simulate_stack_threaded(
                 engine.run_blocked(
                     seed,
                     words,
-                    || (CodewordScratch::new(kernel), vec![0u64; n_dev]),
-                    |range, rng, (scratch, count_raws), stats: &mut OndieStats| {
+                    || (MuseClassifier::new(kernel), Vec::new(), vec![0u64; n_dev]),
+                    |range, rng, (classifier, strikes, count_raws), stats: &mut OndieStats| {
                         for _ in range {
-                            scratch.begin_trial();
+                            classifier.begin_read();
+                            strikes.clear();
                             rng.fill_u64s(count_raws);
                             for (dev, &raw) in count_raws.iter().enumerate() {
                                 let Some(flips) = model.sample_flips(rng, raw) else {
@@ -244,21 +244,17 @@ pub fn simulate_stack_threaded(
                                 let residual = model.residual(flips, ondie_active);
                                 let pattern = model.visible(residual, kernel.symbol_bits(dev));
                                 if pattern != 0 {
-                                    scratch.injected.push((dev, pattern));
+                                    strikes.push((dev, pattern));
                                 }
                             }
-                            if scratch.injected.is_empty() {
+                            if strikes.is_empty() {
                                 stats.intact += 1;
                                 continue;
                             }
-                            match classify(kernel, scratch, rng) {
-                                TrialOutcome::CleanIntact | TrialOutcome::CorrectedRight => {
-                                    stats.intact += 1
-                                }
-                                TrialOutcome::Detected => stats.due += 1,
-                                TrialOutcome::CleanCorrupted | TrialOutcome::Miscorrected => {
-                                    stats.sdc += 1
-                                }
+                            match WordRead::from(classifier.read_healthy(rng, strikes)) {
+                                WordRead::Correct => stats.intact += 1,
+                                WordRead::Due => stats.due += 1,
+                                WordRead::Sdc => stats.sdc += 1,
                             }
                         }
                     },

@@ -9,10 +9,10 @@
 //! any such pattern confined to one device, letting the system hold the
 //! same reliability at a longer refresh interval.
 
-use muse_core::MuseCode;
+use muse_core::{MuseClassifier, MuseCode, ReadOutcome};
 
 use crate::engine::{SimEngine, Tally};
-use crate::fastpath::{classify, CodewordScratch, HalfDraws, TrialOutcome, TrialPlan};
+use crate::fastpath::{HalfDraws, TrialPlan};
 use crate::rng::CountCdf;
 
 /// Per-cell retention-failure model.
@@ -144,10 +144,11 @@ pub fn simulate_retention_threaded(
     engine.run_blocked(
         seed,
         words,
-        || CodewordScratch::new(kernel),
-        |range, rng, scratch, stats: &mut RetentionStats| {
+        || (MuseClassifier::new(kernel), Vec::new()),
+        |range, rng, (classifier, strikes), stats: &mut RetentionStats| {
             for _ in range {
-                scratch.begin_trial();
+                classifier.begin_read();
+                strikes.clear();
                 for sym in 0..n_sym {
                     let k = candidate_counts[widths[sym] as usize].sample(rng.next_u64());
                     if k == 0 {
@@ -167,24 +168,24 @@ pub fn simulate_retention_threaded(
                     }
                     // A leaked bit is a 1→0 flip: candidates only bite on
                     // stored 1-bits.
-                    let pattern = mask & scratch.content(kernel, rng, sym);
+                    let pattern = mask & classifier.content(rng, sym);
                     if pattern != 0 {
-                        scratch.injected.push((sym, pattern));
+                        strikes.push((sym, pattern));
                     }
                 }
-                if scratch.injected.is_empty() {
+                if strikes.is_empty() {
                     stats.clean += 1;
                     continue;
                 }
-                match classify(kernel, scratch, rng) {
+                match classifier.read_healthy(rng, strikes) {
                     // Flips confined to check bits read back as the right
                     // payload; a nonzero pattern aliasing to remainder 0
                     // over payload bits is a silent corruption.
-                    TrialOutcome::CleanIntact => stats.clean += 1,
-                    TrialOutcome::CleanCorrupted => stats.silent_corruptions += 1,
-                    TrialOutcome::CorrectedRight => stats.corrected += 1,
-                    TrialOutcome::Miscorrected => stats.miscorrected += 1,
-                    TrialOutcome::Detected => stats.uncorrectable += 1,
+                    ReadOutcome::CleanIntact => stats.clean += 1,
+                    ReadOutcome::CleanCorrupted => stats.silent_corruptions += 1,
+                    ReadOutcome::CorrectedRight => stats.corrected += 1,
+                    ReadOutcome::Miscorrected => stats.miscorrected += 1,
+                    ReadOutcome::Detected => stats.uncorrectable += 1,
                 }
             }
         },

@@ -13,7 +13,10 @@
 //! lane kernel — see CHANGES.md.)
 
 use muse_core::presets;
-use muse_faultsim::{muse_msed, MsedConfig, Rng};
+use muse_faultsim::{
+    measure_mode_threaded, muse_msed, simulate_retention_threaded, simulate_stack_threaded,
+    FailureMode, MsedConfig, RetentionModel, Rng, Stack,
+};
 
 #[test]
 fn rng_stream_pin() {
@@ -89,5 +92,77 @@ fn msed_tally_pin_muse_80_69() {
     assert!(
         (80.0..90.0).contains(&rate),
         "rate {rate} left the plausible band"
+    );
+}
+
+// The three content-space simulators outside MSED, pinned exactly: each
+// draws symbol contents lazily mid-injection, so these tallies pin the
+// order of every content and check-value draw, not only the decoder.
+
+#[test]
+fn retention_tally_pin_muse_80_67() {
+    let model = RetentionModel {
+        weak_fraction: 2e-3,
+        ..RetentionModel::default()
+    };
+    let s = simulate_retention_threaded(&presets::muse_80_67(), &model, 2048.0, 3_000, 7, 2);
+    assert_eq!(
+        (
+            s.clean,
+            s.corrected,
+            s.uncorrectable,
+            s.miscorrected,
+            s.silent_corruptions
+        ),
+        (2_784, 211, 3, 2, 0),
+        "pinned retention tally changed"
+    );
+}
+
+#[test]
+fn fit_tally_pins_muse_80_67() {
+    let code = presets::muse_80_67();
+    let trials = 3_000u64;
+    let counts = |mode| {
+        let o = measure_mode_threaded(&code, mode, trials, 17, 2);
+        let n = |p: f64| (p * trials as f64).round() as u64;
+        (n(o.p_correct), n(o.p_due), n(o.p_sdc))
+    };
+    assert_eq!(
+        counts(FailureMode::SingleBit),
+        (1_494, 1_506, 0),
+        "SingleBit"
+    );
+    assert_eq!(
+        counts(FailureMode::SingleDeviceMultiBit),
+        (255, 2_652, 93),
+        "SingleDeviceMultiBit"
+    );
+    assert_eq!(
+        counts(FailureMode::WholeDevice),
+        (262, 2_644, 94),
+        "WholeDevice"
+    );
+    assert_eq!(
+        counts(FailureMode::TwoDevices),
+        (0, 2_871, 129),
+        "TwoDevices"
+    );
+}
+
+#[test]
+fn ondie_tally_pin_muse_144_132() {
+    let s = simulate_stack_threaded(
+        Stack::Stacked,
+        Some(&presets::muse_144_132()),
+        2e-3,
+        3_000,
+        5,
+        2,
+    );
+    assert_eq!(
+        (s.intact, s.due, s.sdc),
+        (2_990, 9, 1),
+        "pinned on-die + rank tally changed"
     );
 }

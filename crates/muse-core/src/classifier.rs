@@ -12,8 +12,9 @@
 //!   contents are sampled lazily (uniform payload bits, check bits from a
 //!   lazily drawn check value), the syndrome accumulates through
 //!   [`SyndromeKernel::residue`]/[`SyndromeKernel::flip_delta`], healthy
-//!   reads finish with the fused ELC classify/correct stages, and degraded
-//!   reads finish with a **combined** erasure-plus-error solve
+//!   reads finish with [`SyndromeKernel::finish_read`] (the fused ELC
+//!   classify/correct stages that also end every `muse-faultsim` trial),
+//!   and degraded reads finish with a **combined** erasure-plus-error solve
 //!   ([`ErasureTable::solve_combined`]): fill the erased symbols and, when
 //!   that alone cannot explain the syndrome, correct one in-model error on
 //!   a survivor.
@@ -25,7 +26,7 @@
 //! only as property-test oracles (see the `muse-lifetime` classification
 //! tests and `muse-core/tests/erasure_equivalence.rs`).
 
-use crate::{CombinedSolve, ErasureTable, SyndromeKernel};
+use crate::{CombinedSolve, ErasureTable, ReadOutcome, SyndromeKernel};
 
 /// Outcome of classifying one word read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,6 +38,18 @@ pub enum WordRead {
     Due,
     /// The word read back wrong without a flag — silent data corruption.
     Sdc,
+}
+
+impl From<ReadOutcome> for WordRead {
+    /// A zero-syndrome read with a flipped payload and a miscorrection are
+    /// both silent; everything detected is a DUE.
+    fn from(outcome: ReadOutcome) -> Self {
+        match outcome {
+            ReadOutcome::CleanIntact | ReadOutcome::CorrectedRight => Self::Correct,
+            ReadOutcome::Detected => Self::Due,
+            ReadOutcome::CleanCorrupted | ReadOutcome::Miscorrected => Self::Sdc,
+        }
+    }
 }
 
 /// One device-level disturbance of a word read.
@@ -232,9 +245,9 @@ impl Bounded32 {
 /// time from (a) the *resolved context* of the current erased-device set
 /// and (b) the [`Strike`]s disturbing the read. Contexts are resolved once
 /// per erased-set *transition* (device retirement, replacement) — not per
-/// read — so per-read work is bounded by the solve itself (the MUSE
-/// degraded loop is allocation-free; the RS combined solve still builds
-/// its erasure locator per read — see ROADMAP).
+/// read — so per-read work is bounded by the solve itself (both degraded
+/// loops are allocation-free: the MUSE table and the RS erasure locator
+/// are built once, in [`Self::resolve`]).
 pub trait Classifier {
     /// The resolved decode context for one fixed erased-device set.
     type Context;
@@ -338,7 +351,7 @@ impl<'a> MuseClassifier<'a> {
     /// Starts a fresh word read: every symbol content (and the check value)
     /// is resampled on next observation. No-op while pinned.
     #[inline]
-    fn begin(&mut self) {
+    pub fn begin_read(&mut self) {
         if !self.pinned {
             self.generation = self.generation.wrapping_add(1);
             self.x = None;
@@ -358,29 +371,56 @@ impl<'a> MuseClassifier<'a> {
         self.pinned = true;
     }
 
-    /// The stored content of `sym`, sampled on first observation per read.
+    /// Test hook, the inverse of [`Self::pin`]: the contents the current
+    /// read has observed (`None` = never sampled) and its check value, if
+    /// drawn. Any codeword agreeing with them is consistent with the read,
+    /// which is how the oracle tests rebuild a wide word for a sampled read.
+    pub fn observed(&self) -> (Vec<Option<u16>>, Option<u64>) {
+        let contents = (0..self.contents.len())
+            .map(|s| (self.stamps[s] == self.generation).then_some(self.contents[s]))
+            .collect();
+        (contents, self.x)
+    }
+
+    /// The stored content of `sym` in the current read, sampled on first
+    /// observation: one raw draw for its bits, then — for a symbol owning
+    /// check bits, and only once per read — the check value.
     #[inline]
-    fn content<E: Entropy>(&mut self, entropy: &mut E, sym: usize) -> u16 {
+    pub fn content<E: Entropy>(&mut self, entropy: &mut E, sym: usize) -> u16 {
         if self.stamps[sym] != self.generation {
             let raw = entropy.next_u64() as u16;
-            let content = if self.kernel.needs_check_value(sym) {
-                let x = match self.x {
-                    Some(x) => x,
-                    None => {
-                        let x = self.x_pick.sample(entropy) as u64;
-                        self.x = Some(x);
-                        x
-                    }
-                };
-                self.kernel
-                    .apply_check_bits(sym, raw & self.kernel.payload_mask(sym), x)
-            } else {
-                raw & self.kernel.width_mask(sym)
-            };
-            self.contents[sym] = content;
+            let (x, x_pick) = (&mut self.x, self.x_pick);
+            self.contents[sym] = self.kernel.content_from_raw(sym, raw, || {
+                *x.get_or_insert_with(|| x_pick.sample(entropy) as u64)
+            });
             self.stamps[sym] = self.generation;
         }
         self.contents[sym]
+    }
+
+    /// Classifies the current read on a healthy word: folds the `(symbol,
+    /// xor pattern)` strikes (at most one per symbol) into the syndrome
+    /// over the read's contents and ends it with
+    /// [`SyndromeKernel::finish_read`]. Contents are drawn in strike order,
+    /// then the matched symbol's if it was not struck.
+    pub fn read_healthy<E: Entropy>(
+        &mut self,
+        entropy: &mut E,
+        strikes: &[(usize, u16)],
+    ) -> ReadOutcome {
+        let rem = self.fold(entropy, strikes);
+        let kernel = self.kernel;
+        kernel.finish_read(rem, strikes, |symbol| self.content(entropy, symbol))
+    }
+
+    /// The syndrome the strikes add to the current read.
+    #[inline]
+    fn fold<E: Entropy>(&mut self, entropy: &mut E, strikes: &[(usize, u16)]) -> u64 {
+        let kernel = self.kernel;
+        strikes.iter().fold(0, |rem, &(sym, pattern)| {
+            let content = self.content(entropy, sym);
+            kernel.add_mod(rem, kernel.flip_delta(sym, content, pattern))
+        })
     }
 
     /// Resolves a strike to its XOR pattern on `sym`'s current content.
@@ -446,25 +486,24 @@ impl Classifier for MuseClassifier<'_> {
         entropy: &mut E,
     ) -> WordRead {
         assert!(strikes.len() <= 16, "at most 16 strikes per word read");
-        self.begin();
+        self.begin_read();
         let kernel = self.kernel;
         let m = kernel.modulus();
 
-        // Accumulate the survivors' syndrome contribution and resolve each
-        // strike against the (lazily sampled) stored contents.
-        let mut rem = 0u64;
-        let mut payload_touched = false;
-        let mut resolved = [(0usize, 0u16); 16];
-        let mut n = 0usize;
+        // A degraded read first observes the erased symbols: the intact word
+        // has syndrome 0, so Σ_{s∉E} R_s(orig) = −Σ_{s∈E} R_s(orig).
+        let mut erased_rem = 0u64;
         if let MuseContext::Degraded(table) = ctx {
-            // The intact word has syndrome 0, so Σ_{s∉E} R_s(orig) =
-            // −Σ_{s∈E} R_s(orig); strikes then move it by flip_delta.
             for &s in table.symbols() {
-                let c = self.content(entropy, s);
-                let r = kernel.residue(s, c);
-                rem = kernel.add_mod(rem, if r == 0 { 0 } else { m - r });
+                let r = kernel.residue(s, self.content(entropy, s));
+                erased_rem = kernel.add_mod(erased_rem, if r == 0 { 0 } else { m - r });
             }
         }
+        // Resolve each strike to its XOR pattern, observing the struck
+        // contents in strike order (an asymmetric strike reads its content
+        // to resolve, so the draws must follow the strikes).
+        let mut resolved = [(0usize, 0u16); 16];
+        let mut n = 0usize;
         for &(dev, s) in strikes {
             let sym = dev as usize;
             if let MuseContext::Degraded(table) = ctx {
@@ -474,106 +513,56 @@ impl Classifier for MuseClassifier<'_> {
                 );
             }
             let pattern = self.pattern_of(entropy, sym, s);
-            if pattern == 0 {
-                continue;
+            if pattern != 0 {
+                self.content(entropy, sym);
+                resolved[n] = (sym, pattern);
+                n += 1;
             }
-            let content = self.content(entropy, sym);
-            rem = kernel.add_mod(rem, kernel.flip_delta(sym, content, pattern));
-            payload_touched |= pattern & kernel.payload_mask(sym) != 0;
-            resolved[n] = (sym, pattern);
-            n += 1;
         }
         let resolved = &resolved[..n];
 
-        match ctx {
-            MuseContext::Healthy => {
-                if rem == 0 {
-                    return if payload_touched {
-                        WordRead::Sdc
-                    } else {
-                        WordRead::Correct
-                    };
-                }
-                match kernel.classify(rem) {
-                    crate::FastDecode::Clean => unreachable!("nonzero remainder"),
-                    crate::FastDecode::Detected => WordRead::Due,
-                    crate::FastDecode::Correct { symbol } => {
-                        let original = self.content(entropy, symbol);
-                        let injected = resolved
-                            .iter()
-                            .find(|&&(s, _)| s == symbol)
-                            .map_or(0, |&(_, p)| p);
-                        match kernel.correct(rem, original ^ injected) {
-                            None => WordRead::Due,
-                            Some(corrected) => {
-                                let restored = (corrected ^ original) & kernel.payload_mask(symbol)
-                                    == 0
-                                    && resolved.iter().all(|&(s, p)| {
-                                        s == symbol || p & kernel.payload_mask(s) == 0
-                                    });
-                                if restored {
-                                    WordRead::Correct
-                                } else {
-                                    WordRead::Sdc
-                                }
-                            }
-                        }
-                    }
-                }
+        let table = match ctx {
+            MuseContext::Healthy => return self.read_healthy(entropy, resolved).into(),
+            MuseContext::Degraded(table) => table,
+        };
+        let rem = kernel.add_mod(erased_rem, self.fold(entropy, resolved));
+        let target = if rem == 0 { 0 } else { m - rem };
+        // Candidacy applies the content-dependent confinement check
+        // (Figure 4, method 2) exactly as a wide decoder enumerating
+        // fillings would: an unconfined correction is no candidate.
+        let contents = &mut *self;
+        let solve = table.solve_combined(kernel, target, |elc_rem, symbol| {
+            let original = contents.content(entropy, symbol);
+            let injected = resolved
+                .iter()
+                .find(|&&(s, _)| s == symbol)
+                .map_or(0, |&(_, p)| p);
+            kernel.correct(elc_rem, original ^ injected).is_some()
+        });
+        let wrong = match solve {
+            CombinedSolve::None | CombinedSolve::Ambiguous => return WordRead::Due,
+            CombinedSolve::Unique(filling) => {
+                let payload_touched = resolved
+                    .iter()
+                    .any(|&(s, p)| p & kernel.payload_mask(s) != 0);
+                payload_touched || self.filling_wrong(entropy, table, filling)
             }
-            MuseContext::Degraded(table) => {
-                let target = if rem == 0 { 0 } else { m - rem };
-                // Candidacy applies the content-dependent confinement check
-                // (Figure 4, method 2) exactly as a wide decoder enumerating
-                // fillings would: an unconfined correction is no candidate.
-                let contents = &mut *self;
-                let solve = table.solve_combined(kernel, target, |elc_rem, symbol| {
-                    let original = contents.content(entropy, symbol);
-                    let injected = resolved
-                        .iter()
-                        .find(|&&(s, _)| s == symbol)
-                        .map_or(0, |&(_, p)| p);
-                    kernel.correct(elc_rem, original ^ injected).is_some()
-                });
-                match solve {
-                    CombinedSolve::None | CombinedSolve::Ambiguous => WordRead::Due,
-                    CombinedSolve::Unique(filling) => {
-                        let wrong = payload_touched || self.filling_wrong(entropy, table, filling);
-                        if wrong {
-                            WordRead::Sdc
-                        } else {
-                            WordRead::Correct
-                        }
-                    }
-                    CombinedSolve::Corrected {
-                        filling,
-                        rem: elc_rem,
-                        symbol,
-                    } => {
-                        // Finish like the healthy decoder: the filled word
-                        // carries remainder `elc_rem`. Candidacy already
-                        // proved the correction confined.
-                        let original = self.content(entropy, symbol);
-                        let injected = resolved
-                            .iter()
-                            .find(|&&(s, _)| s == symbol)
-                            .map_or(0, |&(_, p)| p);
-                        let corrected = kernel
-                            .correct(elc_rem, original ^ injected)
-                            .expect("candidacy checked confinement");
-                        let wrong = (corrected ^ original) & kernel.payload_mask(symbol) != 0
-                            || resolved
-                                .iter()
-                                .any(|&(s, p)| s != symbol && p & kernel.payload_mask(s) != 0)
-                            || self.filling_wrong(entropy, table, filling);
-                        if wrong {
-                            WordRead::Sdc
-                        } else {
-                            WordRead::Correct
-                        }
-                    }
-                }
+            CombinedSolve::Corrected {
+                filling,
+                rem: elc_rem,
+                ..
+            } => {
+                // Finish like the healthy decoder: the filled word carries
+                // remainder `elc_rem`, and candidacy already proved the
+                // correction confined.
+                let read = kernel.finish_read(elc_rem, resolved, |s| self.content(entropy, s));
+                read != ReadOutcome::CorrectedRight || self.filling_wrong(entropy, table, filling)
             }
+        };
+        if wrong {
+            WordRead::Sdc
+        } else {
+            WordRead::Correct
         }
     }
 }

@@ -73,7 +73,9 @@ pub use search::{
 };
 pub use spec::ParseSpecError;
 pub use symbol::{SymbolMap, SymbolMapError};
-pub use syndrome::{CombinedSolve, ErasureSolve, ErasureTable, FastDecode, SyndromeKernel};
+pub use syndrome::{
+    CombinedSolve, ErasureSolve, ErasureTable, FastDecode, ReadOutcome, SyndromeKernel,
+};
 
 /// The codeword carrier: 320 bits covers every code in the paper (the widest
 /// is the 268-bit PIM codeword).

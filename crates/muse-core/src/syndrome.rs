@@ -117,6 +117,24 @@ pub enum FastDecode {
     },
 }
 
+/// Exact outcome of one healthy word read, in residue space — how
+/// [`SyndromeKernel::finish_read`] ends a read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadOutcome {
+    /// Zero syndrome and the corruption never left the check bits: the word
+    /// reads back correct.
+    CleanIntact,
+    /// Zero syndrome but payload bits flipped — a truly silent corruption.
+    CleanCorrupted,
+    /// Flagged detected-but-uncorrectable: an unmapped remainder, or a
+    /// correction escaping its symbol.
+    Detected,
+    /// Corrected back to the original payload.
+    CorrectedRight,
+    /// "Corrected" into wrong data.
+    Miscorrected,
+}
+
 /// The per-code incremental-syndrome tables. Built once inside
 /// [`MuseCode::new`](crate::MuseCode::new); accessible via
 /// [`MuseCode::kernel`](crate::MuseCode::kernel).
@@ -232,10 +250,6 @@ impl SyndromeKernel {
     /// Sentinel in [`Self::raw_elc_fused`]: no ELC entry for this
     /// remainder (the [`FastDecode::Detected`] case).
     pub const NO_ENTRY: u32 = NO_ENTRY;
-
-    /// Sentinel in [`Self::raw_transitions`]: the correction escapes the
-    /// symbol (the [`Self::correct`] `None` case).
-    pub const NO_TRANSITION: u16 = NO_TRANSITION;
 
     /// Whether a layout/multiplier pair is within the kernel's tabulation
     /// limits: every symbol at most 12 bits wide (contents are tabulated as
@@ -567,6 +581,19 @@ impl SyndromeKernel {
         content
     }
 
+    /// A symbol's stored content from raw uniform bits: payload bits kept
+    /// within the symbol width, check-region bits filled from the check
+    /// value. `x` is called only when `sym` owns check bits, so a caller
+    /// drawing the check value lazily draws it exactly when first needed.
+    #[inline]
+    pub fn content_from_raw(&self, sym: usize, raw: u16, x: impl FnOnce() -> u64) -> u16 {
+        if self.needs_check_value(sym) {
+            self.apply_check_bits(sym, raw & self.payload_mask(sym), x())
+        } else {
+            raw & self.width_mask(sym)
+        }
+    }
+
     /// The content of `sym` in the codeword encoding `payload` (limbs of the
     /// `k`-bit payload) with check value `x` (from [`Self::check_value`];
     /// pass anything when [`Self::needs_check_value`] is false).
@@ -620,15 +647,6 @@ impl SyndromeKernel {
         &self.elc_fused
     }
 
-    /// The flat content-transition table behind [`Self::correct`]: a fused
-    /// entry `packed` corrects content `v` to
-    /// `raw_transitions()[(packed >> 12) + v]`, with
-    /// [`Self::NO_TRANSITION`] marking an escaping (rejected) correction.
-    #[inline]
-    pub fn raw_transitions(&self) -> &[u16] {
-        &self.transitions
-    }
-
     /// Syndrome delta caused by XOR-flipping `pattern` onto symbol `sym`
     /// currently holding `content`.
     #[inline]
@@ -663,6 +681,55 @@ impl SyndromeKernel {
         match self.transitions[(packed >> 12) as usize + content as usize] {
             NO_TRANSITION => None,
             w => Some(w),
+        }
+    }
+
+    /// Finishes a healthy read whose strikes left remainder `rem` — the
+    /// decoder's last step (Section V): a zero remainder reads back as
+    /// stored, an unmapped remainder is detected, and a matched ELC entry
+    /// corrects its symbol unless the correction escapes it (also
+    /// detected).
+    ///
+    /// `strikes` are the read's `(symbol, xor pattern)` disturbances, at
+    /// most one per symbol (each pattern is that symbol's total flip).
+    /// `original_of(symbol)` supplies a symbol's stored, pre-strike
+    /// content; it is called at most once, for the matched symbol only, so
+    /// lazily sampled contents are drawn only when the decode observes
+    /// them.
+    #[inline]
+    pub fn finish_read(
+        &self,
+        rem: u64,
+        strikes: &[(usize, u16)],
+        original_of: impl FnOnce(usize) -> u16,
+    ) -> ReadOutcome {
+        // Whether every strike except the one on `skip` spared the payload.
+        let payload_clean = |skip: usize| {
+            strikes
+                .iter()
+                .all(|&(s, p)| s == skip || p & self.payload_mask(s) == 0)
+        };
+        match self.classify(rem) {
+            FastDecode::Clean if payload_clean(usize::MAX) => ReadOutcome::CleanIntact,
+            FastDecode::Clean => ReadOutcome::CleanCorrupted,
+            FastDecode::Detected => ReadOutcome::Detected,
+            FastDecode::Correct { symbol } => {
+                let original = original_of(symbol);
+                let injected = strikes
+                    .iter()
+                    .find(|&&(s, _)| s == symbol)
+                    .map_or(0, |&(_, p)| p);
+                match self.correct(rem, original ^ injected) {
+                    None => ReadOutcome::Detected,
+                    Some(corrected)
+                        if (corrected ^ original) & self.payload_mask(symbol) == 0
+                            && payload_clean(symbol) =>
+                    {
+                        ReadOutcome::CorrectedRight
+                    }
+                    Some(_) => ReadOutcome::Miscorrected,
+                }
+            }
         }
     }
 
