@@ -1,4 +1,5 @@
-//! Set-associative write-back, write-allocate cache with LRU replacement.
+//! Set-associative write-back, write-allocate cache with LRU replacement,
+//! kept as recency-ordered sets.
 
 /// Result of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,15 +44,38 @@ impl CacheStats {
     }
 }
 
+/// Moves `tag` to slot 0 of a recency-ordered set (most recently used
+/// first), shifting the tags ahead of it one slot towards the tail, in one
+/// pass. Returns `Ok(slot)` with the slot `tag` was found in; if it was
+/// absent, every tag has shifted and `Err` holds the one pushed out of the
+/// last slot.
+#[inline]
+fn touch(set: &mut [u64], tag: u64) -> Result<usize, u64> {
+    let mut carried = tag;
+    for (slot, t) in set.iter_mut().enumerate() {
+        let held = std::mem::replace(t, carried);
+        if held == tag {
+            return Ok(slot);
+        }
+        carried = held;
+    }
+    Err(carried)
+}
+
+/// Per-set bookkeeping beside the tags.
 #[derive(Debug, Clone, Copy, Default)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    last_use: u64,
+struct SetState {
+    /// Bit `i` set: the line in slot `i` is dirty.
+    dirty: u64,
+    /// Ways filled so far; slots `fill..` hold no line.
+    fill: u32,
 }
 
 /// A single cache level.
+///
+/// Each set keeps its tags in recency order, most recently used first, in
+/// one set-major tag array: a hit moves its tag to slot 0, and a miss
+/// evicts the tail slot, which is either an empty way or the true LRU line.
 ///
 /// # Examples
 ///
@@ -65,11 +89,13 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     name: &'static str,
-    sets: Vec<Vec<Line>>,
+    /// `ways` tags per set, set after set.
+    tags: Vec<u64>,
+    sets: Vec<SetState>,
+    ways: usize,
     set_bits: u32,
     line_bits: u32,
     latency: u64,
-    tick: u64,
     stats: CacheStats,
 }
 
@@ -79,7 +105,8 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics unless sizes are powers of two and consistent.
+    /// Panics unless sizes are powers of two and consistent, and unless
+    /// `ways` is between 1 and 64.
     pub fn new(
         name: &'static str,
         size_bytes: u64,
@@ -88,6 +115,7 @@ impl Cache {
         latency: u64,
     ) -> Self {
         assert!(size_bytes.is_power_of_two() && line_bytes.is_power_of_two());
+        assert!((1..=64).contains(&ways), "ways must be between 1 and 64");
         let n_lines = size_bytes / line_bytes;
         assert!(
             (n_lines as usize).is_multiple_of(ways),
@@ -97,11 +125,12 @@ impl Cache {
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
         Self {
             name,
-            sets: vec![vec![Line::default(); ways]; n_sets],
+            tags: vec![0; n_sets * ways],
+            sets: vec![SetState::default(); n_sets],
+            ways,
             set_bits: n_sets.trailing_zeros(),
             line_bits: line_bytes.trailing_zeros(),
             latency,
-            tick: 0,
             stats: CacheStats::default(),
         }
     }
@@ -121,60 +150,70 @@ impl Cache {
         self.stats
     }
 
+    /// The set index and tag of `addr`.
+    #[inline]
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line_addr = addr >> self.line_bits;
+        let set_idx = (line_addr & ((1 << self.set_bits) - 1)) as usize;
+        (set_idx, line_addr >> self.set_bits)
+    }
+
     /// Accesses `addr`; on a miss the line is filled (write-allocate) and a
     /// dirty victim may be returned for write-back.
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheAccess {
-        self.tick += 1;
-        let line_addr = addr >> self.line_bits;
-        let set_idx = (line_addr & ((1 << self.set_bits) - 1)) as usize;
-        let tag = line_addr >> self.set_bits;
-        let set = &mut self.sets[set_idx];
+        let (set_idx, tag) = self.locate(addr);
+        let ways = self.ways;
+        let state = &mut self.sets[set_idx];
+        let fill = state.fill as usize;
+        let set = &mut self.tags[set_idx * ways..][..ways];
 
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.last_use = self.tick;
-            line.dirty |= is_write;
-            self.stats.hits += 1;
-            return CacheAccess::Hit;
-        }
-        self.stats.misses += 1;
-        // Victim: invalid way first, else LRU.
-        let victim_idx = set.iter().position(|l| !l.valid).unwrap_or_else(|| {
-            set.iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(i, _)| i)
-                .expect("nonzero ways")
-        });
-        let victim = set[victim_idx];
-        let writeback = (victim.valid && victim.dirty).then(|| {
-            self.stats.writebacks += 1;
-            ((victim.tag << self.set_bits) | set_idx as u64) << self.line_bits
-        });
-        set[victim_idx] = Line {
-            tag,
-            valid: true,
-            dirty: is_write,
-            last_use: self.tick,
+        let tail = match touch(&mut set[..fill], tag) {
+            Ok(slot) => {
+                // The dirty bits of slots `..slot` shift one slot towards
+                // the tail, and `slot`'s bit moves to slot 0.
+                let below = (1u64 << slot) - 1;
+                let d = state.dirty;
+                let moved = (d >> slot) & 1 | is_write as u64;
+                state.dirty = (d & !(below << 1 | 1)) | (d & below) << 1 | moved;
+                self.stats.hits += 1;
+                return CacheAccess::Hit;
+            }
+            Err(tail) => tail,
         };
+        self.stats.misses += 1;
+        let writeback = if fill < ways {
+            // The tail moves into the first empty way.
+            set[fill] = tail;
+            state.fill += 1;
+            None
+        } else {
+            ((state.dirty >> (ways - 1)) & 1 == 1).then(|| {
+                self.stats.writebacks += 1;
+                ((tail << self.set_bits) | set_idx as u64) << self.line_bits
+            })
+        };
+        // Every line shifts one slot towards the tail. The tail's bit (an
+        // empty way's, or the victim's) moves past the last way, where no
+        // lookup reads it and it only ever shifts further out.
+        state.dirty = state.dirty << 1 | is_write as u64;
         CacheAccess::Miss { writeback }
     }
 
     /// Whether `addr` is currently resident (no state change).
     pub fn probe(&self, addr: u64) -> bool {
-        let line_addr = addr >> self.line_bits;
-        let set_idx = (line_addr & ((1 << self.set_bits) - 1)) as usize;
-        let tag = line_addr >> self.set_bits;
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        let (set_idx, tag) = self.locate(addr);
+        let fill = self.sets[set_idx].fill as usize;
+        self.tags[set_idx * self.ways..][..fill].contains(&tag)
     }
 }
 
 /// A tiny fully-associative metadata cache (the 32-entry, 16 kB tag cache of
-/// Section VII-D).
+/// Section VII-D): one recency-ordered set, as in [`Cache`].
 #[derive(Debug, Clone)]
 pub struct MetadataCache {
-    entries: Vec<(u64, u64)>, // (line address, last use)
+    /// Resident line addresses, most recently used first.
+    entries: Vec<u64>,
     capacity: usize,
-    tick: u64,
     stats: CacheStats,
 }
 
@@ -189,7 +228,6 @@ impl MetadataCache {
         Self {
             entries: Vec::with_capacity(capacity),
             capacity,
-            tick: 0,
             stats: CacheStats::default(),
         }
     }
@@ -197,25 +235,19 @@ impl MetadataCache {
     /// Looks up (and on miss, fills) the metadata line `line_addr`.
     /// Returns `true` on hit.
     pub fn access(&mut self, line_addr: u64) -> bool {
-        self.tick += 1;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == line_addr) {
-            e.1 = self.tick;
-            self.stats.hits += 1;
-            return true;
+        match touch(&mut self.entries, line_addr) {
+            Ok(_) => {
+                self.stats.hits += 1;
+                true
+            }
+            Err(tail) => {
+                self.stats.misses += 1;
+                if self.entries.len() < self.capacity {
+                    self.entries.push(tail);
+                }
+                false
+            }
         }
-        self.stats.misses += 1;
-        if self.entries.len() == self.capacity {
-            let lru = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.1)
-                .map(|(i, _)| i)
-                .expect("nonempty");
-            self.entries.swap_remove(lru);
-        }
-        self.entries.push((line_addr, self.tick));
-        false
     }
 
     /// Counters so far.
@@ -292,6 +324,31 @@ mod tests {
         assert!(c.probe(0x40));
         assert!(!c.probe(0x4000));
         assert_eq!(c.stats().hits + c.stats().misses, 1);
+    }
+
+    #[test]
+    fn sixty_four_ways_keep_lru_order() {
+        // One set of 64 ways: the first line filled sits in the tail slot
+        // once the set is full, a hit there moves it to the front, and the
+        // next miss evicts the second line instead.
+        let mut c = Cache::new("t", 64 * 64, 64, 64, 1);
+        for i in 0..64u64 {
+            assert!(!c.access(i * 64, i < 2).is_hit());
+        }
+        assert!(c.access(0, false).is_hit());
+        assert_eq!(
+            c.access(64 * 64, false),
+            CacheAccess::Miss {
+                writeback: Some(64)
+            }
+        );
+        assert!(c.probe(0) && !c.probe(64));
+    }
+
+    #[test]
+    #[should_panic(expected = "ways must be between 1 and 64")]
+    fn more_than_sixty_four_ways_panics() {
+        Cache::new("t", 128 * 64, 128, 64, 1);
     }
 
     #[test]

@@ -19,9 +19,9 @@ pub enum PagePolicy {
 /// DRAM timing/geometry parameters, in CPU cycles (3.4 GHz by default).
 #[derive(Debug, Clone, Copy)]
 pub struct DramConfig {
-    /// Number of banks.
+    /// Number of banks (a power of two).
     pub banks: usize,
-    /// Row (page) size in bytes.
+    /// Row (page) size in bytes (a power of two).
     pub row_bytes: u64,
     /// Row-activate latency tRCD.
     pub t_rcd: u64,
@@ -123,16 +123,33 @@ pub struct Dram {
     config: DramConfig,
     ecc: EccLatency,
     banks: Vec<Bank>,
+    /// `log2(row_bytes)`.
+    row_shift: u32,
+    /// `log2(banks)`.
+    bank_bits: u32,
     bus_free_at: u64,
+    /// Start of the next refresh not yet applied: `(refreshes + 1) * tREFI`.
+    next_refresh: u64,
     refresh_done: u64,
     stats: DramStats,
 }
 
 impl Dram {
     /// Builds a DRAM with the given timing and ECC interface latency.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `row_bytes` and `banks` are powers of two.
     pub fn new(config: DramConfig, ecc: EccLatency) -> Self {
+        assert!(
+            config.row_bytes.is_power_of_two() && config.banks.is_power_of_two(),
+            "row size and bank count must be powers of two"
+        );
         Self {
             banks: vec![Bank::default(); config.banks],
+            row_shift: config.row_bytes.trailing_zeros(),
+            bank_bits: config.banks.trailing_zeros(),
+            next_refresh: config.t_refi,
             config,
             ecc,
             bus_free_at: 0,
@@ -151,11 +168,13 @@ impl Dram {
         &self.config
     }
 
+    /// Banks interleave by row address: the low bits of the row address
+    /// pick the bank, the rest is the row within it.
     fn bank_and_row(&self, addr: u64) -> (usize, u64) {
-        let row_addr = addr / self.config.row_bytes;
+        let row_addr = addr >> self.row_shift;
         (
-            (row_addr % self.config.banks as u64) as usize,
-            row_addr / self.config.banks as u64,
+            (row_addr & ((1 << self.bank_bits) - 1)) as usize,
+            row_addr >> self.bank_bits,
         )
     }
 
@@ -163,12 +182,11 @@ impl Dram {
     /// becomes usable.
     fn refresh_barrier(&mut self, now: u64) -> u64 {
         // Refresh fires every tREFI; while refreshing, all banks stall.
-        let due = now / self.config.t_refi;
-        if due > self.stats.refreshes {
-            let fired = due - self.stats.refreshes;
+        if now >= self.next_refresh {
+            let due = now / self.config.t_refi;
             self.stats.refreshes = due;
             self.refresh_done = due * self.config.t_refi + self.config.t_rfc;
-            let _ = fired;
+            self.next_refresh = (due + 1) * self.config.t_refi;
         }
         now.max(self.refresh_done)
     }
@@ -176,7 +194,7 @@ impl Dram {
     /// Services a read burst issued at `now`; returns the cycle the data is
     /// available to the requester (including ECC correction latency).
     pub fn read(&mut self, addr: u64, now: u64) -> u64 {
-        let done = self.operate(addr, now, false);
+        let done = self.operate(addr, now);
         self.stats.reads += 1;
         done + self.ecc.correct
     }
@@ -184,12 +202,12 @@ impl Dram {
     /// Services a write burst issued at `now`; returns the cycle the write
     /// completes (the encoder delay applies before the burst starts).
     pub fn write(&mut self, addr: u64, now: u64) -> u64 {
-        let done = self.operate(addr, now + self.ecc.encode, true);
+        let done = self.operate(addr, now + self.ecc.encode);
         self.stats.writes += 1;
         done + self.config.t_wr
     }
 
-    fn operate(&mut self, addr: u64, now: u64, _is_write: bool) -> u64 {
+    fn operate(&mut self, addr: u64, now: u64) -> u64 {
         let start = self.refresh_barrier(now);
         let (bank_idx, row) = self.bank_and_row(addr);
         let bank = &mut self.banks[bank_idx];
@@ -315,6 +333,31 @@ mod tests {
         let done = d.read(0, c.t_refi + 1);
         assert!(done >= c.t_refi + c.t_rfc + c.t_rcd + c.t_cas + c.t_burst);
         assert_eq!(d.stats().refreshes, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn bank_count_must_be_a_power_of_two() {
+        let config = DramConfig {
+            banks: 12,
+            ..DramConfig::default()
+        };
+        Dram::new(config, EccLatency::NONE);
+    }
+
+    #[test]
+    fn refresh_skips_idle_periods() {
+        let mut d = dram();
+        let c = d.config;
+        // Idle for several tREFI: the count catches up in one step, and only
+        // the latest refresh can still block the channel.
+        let done = d.read(0, 5 * c.t_refi + c.t_rfc);
+        assert_eq!(d.stats().refreshes, 5);
+        assert_eq!(done, 5 * c.t_refi + c.t_rfc + c.t_rcd + c.t_cas + c.t_burst);
+        // An earlier issue time neither refreshes again nor skips the wait.
+        let again = d.read(64, 2 * c.t_refi);
+        assert_eq!(d.stats().refreshes, 5);
+        assert!(again > done);
     }
 
     #[test]

@@ -4,9 +4,15 @@
 //!
 //! Components:
 //!
-//! * [`Cache`] / [`MetadataCache`] — LRU write-back caches.
+//! * [`Cache`] / [`MetadataCache`] — LRU write-back caches. Each set
+//!   keeps its tags in recency order (most recently used first) in one
+//!   flat set-major array, with a per-set fill count and dirty bitmask, so
+//!   a hit moves its tag to the front and a miss evicts the tail; the
+//!   metadata cache is a single such fully associative set.
 //! * [`Dram`] — DDR4-like banks, row buffers, shared bus, refresh, and
-//!   [`EccLatency`] injection on the memory interface.
+//!   [`EccLatency`] injection on the memory interface. Row size and bank
+//!   count are powers of two, so the bank and row of an address are
+//!   shifts and masks, and refresh is checked against a stored deadline.
 //! * [`System`] — in-order 1-IPC CPU (gem5 `TimingSimpleCPU`-like) wiring
 //!   the levels together, with [`TagStorage`] controlling where memory-
 //!   tagging metadata lives.

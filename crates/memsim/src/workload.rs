@@ -49,12 +49,22 @@ pub struct Workload {
     rng: crate::SplitMix,
     stream_pos: u64,
     base: u64,
+    /// Gaps are uniform in `[0, gap_span)` instructions.
+    gap_span: f64,
+    /// Draws below `hot_fraction` hit the hot set, draws below this cut
+    /// stream, and the rest scatter.
+    stream_cut: f64,
 }
 
 impl Workload {
     /// Creates the generator with a per-run seed.
     pub fn new(profile: WorkloadProfile, seed: u64) -> Self {
+        let p = &profile;
+        // Geometric-ish gap with mean 1/mem_ratio − 1 non-memory instructions.
+        let mean_gap = (1.0 / p.mem_ratio - 1.0).max(0.0);
         Self {
+            gap_span: mean_gap * 2.0 + 1.0,
+            stream_cut: p.hot_fraction + (1.0 - p.hot_fraction) * p.stream_fraction,
             profile,
             rng: crate::SplitMix::new(seed ^ fxhash(profile.name)),
             stream_pos: 0,
@@ -70,15 +80,16 @@ impl Workload {
     /// Produces the next memory operation.
     pub fn next_op(&mut self) -> MemOp {
         let p = &self.profile;
-        // Geometric-ish gap with mean 1/mem_ratio − 1 non-memory instructions.
-        let mean_gap = (1.0 / p.mem_ratio - 1.0).max(0.0);
-        let gap_insts = ((mean_gap * 2.0 + 1.0) * self.rng.f64()) as u64;
+        let gap_insts = (self.gap_span * self.rng.f64()) as u64;
 
         let r = self.rng.f64();
         let line = if r < p.hot_fraction {
             self.rng.below(p.hot_lines)
-        } else if r < p.hot_fraction + (1.0 - p.hot_fraction) * p.stream_fraction {
-            self.stream_pos = (self.stream_pos + 1) % p.footprint_lines;
+        } else if r < self.stream_cut {
+            self.stream_pos += 1;
+            if self.stream_pos >= p.footprint_lines {
+                self.stream_pos = 0;
+            }
             self.stream_pos
         } else {
             self.rng.below(p.footprint_lines)
@@ -202,6 +213,16 @@ mod tests {
             assert!(op.addr >= 0x1_0000_0000);
             assert!(op.addr < 0x1_0000_0000 + p.footprint_lines * 64);
         }
+    }
+
+    #[test]
+    fn stream_wraps_at_footprint_end() {
+        let p = profile("stream", 0.5, 0.0, 4, 0.0, 1, 1.0);
+        let mut w = Workload::new(p, 1);
+        let lines: Vec<u64> = (0..8)
+            .map(|_| (w.next_op().addr - 0x1_0000_0000) / 64)
+            .collect();
+        assert_eq!(lines, [1, 2, 3, 0, 1, 2, 3, 0]);
     }
 
     #[test]
