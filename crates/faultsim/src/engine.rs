@@ -1,5 +1,7 @@
 //! The shared Monte-Carlo execution engine: batched trials over scoped
-//! worker threads with counter-based per-trial RNG streams.
+//! worker threads with counter-based per-trial RNG streams, and the one
+//! work-pulling primitive ([`pull_units`]) that every parallel loop in
+//! the simulators runs on.
 //!
 //! # Determinism contract
 //!
@@ -11,13 +13,20 @@
 //! count**, including `threads = 1`; `faultsim/tests/determinism.rs` pins
 //! this property for every simulator.
 //!
-//! This generalizes the chunked `std::thread::scope` pattern proven in
-//! `muse-core`'s multiplier search to stateful Monte-Carlo loops: workers
-//! own a scratch value (built per worker by `init`) and a local tally, and
-//! the engine merges the tallies at join time.
+//! # Work pulling
+//!
+//! [`pull_units`] runs numbered units of work on scoped workers that
+//! claim indices in ascending order from one atomic counter, and hands
+//! every result to a commit callback on the calling thread, which is
+//! itself one of the workers. [`SimEngine`] splits a run into one
+//! contiguous trial range per worker and pulls those ranges; each range
+//! owns a scratch value (built by `init`) and a local tally, and the
+//! tallies are merged in range order once all are in. The lifetime
+//! crate's sharded supervisor pulls whole shards through the same
+//! primitive, committing each shard's tally and checkpoint as it lands.
 
 use crate::Rng;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Process-wide count of completed trials across every [`SimEngine`] run.
 ///
@@ -34,6 +43,76 @@ static TRIALS_COMPLETED: AtomicU64 = AtomicU64::new(0);
 /// throughput estimate.
 pub fn trials_completed() -> u64 {
     TRIALS_COMPLETED.load(Ordering::Relaxed)
+}
+
+/// Runs units `0..units` on up to `threads` workers and hands every
+/// result to `commit` on the calling thread.
+///
+/// Workers claim unit indices in ascending order from one shared atomic
+/// counter, so the claimed units always form a prefix `0..k`. The calling
+/// thread is one of the workers: `threads − 1` scoped threads are
+/// spawned, and between its own units the caller commits whatever the
+/// others have finished; once nothing is left to claim it commits the
+/// remaining results as they arrive. `commit` therefore never runs
+/// concurrently with itself and needs no `Send` or `Sync`.
+///
+/// `commit` returns `false` to stop claiming: no unit is claimed after
+/// the caller sees it, units already claimed still run, and every
+/// finished unit is committed before `pull_units` returns. Results are
+/// committed in completion order, not unit order; callers that need an
+/// ordered fold key them by the unit index `commit` receives.
+///
+/// # Panics
+///
+/// Re-raises a panic from `work` or `commit` once every worker has
+/// stopped.
+pub fn pull_units<R, W, C>(threads: usize, units: usize, work: W, mut commit: C)
+where
+    R: Send,
+    W: Fn(usize) -> R + Sync,
+    C: FnMut(usize, R) -> bool,
+{
+    // Both atomics are `Relaxed`: they publish no data (results travel
+    // through the channel), and a claim racing a stop costs one more unit.
+    let next = AtomicUsize::new(0);
+    let halted = AtomicBool::new(false);
+    let claim = || {
+        if halted.load(Ordering::Relaxed) {
+            return None;
+        }
+        let unit = next.fetch_add(1, Ordering::Relaxed);
+        (unit < units).then_some(unit)
+    };
+    let mut deliver = |unit: usize, result: R| {
+        if !commit(unit, result) {
+            halted.store(true, Ordering::Relaxed);
+        }
+    };
+    let workers = threads.clamp(1, units.max(1));
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            let (tx, claim, work) = (tx.clone(), &claim, &work);
+            scope.spawn(move || {
+                while let Some(unit) = claim() {
+                    if tx.send((unit, work(unit))).is_err() {
+                        break;
+                    }
+                }
+            });
+        }
+        drop(tx);
+        while let Some(unit) = claim() {
+            deliver(unit, work(unit));
+            while let Ok((unit, result)) = rx.try_recv() {
+                deliver(unit, result);
+            }
+        }
+        // Ends once every worker has dropped its sender.
+        for (unit, result) in rx {
+            deliver(unit, result);
+        }
+    });
 }
 
 /// A mergeable accumulation of trial outcomes.
@@ -150,48 +229,26 @@ impl SimEngine {
         F: Fn(std::ops::Range<u64>, &mut Rng, &mut S, &mut T) + Sync,
     {
         const B: u64 = SimEngine::TRIAL_BLOCK;
-        let run_blocks = |lo_block: u64, hi_block: u64| -> T {
+        self.run_ranges(trials.div_ceil(B), |blocks| {
             let mut scratch = init();
             let mut tally = T::default();
-            for b in lo_block..hi_block {
+            for b in blocks.clone() {
                 let mut rng = Rng::for_block(seed, b);
                 let range = b * B..((b + 1) * B).min(trials);
                 block(range, &mut rng, &mut scratch, &mut tally);
             }
-            let lo = lo_block * B;
-            let hi = (hi_block * B).min(trials);
+            let lo = blocks.start * B;
+            let hi = (blocks.end * B).min(trials);
             TRIALS_COMPLETED.fetch_add(hi.saturating_sub(lo), Ordering::Relaxed);
             tally
-        };
-
-        let blocks = trials.div_ceil(B);
-        let threads = self.threads().min(blocks.max(1) as usize);
-        if threads <= 1 {
-            return run_blocks(0, blocks);
-        }
-        let chunk = blocks.div_ceil(threads as u64);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads as u64)
-                .map(|w| {
-                    let run_blocks = &run_blocks;
-                    let lo = w * chunk;
-                    let hi = (lo + chunk).min(blocks);
-                    scope.spawn(move || run_blocks(lo, hi))
-                })
-                .collect();
-            let mut total = T::default();
-            for handle in handles {
-                total.merge(handle.join().expect("simulation worker panicked"));
-            }
-            total
         })
     }
 
     /// Runs `trials` trials with per-worker scratch state and merges their
     /// tallies.
     ///
-    /// `init` builds one scratch value per worker (reused across that
-    /// worker's trials — allocate buffers here, not per trial); `trial`
+    /// `init` builds one scratch value per worker range (reused across that
+    /// range's trials — allocate buffers here, not per trial); `trial`
     /// receives the global trial index, the trial's private RNG stream, the
     /// scratch, and the worker-local tally.
     pub fn run_with<T, S, I, F>(&self, seed: u64, trials: u64, init: I, trial: F) -> T
@@ -200,38 +257,50 @@ impl SimEngine {
         I: Fn() -> S + Sync,
         F: Fn(u64, &mut Rng, &mut S, &mut T) + Sync,
     {
-        let run_range = |lo: u64, hi: u64| -> T {
+        self.run_ranges(trials, |range| {
             let mut scratch = init();
             let mut tally = T::default();
-            for i in lo..hi {
+            for i in range.clone() {
                 let mut rng = Rng::for_trial(seed, i);
                 trial(i, &mut rng, &mut scratch, &mut tally);
             }
-            TRIALS_COMPLETED.fetch_add(hi - lo, Ordering::Relaxed);
+            TRIALS_COMPLETED.fetch_add(range.end - range.start, Ordering::Relaxed);
             tally
-        };
-
-        let threads = self.threads().min(trials.max(1) as usize);
-        // Below this, thread spawn overhead outweighs the work split.
-        if threads <= 1 || trials < 256 {
-            return run_range(0, trials);
-        }
-        let chunk = trials.div_ceil(threads as u64);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads as u64)
-                .map(|w| {
-                    let run_range = &run_range;
-                    let lo = w * chunk;
-                    let hi = (lo + chunk).min(trials);
-                    scope.spawn(move || run_range(lo, hi))
-                })
-                .collect();
-            let mut total = T::default();
-            for handle in handles {
-                total.merge(handle.join().expect("simulation worker panicked"));
-            }
-            total
         })
+    }
+
+    /// Splits `0..items` into one contiguous range per worker, pulls the
+    /// ranges through [`pull_units`], and merges their tallies in range
+    /// order.
+    fn run_ranges<T, F>(&self, items: u64, range: F) -> T
+    where
+        T: Tally,
+        F: Fn(std::ops::Range<u64>) -> T + Sync,
+    {
+        let threads = self.threads().min(items.max(1) as usize);
+        let chunk = items.div_ceil(threads as u64).max(1);
+        let units = items.div_ceil(chunk) as usize;
+        let mut parts: Vec<Option<T>> = (0..units).map(|_| None).collect();
+        pull_units(
+            threads,
+            units,
+            |unit| {
+                let lo = unit as u64 * chunk;
+                range(lo..(lo + chunk).min(items))
+            },
+            |unit, tally| {
+                parts[unit] = Some(tally);
+                true
+            },
+        );
+        parts
+            .into_iter()
+            .map(|part| part.expect("every range is committed"))
+            .reduce(|mut total, part| {
+                total.merge(part);
+                total
+            })
+            .unwrap_or_default()
     }
 }
 
@@ -363,11 +432,111 @@ mod tests {
     }
 
     #[test]
-    fn small_runs_stay_serial() {
-        // Fewer trials than the parallel threshold: still correct.
+    fn small_runs_are_exact_at_eight_threads() {
+        // Fewer trials than workers, and trial counts that leave a short
+        // last range: every trial runs once, and the sum matches serial.
         let engine = SimEngine::new(8);
-        let total = engine.run::<u64, _>(3, 10, |_, _, acc| *acc += 1);
-        assert_eq!(total, 10);
+        for trials in [1u64, 3, 7, 8, 9, 10, 17] {
+            let count = engine.run::<u64, _>(3, trials, |_, _, acc| *acc += 1);
+            assert_eq!(count, trials);
+            let sum = |engine: SimEngine| {
+                engine.run::<u64, _>(3, trials, |i, rng, acc| *acc += rng.below(i + 2))
+            };
+            assert_eq!(sum(engine), sum(SimEngine::new(1)), "trials={trials}");
+        }
+    }
+
+    #[test]
+    fn pulled_units_are_claimed_in_order_and_committed_on_the_caller() {
+        use std::sync::{Barrier, Mutex};
+        const UNITS: usize = 50;
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 4] {
+            // The first `threads` units meet at a barrier, so every worker
+            // holds one. The spawned workers then wait until the caller
+            // has committed everything else, so their results arrive
+            // after the caller has run out of units to claim.
+            let start = Barrier::new(threads);
+            let released = AtomicBool::new(false);
+            let claims = Mutex::new(Vec::new());
+            let mut committed = Vec::new();
+            pull_units(
+                threads,
+                UNITS,
+                |unit| {
+                    let me = std::thread::current().id();
+                    claims.lock().unwrap().push((me, unit));
+                    if unit < threads {
+                        start.wait();
+                        while me != caller && !released.load(Ordering::SeqCst) {
+                            std::thread::yield_now();
+                        }
+                    }
+                    unit * 3
+                },
+                |unit, result| {
+                    assert_eq!(std::thread::current().id(), caller);
+                    assert_eq!(result, unit * 3);
+                    committed.push(unit);
+                    if committed.len() == UNITS - (threads - 1) {
+                        released.store(true, Ordering::SeqCst);
+                    }
+                    true
+                },
+            );
+            // One shared counter: each worker's claims ascend, and
+            // together they cover every unit exactly once.
+            let claims = claims.into_inner().unwrap();
+            let mut by_worker = std::collections::HashMap::new();
+            for &(worker, unit) in &claims {
+                let last = by_worker.insert(worker, unit);
+                assert!(last.is_none_or(|last| last < unit), "threads={threads}");
+            }
+            assert_eq!(by_worker.len(), threads);
+            let mut units: Vec<_> = claims.iter().map(|&(_, unit)| unit).collect();
+            units.sort_unstable();
+            assert_eq!(units, (0..UNITS).collect::<Vec<_>>());
+            committed.sort_unstable();
+            assert_eq!(committed, units, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn pulled_units_stop_claiming_and_commit_everything_claimed() {
+        // Far more units than workers could claim before the caller sees
+        // the stop: returning at all shows that claiming stopped.
+        for threads in [1, 2, 4] {
+            let mut committed = Vec::new();
+            pull_units(
+                threads,
+                1 << 40,
+                |unit| unit,
+                |unit, _| {
+                    committed.push(unit);
+                    unit < 5
+                },
+            );
+            committed.sort_unstable();
+            // A prefix: everything claimed was committed, nothing skipped.
+            let k = committed.len();
+            assert_eq!(committed, (0..k).collect::<Vec<_>>(), "threads={threads}");
+            assert!(k >= 6, "threads={threads}: unit 5 commits the stop");
+            if threads == 1 {
+                assert_eq!(k, 6, "a lone caller stops right after unit 5");
+            }
+        }
+    }
+
+    #[test]
+    fn zero_pulled_units_run_nothing() {
+        for threads in [1, 4] {
+            pull_units(
+                threads,
+                0,
+                |_| -> () { panic!("no unit to run") },
+                |_, ()| panic!("nothing to commit"),
+            );
+        }
     }
 
     #[test]

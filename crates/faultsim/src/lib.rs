@@ -6,16 +6,17 @@
 //! All simulators run on a shared three-layer engine:
 //!
 //! 1. **[`SimEngine`] — batched parallel trial execution.** A run's
-//!    `trials` are split into contiguous ranges over scoped worker
-//!    threads. In per-trial mode ([`SimEngine::run`]) trial `i` draws
-//!    randomness exclusively from the counter-based stream
-//!    [`Rng::for_trial`]`(seed, i)`; in blocked mode
-//!    ([`SimEngine::run_blocked`]) a fixed 1024-trial block `b` draws from
-//!    [`Rng::for_block`]`(seed, b)`, amortizing generator state across the
-//!    block. Either way, outcomes are a pure function of the seed and the
-//!    fixed trial/block boundaries, and per-worker tallies merge
-//!    associatively — **results are bit-identical at any thread count**
-//!    (the determinism contract, pinned by `tests/determinism.rs`).
+//!    `trials` are split into contiguous ranges, one per worker, that
+//!    scoped worker threads pull through [`pull_units`]. In per-trial
+//!    mode ([`SimEngine::run`]) trial `i` draws randomness exclusively
+//!    from the counter-based stream [`Rng::for_trial`]`(seed, i)`; in
+//!    blocked mode ([`SimEngine::run_blocked`]) a fixed 1024-trial block
+//!    `b` draws from [`Rng::for_block`]`(seed, b)`, amortizing generator
+//!    state across the block. Either way, outcomes are a pure function of
+//!    the seed and the fixed trial/block boundaries, and per-worker
+//!    tallies merge associatively — **results are bit-identical at any
+//!    thread count** (the determinism contract, pinned by
+//!    `tests/determinism.rs`).
 //! 2. **Content-space trial generation.** A trial never materializes a
 //!    codeword — or even a payload: it samples only what it observes. The
 //!    contents of touched symbols are uniform bits; the check value `X` is
@@ -83,7 +84,7 @@ mod rng;
 mod rowhammer;
 mod scrub;
 
-pub use engine::{trials_completed, SimEngine, Tally};
+pub use engine::{pull_units, trials_completed, SimEngine, Tally};
 
 /// The syndrome kernel of `code`, or a panic naming the subsystem — the
 /// wide-word fallbacks are retired, so a kernel-less code (outside

@@ -1,8 +1,17 @@
 //! The resumable sharded runner: a supervisor that executes a
-//! [`ShardPlan`] shard by shard, retries failed shards with bounded
-//! exponential backoff, periodically persists a two-generation
-//! [`CheckpointStore`], and resumes bit-identically after any
-//! interruption.
+//! [`ShardPlan`]'s shards concurrently, one per worker, retries failed
+//! shards with bounded exponential backoff, periodically persists a
+//! two-generation [`CheckpointStore`], and resumes bit-identically after
+//! any interruption.
+//!
+//! Workers pull pending shards in ascending index order through
+//! [`muse_faultsim::pull_units`]; each shard's attempts (kills, hangs,
+//! the watchdog, retries and backoff) run on the worker that claimed it.
+//! Everything else — the completion map, checkpoint saves, warnings,
+//! metrics, heartbeats and stop checks — happens on the calling thread,
+//! which commits each shard as it lands. A checkpoint therefore holds
+//! whichever shards had finished when it was written, not necessarily
+//! a contiguous prefix.
 //!
 //! # Guarantees
 //!
@@ -32,8 +41,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use muse_faultsim::{Rng, SimEngine, Tally};
-use muse_telemetry::{estimate_eta_ms, ProgressSnapshot, TraceEvent};
+use muse_faultsim::{pull_units, Rng, SimEngine, Tally};
+use muse_telemetry::{estimate_eta_ms, ProgressSnapshot, TraceEvent, Tracer};
 
 use crate::checkpoint::{config_hash, Checkpoint, CheckpointStore, Corruption};
 use crate::iofault::IoFaultPlan;
@@ -68,23 +77,25 @@ pub struct RunnerConfig {
     pub backoff_base_ms: u64,
     /// Backoff ceiling in milliseconds.
     pub backoff_cap_ms: u64,
-    /// Stop (checkpoint and return [`ShardedOutcome::Interrupted`]) after
-    /// this many shards have been run *in this invocation* — the
-    /// interruption hook used by the boundary-sweep tests and the CLI's
-    /// crash injection.
+    /// Run only this many shards *in this invocation* — the
+    /// lowest-indexed pending ones — then checkpoint and return
+    /// [`ShardedOutcome::Interrupted`]: the interruption hook used by the
+    /// boundary-sweep tests and the CLI's crash injection.
     pub stop_after_shards: Option<u64>,
     /// Per-shard watchdog: an attempt that has not produced its tally
-    /// within this many milliseconds is killed (the worker thread is
-    /// abandoned, its late result discarded) and retried with backoff —
-    /// safe because a recompute is bit-identical by construction.
-    /// `None` disables the watchdog and runs attempts inline.
+    /// within this many milliseconds is killed (the thread computing it
+    /// is abandoned, its late result discarded) and retried with backoff
+    /// — safe because a recompute is bit-identical by construction. Each
+    /// concurrent shard has its own watchdog. `None` disables the
+    /// watchdog and runs attempts on the worker itself.
     pub shard_timeout_ms: Option<u64>,
-    /// Cooperative drain flag, checked at every shard boundary: once
-    /// set, the run checkpoints and returns
+    /// Cooperative drain flag, checked before a worker starts a shard
+    /// and after every commit: once set, no further shard starts, the
+    /// shards in flight finish and are checkpointed, and the run returns
     /// [`ShardedOutcome::Interrupted`] exactly like
     /// [`Self::stop_after_shards`]. The service daemon points this at
     /// its SIGTERM/SIGINT flag so an in-flight job drains to resumable
-    /// state within one shard's worth of work.
+    /// state within one shard per worker.
     pub stop: Option<Arc<AtomicBool>>,
 }
 
@@ -261,7 +272,8 @@ pub enum ShardedOutcome {
         stats: RunStats,
     },
     /// The run stopped at a shard boundary ([`RunnerConfig::
-    /// stop_after_shards`]); completed shards are checkpointed.
+    /// stop_after_shards`] or a drain via [`RunnerConfig::stop`]); every
+    /// completed shard is checkpointed.
     Interrupted {
         /// Execution counters up to the interruption.
         stats: RunStats,
@@ -336,13 +348,16 @@ impl From<std::io::Error> for RunnerError {
 
 /// Executes one fleet run through the resumable sharded supervisor.
 ///
-/// The fleet is split by a [`ShardPlan`]; each shard runs on
-/// [`FleetConfig::threads`] workers and its tally partial is recorded in
-/// a completion map. With a checkpoint directory configured, the map is
-/// persisted every [`RunnerConfig::checkpoint_every`] shards (atomic
-/// two-generation writes), and `resume: true` continues from the newest
-/// valid checkpoint — recomputing nothing that was persisted, and
-/// everything that was not.
+/// The fleet is split by a [`ShardPlan`] and pending shards run
+/// concurrently, one per worker, on [`FleetConfig::threads`] workers in
+/// total: workers pull shards in ascending index order, and a shard runs
+/// on `threads / workers` engine threads of its own (serially when there
+/// are at least as many pending shards as threads). Each finished
+/// shard's tally partial is recorded in a completion map on the calling
+/// thread. With a checkpoint directory configured, the map is persisted
+/// every [`RunnerConfig::checkpoint_every`] shards (atomic two-generation
+/// writes), and `resume: true` continues from the newest valid checkpoint
+/// — recomputing nothing that was persisted, and everything that was not.
 ///
 /// # Errors
 ///
@@ -387,7 +402,11 @@ pub fn run_sharded(
 /// Telemetry is strictly observational — it reads wall clocks and
 /// completed tallies but never touches an RNG stream, so the outcome
 /// (tallies, weighted sums, checkpoint contents) is bit-identical to a
-/// telemetry-off run at any thread count (`tests/telemetry.rs`).
+/// telemetry-off run at any thread count (`tests/telemetry.rs`). Warning
+/// and heartbeat callbacks run only on the calling thread; trace events
+/// of a shard (`ShardStart`, `ShardRetry`, `ShardEnd`) come from the
+/// worker running it, so events of different shards may interleave,
+/// while each shard's start still precedes its end.
 ///
 /// # Errors
 ///
@@ -401,40 +420,276 @@ pub fn run_sharded_with(
     faults: Option<&FaultPlan>,
     telemetry: &FleetTelemetry<'_>,
 ) -> Result<ShardedOutcome, RunnerError> {
-    let hash = config_hash(code, env, config);
-    let mut plan = ShardPlan::new(config.dimms, runner.shards);
-    let store = match &runner.checkpoint_dir {
-        Some(dir) => Some(CheckpointStore::open_with_faults(
-            dir,
-            &runner.checkpoint_prefix,
-            faults.and_then(|f| f.io),
-        )?),
-        None => None,
+    let mut run = ShardedRun::adopt(code, env, config, runner, faults, telemetry)?;
+    // `stop_after_shards = N` dispatches only the N lowest-indexed
+    // pending shards.
+    let pending: Vec<u32> = (0..run.plan.count())
+        .filter(|shard| !run.done.contains_key(shard))
+        .take(
+            runner
+                .stop_after_shards
+                .map_or(usize::MAX, |n| usize::try_from(n).unwrap_or(usize::MAX)),
+        )
+        .collect();
+    let threads = SimEngine::new(config.threads).threads();
+    let workers = threads.min(pending.len()).max(1);
+    // Never oversubscribe: a shard gets the threads its siblings leave.
+    let shard_config = FleetConfig {
+        threads: (threads / workers).max(1),
+        ..*config
     };
+    run.announce(workers * shard_config.threads);
 
-    let mut done: BTreeMap<u32, LifetimeTally> = BTreeMap::new();
-    let mut generation = 0u64;
-    let mut stats = RunStats::default();
-    let run_started = Instant::now();
-    let instruments = telemetry.metrics.map(RunInstruments::resolve);
-    let emit = |event: &TraceEvent| {
-        if let Some(tracer) = telemetry.tracer {
+    let work = ShardWork {
+        code,
+        env,
+        config: &shard_config,
+        runner,
+        faults,
+        plan: run.plan,
+        tracer: telemetry.tracer,
+    };
+    let mut error = None;
+    pull_units(
+        workers,
+        pending.len(),
+        |unit| work.run(pending[unit]),
+        |_, finished| {
+            // `None`: the worker saw the drain flag and declined its shard.
+            let Some(finished) = finished else {
+                return false;
+            };
+            if let Err(e) = run.commit(finished) {
+                error.get_or_insert(e);
+            }
+            error.is_none() && !drain_requested(runner)
+        },
+    );
+    match error {
+        Some(e) => Err(e),
+        None => run.finish(),
+    }
+}
+
+/// `true` once the cooperative drain flag ([`RunnerConfig::stop`]) is set.
+fn drain_requested(runner: &RunnerConfig) -> bool {
+    runner
+        .stop
+        .as_ref()
+        .is_some_and(|stop| stop.load(Ordering::Relaxed))
+}
+
+/// The worker side of a sharded run: everything a shard attempt reads,
+/// all of it shareable across threads.
+struct ShardWork<'r> {
+    code: &'r FleetCode,
+    env: &'r Environment,
+    /// The run's config at the per-shard engine thread count.
+    config: &'r FleetConfig,
+    runner: &'r RunnerConfig,
+    faults: Option<&'r FaultPlan>,
+    plan: ShardPlan,
+    tracer: Option<&'r Tracer>,
+}
+
+/// One failed attempt of a shard, reported back to the calling thread.
+struct AttemptFailure {
+    attempt: u32,
+    error: String,
+    /// The shard watchdog killed this attempt.
+    watchdog: bool,
+    /// Backoff slept before the next attempt; `None` when this failure
+    /// exhausted the retry budget.
+    backoff_ms: Option<u64>,
+}
+
+/// A shard as it leaves its worker.
+struct FinishedShard {
+    shard: u32,
+    /// The shard's tally, or the number of attempts made before the
+    /// retry budget ran out.
+    tally: Result<LifetimeTally, u32>,
+    failures: Vec<AttemptFailure>,
+    wall_ms: u64,
+}
+
+impl ShardWork<'_> {
+    fn emit(&self, event: &TraceEvent) {
+        if let Some(tracer) = self.tracer {
             tracer.emit(event);
         }
-    };
-    // Metrics snapshots warn on failure; the io_errors counter makes the
-    // failure visible to scrapers of whatever snapshot does land.
-    let snapshot = |instruments: &Option<RunInstruments>| {
-        if !telemetry.snapshot_metrics() {
-            if let Some(ins) = instruments {
-                ins.io_errors.inc();
+    }
+
+    /// Runs `shard` to completion on the current worker: attempts, with
+    /// kills, hangs and the watchdog injected as the fault plan says,
+    /// retried with backoff until one succeeds or the budget runs out.
+    /// Returns `None` without running anything once a drain is requested.
+    fn run(&self, shard: u32) -> Option<FinishedShard> {
+        if drain_requested(self.runner) {
+            return None;
+        }
+        let range = self.plan.range(shard);
+        self.emit(&TraceEvent::ShardStart {
+            shard,
+            dimm_lo: range.start,
+            dimm_hi: range.end,
+        });
+        let started = Instant::now();
+        let fault_seed = self.faults.map_or(FaultPlan::DEFAULT_SEED, |f| f.seed);
+        let mut failures = Vec::new();
+        let mut attempt = 0u32;
+        let tally = loop {
+            let (error, watchdog) = match self.attempt(shard, attempt, range.clone()) {
+                Ok(tally) => break Ok(tally),
+                Err(failure) => failure,
+            };
+            let backoff_ms = (attempt < self.runner.max_retries)
+                .then(|| retry_backoff_ms(self.runner, fault_seed, shard, attempt));
+            if let Some(backoff_ms) = backoff_ms {
+                self.emit(&TraceEvent::ShardRetry {
+                    shard,
+                    attempt,
+                    backoff_ms,
+                    error: error.clone(),
+                });
+            }
+            failures.push(AttemptFailure {
+                attempt,
+                error,
+                watchdog,
+                backoff_ms,
+            });
+            let Some(backoff) = backoff_ms else {
+                break Err(attempt + 1);
+            };
+            if backoff > 0 {
+                std::thread::sleep(std::time::Duration::from_millis(backoff));
+            }
+            attempt += 1;
+        };
+        if tally.is_ok() {
+            if let Some(delay) = self.faults.map(|f| f.delay_ms(shard)).filter(|&d| d > 0) {
+                std::thread::sleep(std::time::Duration::from_millis(delay));
             }
         }
-    };
+        let wall_ms = elapsed_ms(started);
+        if tally.is_ok() {
+            self.emit(&TraceEvent::ShardEnd {
+                shard,
+                wall_ms,
+                dimms: range.end - range.start,
+            });
+        }
+        Some(FinishedShard {
+            shard,
+            tally,
+            failures,
+            wall_ms,
+        })
+    }
 
-    if let Some(store) = &store {
-        if runner.resume {
-            if let Some(loaded) = store.load() {
+    /// One attempt at `shard`: its tally, or the failure message and
+    /// whether the watchdog was what killed it.
+    fn attempt(
+        &self,
+        shard: u32,
+        attempt: u32,
+        range: std::ops::Range<u64>,
+    ) -> Result<LifetimeTally, (String, bool)> {
+        let (code, env, config) = (self.code, self.env, self.config);
+        if self.faults.is_some_and(|f| f.kills(shard, attempt)) {
+            // Killed mid-flight: half the shard's work happens, then the
+            // worker dies and its partial tally is discarded — the retry
+            // recomputes the shard from its streams.
+            let mid = range.start + (range.end - range.start) / 2;
+            let _ = run_fleet_range(code, env, config, range.start..mid);
+            return Err(("injected kill".to_string(), false));
+        }
+        // An injected hang stalls the attempt; a watchdog cuts the stall
+        // short, without one it merely delays.
+        let hang_ms = self
+            .faults
+            .filter(|f| f.hangs(shard, attempt))
+            .map_or(0, |f| f.hang_ms);
+        match self.runner.shard_timeout_ms {
+            Some(timeout_ms) => {
+                run_attempt_watchdogged(code, env, config, range, hang_ms, timeout_ms)
+                    .ok_or_else(|| (format!("watchdog timeout after {timeout_ms}ms"), true))
+            }
+            None => {
+                if hang_ms > 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(hang_ms));
+                }
+                Ok(run_fleet_range(code, env, config, range))
+            }
+        }
+    }
+}
+
+/// The calling thread's side of a sharded run: the adopted plan, the
+/// completion map and checkpoint store, and every telemetry sink that is
+/// not safe to share with workers.
+struct ShardedRun<'r> {
+    code: &'r FleetCode,
+    env: &'r Environment,
+    config: &'r FleetConfig,
+    runner: &'r RunnerConfig,
+    faults: Option<&'r FaultPlan>,
+    telemetry: &'r FleetTelemetry<'r>,
+    hash: u64,
+    plan: ShardPlan,
+    store: Option<CheckpointStore>,
+    done: BTreeMap<u32, LifetimeTally>,
+    generation: u64,
+    stats: RunStats,
+    started: Instant,
+    instruments: Option<RunInstruments>,
+    pending_since_save: u32,
+    trials_prev: u64,
+}
+
+impl<'r> ShardedRun<'r> {
+    /// Plans the run: opens the checkpoint store and, when resuming,
+    /// adopts the newest valid checkpoint's shard plan and partials.
+    fn adopt(
+        code: &'r FleetCode,
+        env: &'r Environment,
+        config: &'r FleetConfig,
+        runner: &'r RunnerConfig,
+        faults: Option<&'r FaultPlan>,
+        telemetry: &'r FleetTelemetry<'r>,
+    ) -> Result<Self, RunnerError> {
+        let hash = config_hash(code, env, config);
+        let store = match &runner.checkpoint_dir {
+            Some(dir) => Some(CheckpointStore::open_with_faults(
+                dir,
+                &runner.checkpoint_prefix,
+                faults.and_then(|f| f.io),
+            )?),
+            None => None,
+        };
+        let mut run = Self {
+            code,
+            env,
+            config,
+            runner,
+            faults,
+            telemetry,
+            hash,
+            plan: ShardPlan::new(config.dimms, runner.shards),
+            store,
+            done: BTreeMap::new(),
+            generation: 0,
+            stats: RunStats::default(),
+            started: Instant::now(),
+            instruments: telemetry.metrics.map(RunInstruments::resolve),
+            pending_since_save: 0,
+            trials_prev: muse_faultsim::trials_completed(),
+        };
+        if let Some(store) = &run.store {
+            if !runner.resume {
+                store.clear()?;
+            } else if let Some(loaded) = store.load() {
                 let ckpt = loaded.checkpoint;
                 if ckpt.config_hash != hash {
                     return Err(RunnerError::ConfigHashMismatch {
@@ -444,14 +699,14 @@ pub fn run_sharded_with(
                 }
                 // The stored plan wins: shard boundaries must match the
                 // recorded partials (the hash already fenced `dimms`).
-                plan = ShardPlan::new(ckpt.dimms, ckpt.shard_count);
-                generation = ckpt.generation;
-                done.extend(ckpt.done.iter().copied());
-                let dimms_done: u64 = done.keys().map(|&s| len_of(&plan, s)).sum();
-                stats.resume = Some(ResumeInfo {
-                    generation,
-                    shards_done: done.len() as u32,
-                    total_shards: plan.count(),
+                run.plan = ShardPlan::new(ckpt.dimms, ckpt.shard_count);
+                run.generation = ckpt.generation;
+                run.done.extend(ckpt.done.iter().copied());
+                let dimms_done = run.dimms_done();
+                run.stats.resume = Some(ResumeInfo {
+                    generation: run.generation,
+                    shards_done: run.done.len() as u32,
+                    total_shards: run.plan.count(),
                     dimms_done,
                     machine_years_done: dimms_done as f64 * config.years
                         / config.dimms_per_machine as f64,
@@ -464,304 +719,264 @@ pub fn run_sharded_with(
                      starting over from shard 0",
                 );
             }
-        } else {
-            store.clear()?;
         }
+        run.stats.total_shards = run.plan.count();
+        run.stats.shards_resumed = run.done.len() as u32;
+        Ok(run)
     }
 
-    stats.total_shards = plan.count();
-    stats.shards_resumed = done.len() as u32;
-
-    emit(&TraceEvent::RunStart {
-        label: telemetry.label.clone(),
-        total_shards: plan.count(),
-        dimms_per_shard: if plan.count() == 0 {
-            0
-        } else {
-            len_of(&plan, 0)
-        },
-        estimator: config.estimator.name().to_string(),
-        threads: SimEngine::new(config.threads).threads() as u32,
-    });
-    for (channel, requested_bias, cap) in
-        saturated_channels(&arrival_probabilities(env, config), config.estimator)
-    {
-        emit(&TraceEvent::WeightCapSaturated {
-            channel: channel.to_string(),
-            requested_bias,
-            cap,
+    /// Emits the run's opening events: `RunStart` (reporting `threads`,
+    /// the run's total worker threads), weight-cap saturations, and the
+    /// adopted checkpoint.
+    fn announce(&self, threads: usize) {
+        let (config, plan) = (self.config, self.plan);
+        self.emit(&TraceEvent::RunStart {
+            label: self.telemetry.label.clone(),
+            total_shards: plan.count(),
+            dimms_per_shard: if plan.count() == 0 {
+                0
+            } else {
+                len_of(&plan, 0)
+            },
+            estimator: config.estimator.name().to_string(),
+            threads: threads as u32,
         });
-        telemetry.warn(&format!(
-            "warning: importance-sampling bias {requested_bias} saturates the \
-             per-epoch extra-arrival cap ({cap}) on the {channel} channel; \
-             effective inflation is lower than requested"
-        ));
-    }
-    if let Some(resume) = &stats.resume {
-        emit(&TraceEvent::ResumeAdopted {
-            generation: resume.generation,
-            shards_done: resume.shards_done,
-            total_shards: resume.total_shards,
-            fell_back: resume.fell_back,
-        });
-        if resume.fell_back {
-            telemetry.warn(&format!(
-                "warning: newest checkpoint generation was corrupt; fell back \
-                 to generation {} ({}/{} shards), recomputing the rest",
-                resume.generation, resume.shards_done, resume.total_shards
-            ));
-        }
-    }
-
-    let epochs_per_dimm = config.epochs();
-    let mut pending_since_save = 0u32;
-    let save = |done: &BTreeMap<u32, LifetimeTally>,
-                generation: &mut u64,
-                stats: &mut RunStats|
-     -> Result<(), RunnerError> {
-        let Some(store) = &store else {
-            return Ok(());
-        };
-        *generation += 1;
-        let dimms_done: u64 = done.keys().map(|&s| len_of(&plan, s)).sum();
-        let write_started = Instant::now();
-        store.save(&Checkpoint {
-            config_hash: hash,
-            generation: *generation,
-            shard_count: plan.count(),
-            dimms: plan.dimms(),
-            epoch_cursor: dimms_done * epochs_per_dimm,
-            done: done.iter().map(|(&s, &t)| (s, t)).collect(),
-        })?;
-        let write_ms = elapsed_ms(write_started);
-        stats.checkpoint_writes += 1;
-        emit(&TraceEvent::CheckpointWritten {
-            generation: *generation,
-            shards_done: done.len() as u32,
-            write_ms,
-        });
-        if let Some(ins) = &instruments {
-            ins.checkpoint_writes.inc();
-            ins.checkpoint_write_ms.observe(write_ms);
-        }
-        if let Some((target, kind)) = faults.and_then(|f| f.corrupt_generation) {
-            if *generation == target {
-                store.corrupt(target, kind)?;
-            }
-        }
-        Ok(())
-    };
-
-    let mut trials_prev = muse_faultsim::trials_completed();
-    for shard in 0..plan.count() {
-        if done.contains_key(&shard) {
-            continue;
-        }
-        let drain = runner
-            .stop
-            .as_ref()
-            .is_some_and(|s| s.load(Ordering::Relaxed));
-        if drain
-            || runner
-                .stop_after_shards
-                .is_some_and(|stop| stats.shards_run as u64 >= stop)
+        for (channel, requested_bias, cap) in
+            saturated_channels(&arrival_probabilities(self.env, config), config.estimator)
         {
-            if pending_since_save > 0 {
-                save(&done, &mut generation, &mut stats)?;
-            }
-            emit(&TraceEvent::RunEnd {
-                shards_done: done.len() as u32,
-                wall_ms: elapsed_ms(run_started),
-                retries: u64::from(stats.retries),
+            self.emit(&TraceEvent::WeightCapSaturated {
+                channel: channel.to_string(),
+                requested_bias,
+                cap,
             });
-            snapshot(&instruments);
-            return Ok(ShardedOutcome::Interrupted { stats });
-        }
-        let range = plan.range(shard);
-        emit(&TraceEvent::ShardStart {
-            shard,
-            dimm_lo: range.start,
-            dimm_hi: range.end,
-        });
-        let shard_started = Instant::now();
-        let mut attempt = 0u32;
-        let fault_seed = faults.map_or(FaultPlan::DEFAULT_SEED, |f| f.seed);
-        let tally = 'attempts: loop {
-            let failure: String = 'fail: {
-                if faults.is_some_and(|f| f.kills(shard, attempt)) {
-                    // Killed mid-flight: half the shard's work happens,
-                    // then the worker dies and its partial tally is
-                    // discarded — the retry recomputes the shard from
-                    // its streams.
-                    let mid = range.start + (range.end - range.start) / 2;
-                    let _ = run_fleet_range(code, env, config, range.start..mid);
-                    break 'fail "injected kill".to_string();
-                }
-                // An injected hang stalls the attempt; a watchdog cuts
-                // the stall short, without one it merely delays.
-                let hang_ms = faults
-                    .filter(|f| f.hangs(shard, attempt))
-                    .map_or(0, |f| f.hang_ms);
-                match runner.shard_timeout_ms {
-                    Some(timeout_ms) => {
-                        match run_attempt_watchdogged(
-                            code,
-                            env,
-                            config,
-                            range.clone(),
-                            hang_ms,
-                            timeout_ms,
-                        ) {
-                            Some(t) => break 'attempts t,
-                            None => {
-                                stats.watchdog_kills += 1;
-                                if let Some(ins) = &instruments {
-                                    ins.watchdog_kills.inc();
-                                }
-                                break 'fail format!("watchdog timeout after {timeout_ms}ms");
-                            }
-                        }
-                    }
-                    None => {
-                        if hang_ms > 0 {
-                            std::thread::sleep(std::time::Duration::from_millis(hang_ms));
-                        }
-                        break 'attempts run_fleet_range(code, env, config, range.clone());
-                    }
-                }
-            };
-            stats.retries += 1;
-            if attempt >= runner.max_retries {
-                return Err(RunnerError::ShardFailed {
-                    shard,
-                    attempts: attempt + 1,
-                });
-            }
-            let backoff = retry_backoff_ms(runner, fault_seed, shard, attempt);
-            emit(&TraceEvent::ShardRetry {
-                shard,
-                attempt,
-                backoff_ms: backoff,
-                error: failure.clone(),
-            });
-            if let Some(ins) = &instruments {
-                ins.shard_retries.inc();
-            }
-            telemetry.warn(&format!(
-                "warning: shard {shard} attempt {attempt} failed ({failure}); \
-                 retrying after {backoff}ms backoff"
+            self.telemetry.warn(&format!(
+                "warning: importance-sampling bias {requested_bias} saturates the \
+                 per-epoch extra-arrival cap ({cap}) on the {channel} channel; \
+                 effective inflation is lower than requested"
             ));
-            if backoff > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(backoff));
-            }
-            attempt += 1;
-        };
-        if let Some(delay) = faults.map(|f| f.delay_ms(shard)).filter(|&d| d > 0) {
-            std::thread::sleep(std::time::Duration::from_millis(delay));
         }
-        let wall_ms = elapsed_ms(shard_started);
-        emit(&TraceEvent::ShardEnd {
-            shard,
-            wall_ms,
-            dimms: range.end - range.start,
-        });
-        done.insert(shard, tally);
-        stats.shards_run += 1;
+        if let Some(resume) = &self.stats.resume {
+            self.emit(&TraceEvent::ResumeAdopted {
+                generation: resume.generation,
+                shards_done: resume.shards_done,
+                total_shards: resume.total_shards,
+                fell_back: resume.fell_back,
+            });
+            if resume.fell_back {
+                self.telemetry.warn(&format!(
+                    "warning: newest checkpoint generation was corrupt; fell back \
+                     to generation {} ({}/{} shards), recomputing the rest",
+                    resume.generation, resume.shards_done, resume.total_shards
+                ));
+            }
+        }
+    }
 
-        if let Some(ins) = &instruments {
+    /// Records a finished shard: retry accounting and warnings, the
+    /// completion map, metrics and heartbeat, and a checkpoint every
+    /// [`RunnerConfig::checkpoint_every`] commits.
+    fn commit(&mut self, finished: FinishedShard) -> Result<(), RunnerError> {
+        let FinishedShard {
+            shard,
+            tally,
+            failures,
+            wall_ms,
+        } = finished;
+        let ins = self.instruments.as_ref();
+        for failure in &failures {
+            self.stats.retries += 1;
+            if failure.watchdog {
+                self.stats.watchdog_kills += 1;
+                if let Some(ins) = ins {
+                    ins.watchdog_kills.inc();
+                }
+            }
+            if let Some(backoff) = failure.backoff_ms {
+                if let Some(ins) = ins {
+                    ins.shard_retries.inc();
+                }
+                self.telemetry.warn(&format!(
+                    "warning: shard {shard} attempt {} failed ({}); \
+                     retrying after {backoff}ms backoff",
+                    failure.attempt, failure.error
+                ));
+            }
+        }
+        let tally = tally.map_err(|attempts| RunnerError::ShardFailed { shard, attempts })?;
+        self.done.insert(shard, tally);
+        self.stats.shards_run += 1;
+
+        let dimms = len_of(&self.plan, shard);
+        if let Some(ins) = ins {
+            // The engine's trial counter is process-wide: its delta since
+            // the last commit spreads other in-flight shards' work across
+            // commits, but it sums to the run's total.
             let trials_now = muse_faultsim::trials_completed();
-            let trials_delta = trials_now.saturating_sub(trials_prev);
-            trials_prev = trials_now;
+            ins.sim_trials
+                .add(trials_now.saturating_sub(self.trials_prev));
+            self.trials_prev = trials_now;
             ins.shards_completed.inc();
-            ins.dimms_simulated.add(range.end - range.start);
-            ins.sim_trials.add(trials_delta);
+            ins.dimms_simulated.add(dimms);
             ins.due_events.add(tally.due_words + tally.data_loss_events);
             ins.sdc_events.add(tally.sdc_words);
             ins.shard_wall_ms.observe(wall_ms);
             if wall_ms > 0 {
+                let dimm_epochs = dimms * self.config.epochs();
                 ins.trials_per_sec
-                    .set(trials_delta as f64 * 1000.0 / wall_ms as f64);
+                    .set(dimm_epochs as f64 * 1000.0 / wall_ms as f64);
             }
         }
-        if telemetry.tracer.is_some() || telemetry.heartbeat.is_some() || instruments.is_some() {
-            let mut merged = LifetimeTally::default();
-            for t in done.values() {
-                merged.merge(*t);
-            }
-            let dimms_done: u64 = done.keys().map(|&s| len_of(&plan, s)).sum();
-            let machine_years_done =
-                dimms_done as f64 * config.years / f64::from(config.dimms_per_machine);
-            let (due_ci_half, sdc_ci_half) = ci_half_widths(config, &merged, dimms_done);
-            emit(&TraceEvent::Heartbeat {
-                shards_done: done.len() as u32,
-                total_shards: plan.count(),
-                machine_years: machine_years_done,
+        self.report_progress();
+
+        self.pending_since_save += 1;
+        if self.pending_since_save >= self.runner.checkpoint_every.max(1) {
+            self.save()?;
+        }
+        Ok(())
+    }
+
+    /// Heartbeat event, progress gauges and heartbeat callback for the
+    /// shards committed so far.
+    fn report_progress(&self) {
+        let telemetry = self.telemetry;
+        let ins = self.instruments.as_ref();
+        if telemetry.tracer.is_none() && telemetry.heartbeat.is_none() && ins.is_none() {
+            return;
+        }
+        let config = self.config;
+        let mut merged = LifetimeTally::default();
+        for t in self.done.values() {
+            merged.merge(*t);
+        }
+        let dimms_done = self.dimms_done();
+        let machine_years_done =
+            dimms_done as f64 * config.years / f64::from(config.dimms_per_machine);
+        let (due_ci_half, sdc_ci_half) = ci_half_widths(config, &merged, dimms_done);
+        self.emit(&TraceEvent::Heartbeat {
+            shards_done: self.done.len() as u32,
+            total_shards: self.plan.count(),
+            machine_years: machine_years_done,
+            due_ci_half,
+            sdc_ci_half,
+        });
+        if let Some(ins) = ins {
+            ins.machine_years.set(machine_years_done);
+            ins.due_weighted_sum.set(merged.due_weighted.sum());
+            ins.sdc_weighted_sum.set(merged.sdc_weighted.sum());
+            ins.trace_dropped.set(telemetry.dropped_events() as f64);
+            ins.trace_io_errors.set(telemetry.io_errors() as f64);
+        }
+        if let Some(heartbeat) = &telemetry.heartbeat {
+            heartbeat(&ProgressSnapshot {
+                label: telemetry.label.clone(),
+                shards_done: self.done.len() as u32,
+                total_shards: self.plan.count(),
+                machine_years_done,
+                machine_years_total: config.machine_years(),
+                eta_ms: estimate_eta_ms(
+                    elapsed_ms(self.started),
+                    u64::from(self.stats.shards_run),
+                    u64::from(self.plan.count() - self.stats.shards_resumed),
+                ),
                 due_ci_half,
                 sdc_ci_half,
+                dropped_events: telemetry.dropped_events(),
             });
-            if let Some(ins) = &instruments {
-                ins.machine_years.set(machine_years_done);
-                ins.due_weighted_sum.set(merged.due_weighted.sum());
-                ins.sdc_weighted_sum.set(merged.sdc_weighted.sum());
-                ins.trace_dropped.set(telemetry.dropped_events() as f64);
-                ins.trace_io_errors.set(telemetry.io_errors() as f64);
-            }
-            if let Some(heartbeat) = &telemetry.heartbeat {
-                heartbeat(&ProgressSnapshot {
-                    label: telemetry.label.clone(),
-                    shards_done: done.len() as u32,
-                    total_shards: plan.count(),
-                    machine_years_done,
-                    machine_years_total: config.machine_years(),
-                    eta_ms: estimate_eta_ms(
-                        elapsed_ms(run_started),
-                        u64::from(stats.shards_run),
-                        u64::from(plan.count() - stats.shards_resumed),
-                    ),
-                    due_ci_half,
-                    sdc_ci_half,
-                    dropped_events: telemetry.dropped_events(),
-                });
-            }
-            snapshot(&instruments);
         }
+        self.snapshot();
+    }
 
-        pending_since_save += 1;
-        if pending_since_save >= runner.checkpoint_every.max(1) {
-            save(&done, &mut generation, &mut stats)?;
-            pending_since_save = 0;
+    /// Writes the next checkpoint generation (a no-op without a store).
+    fn save(&mut self) -> Result<(), RunnerError> {
+        self.pending_since_save = 0;
+        let Some(store) = &self.store else {
+            return Ok(());
+        };
+        self.generation += 1;
+        let write_started = Instant::now();
+        store.save(&Checkpoint {
+            config_hash: self.hash,
+            generation: self.generation,
+            shard_count: self.plan.count(),
+            dimms: self.plan.dimms(),
+            epoch_cursor: self.dimms_done() * self.config.epochs(),
+            done: self.done.iter().map(|(&s, &t)| (s, t)).collect(),
+        })?;
+        let write_ms = elapsed_ms(write_started);
+        self.stats.checkpoint_writes += 1;
+        self.emit(&TraceEvent::CheckpointWritten {
+            generation: self.generation,
+            shards_done: self.done.len() as u32,
+            write_ms,
+        });
+        if let Some(ins) = &self.instruments {
+            ins.checkpoint_writes.inc();
+            ins.checkpoint_write_ms.observe(write_ms);
+        }
+        if let Some((target, kind)) = self.faults.and_then(|f| f.corrupt_generation) {
+            if self.generation == target {
+                store.corrupt(target, kind)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Flushes unsaved shards and closes the run: complete when every
+    /// shard is done, interrupted (at a shard boundary) otherwise.
+    fn finish(mut self) -> Result<ShardedOutcome, RunnerError> {
+        if self.pending_since_save > 0 {
+            self.save()?;
+        }
+        self.emit(&TraceEvent::RunEnd {
+            shards_done: self.done.len() as u32,
+            wall_ms: elapsed_ms(self.started),
+            retries: u64::from(self.stats.retries),
+        });
+        if let Some(ins) = &self.instruments {
+            ins.trace_dropped
+                .set(self.telemetry.dropped_events() as f64);
+            ins.trace_io_errors.set(self.telemetry.io_errors() as f64);
+        }
+        self.snapshot();
+        if self.done.len() < self.plan.count() as usize {
+            return Ok(ShardedOutcome::Interrupted { stats: self.stats });
+        }
+        // Merge in ascending shard order (pure field-wise sums — identical
+        // to the unsharded run's DIMM-order merge).
+        let mut total = LifetimeTally::default();
+        for tally in self.done.values() {
+            total.merge(*tally);
+        }
+        Ok(ShardedOutcome::Complete {
+            report: LifetimeReport::from_tally(self.code, self.env, self.config, total),
+            stats: self.stats,
+        })
+    }
+
+    fn emit(&self, event: &TraceEvent) {
+        if let Some(tracer) = self.telemetry.tracer {
+            tracer.emit(event);
         }
     }
 
-    if pending_since_save > 0 {
-        save(&done, &mut generation, &mut stats)?;
+    /// Snapshots the metrics textfile. A failure warns; the io_errors
+    /// counter makes it visible to scrapers of whatever snapshot lands.
+    fn snapshot(&self) {
+        if !self.telemetry.snapshot_metrics() {
+            if let Some(ins) = &self.instruments {
+                ins.io_errors.inc();
+            }
+        }
     }
 
-    emit(&TraceEvent::RunEnd {
-        shards_done: done.len() as u32,
-        wall_ms: elapsed_ms(run_started),
-        retries: u64::from(stats.retries),
-    });
-    if let Some(ins) = &instruments {
-        ins.trace_dropped.set(telemetry.dropped_events() as f64);
-        ins.trace_io_errors.set(telemetry.io_errors() as f64);
+    /// DIMMs covered by the completed shards.
+    fn dimms_done(&self) -> u64 {
+        self.done.keys().map(|&s| len_of(&self.plan, s)).sum()
     }
-    snapshot(&instruments);
-
-    // Merge in ascending shard order (pure field-wise sums — identical to
-    // the unsharded run's DIMM-order merge).
-    let mut total = LifetimeTally::default();
-    for tally in done.values() {
-        total.merge(*tally);
-    }
-    Ok(ShardedOutcome::Complete {
-        report: LifetimeReport::from_tally(code, env, config, total),
-        stats,
-    })
 }
 
 /// Runs one shard attempt under the watchdog: the computation happens on
-/// a detached worker thread and the supervisor waits at most
+/// a detached thread and the worker that owns the shard waits at most
 /// `timeout_ms` for its tally. On timeout the worker is abandoned — it
 /// holds only clones and a dead channel sender, so a late result is
 /// silently dropped and an injected hang leaks nothing past `hang_ms` —

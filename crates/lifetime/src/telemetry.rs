@@ -172,7 +172,7 @@ impl RunInstruments {
             ),
             trials_per_sec: metrics.gauge(
                 "muse_sim_trials_per_second",
-                "Engine trial throughput over the last completed shard",
+                "DIMM-epochs per second simulated by the last committed shard",
             ),
             machine_years: metrics.gauge(
                 "muse_lifetime_machine_years",

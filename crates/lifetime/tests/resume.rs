@@ -1,9 +1,13 @@
 //! The sharded runner's hard guarantee: interrupt at any point and
 //! resume — at any thread count, with any shard count, through injected
-//! kills and corrupted checkpoints — and the merged tallies are
-//! bit-identical to an uninterrupted [`simulate_fleet`] run.
+//! kills, watchdog timeouts, drains and corrupted checkpoints — and the
+//! merged tallies are bit-identical to an uninterrupted [`simulate_fleet`]
+//! run. [`setup`] pins one thread; the `concurrent_shards_*` tests rerun
+//! the same guarantees with shards in flight at 2 and 4 threads.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use muse_lifetime::{
     run_sharded, run_sharded_with, simulate_fleet, smoke_setup, CheckpointStore, Corruption,
@@ -87,17 +91,27 @@ fn sharded_equals_unsharded_at_any_shard_and_thread_count() {
     }
 }
 
-#[test]
-fn interrupt_at_every_shard_boundary_resumes_bit_identically() {
-    let (code, env, config) = setup();
+/// Interrupts after every shard boundary with the first leg on
+/// `first_threads` workers, resumes at 1 and 4 threads, and requires the
+/// resumed tallies — weighted accumulators included — to be bit-identical
+/// to an uninterrupted run.
+fn sweep_every_boundary(config: FleetConfig, first_threads: usize) {
+    let (code, env, _) = setup();
     let baseline = simulate_fleet(&code, &env, &config).tally;
+    let first_config = FleetConfig {
+        threads: first_threads,
+        ..config
+    };
     for stop_after in 0..6u64 {
         for &resume_threads in &[1usize, 4] {
-            let dir = TempDir::new(&format!("sweep-{stop_after}-{resume_threads}"));
+            let dir = TempDir::new(&format!(
+                "sweep-{}-{first_threads}-{stop_after}-{resume_threads}",
+                config.estimator.name()
+            ));
             let first = run_sharded(
                 &code,
                 &env,
-                &config,
+                &first_config,
                 &RunnerConfig {
                     stop_after_shards: Some(stop_after),
                     ..runner(&dir)
@@ -108,6 +122,17 @@ fn interrupt_at_every_shard_boundary_resumes_bit_identically() {
             assert!(
                 matches!(first, ShardedOutcome::Interrupted { .. }),
                 "stop_after={stop_after} should interrupt"
+            );
+            // Only the lowest-indexed pending shards were dispatched.
+            let saved: Vec<u32> = CheckpointStore::open(&dir.0, "fleet")
+                .expect("store")
+                .load()
+                .map(|loaded| loaded.checkpoint.done.iter().map(|&(s, _)| s).collect())
+                .unwrap_or_default();
+            assert_eq!(
+                saved,
+                (0..stop_after as u32).collect::<Vec<_>>(),
+                "first_threads={first_threads}"
             );
             // Resume at a different thread count than the first leg ran.
             let resumed_config = FleetConfig {
@@ -126,14 +151,19 @@ fn interrupt_at_every_shard_boundary_resumes_bit_identically() {
             )
             .expect("resumed run");
             let stats = outcome.stats().clone();
+            let resumed = complete(outcome).tally;
+            let context = format!(
+                "stop_after={stop_after} first_threads={first_threads} \
+                 resume_threads={resume_threads}"
+            );
+            assert_eq!(resumed, baseline, "{context}");
             assert_eq!(
-                complete(outcome).tally,
-                baseline,
-                "stop_after={stop_after} resume_threads={resume_threads}"
+                resumed.sdc_weighted, baseline.sdc_weighted,
+                "weighted SDC accumulator drifted across the resume: {context}"
             );
             if stop_after > 0 {
                 let info = stats.resume.expect("checkpoint was loaded");
-                assert_eq!(info.shards_done as u64, stop_after);
+                assert_eq!(info.shards_done as u64, stop_after, "{context}");
                 assert_eq!(info.total_shards, 6);
                 assert!(!info.fell_back);
                 assert_eq!(stats.shards_resumed as u64, stop_after);
@@ -141,6 +171,20 @@ fn interrupt_at_every_shard_boundary_resumes_bit_identically() {
             }
         }
     }
+}
+
+/// The importance-sampling variant of [`setup`]'s config.
+fn is_config(config: FleetConfig) -> FleetConfig {
+    FleetConfig {
+        estimator: Estimator::importance(16.0),
+        ..config
+    }
+}
+
+#[test]
+fn interrupt_at_every_shard_boundary_resumes_bit_identically() {
+    let (_, _, config) = setup();
+    sweep_every_boundary(config, 1);
 }
 
 #[test]
@@ -151,55 +195,24 @@ fn is_interrupt_at_every_shard_boundary_resumes_bit_identically() {
     // reproduce the uninterrupted run's weighted accumulators bit for
     // bit, not just the raw counters.
     let (code, env, config) = setup();
-    let config = FleetConfig {
-        estimator: Estimator::importance(16.0),
-        ..config
-    };
+    let config = is_config(config);
     let baseline = simulate_fleet(&code, &env, &config).tally;
     assert!(
         baseline.weight_sum.sum() > 0.0,
         "the biased run recorded weights"
     );
-    for stop_after in 0..6u64 {
-        for &resume_threads in &[1usize, 4] {
-            let dir = TempDir::new(&format!("is-sweep-{stop_after}-{resume_threads}"));
-            let first = run_sharded(
-                &code,
-                &env,
-                &config,
-                &RunnerConfig {
-                    stop_after_shards: Some(stop_after),
-                    ..runner(&dir)
-                },
-                None,
-            )
-            .expect("interrupted run");
-            assert!(matches!(first, ShardedOutcome::Interrupted { .. }));
-            let resumed_config = FleetConfig {
-                threads: resume_threads,
-                ..config
-            };
-            let outcome = run_sharded(
-                &code,
-                &env,
-                &resumed_config,
-                &RunnerConfig {
-                    resume: true,
-                    ..runner(&dir)
-                },
-                None,
-            )
-            .expect("resumed run");
-            let resumed = complete(outcome).tally;
-            assert_eq!(
-                resumed, baseline,
-                "stop_after={stop_after} resume_threads={resume_threads}"
-            );
-            assert_eq!(
-                resumed.sdc_weighted, baseline.sdc_weighted,
-                "weighted SDC accumulator drifted across the resume"
-            );
-        }
+    sweep_every_boundary(config, 1);
+}
+
+#[test]
+fn concurrent_shards_interrupt_at_every_boundary_and_resume_bit_identically() {
+    // With 2 and 4 workers the first leg runs shards concurrently and
+    // may commit them out of order; `stop_after_shards` still dispatches
+    // exactly the lowest-indexed pending shards.
+    let (_, _, config) = setup();
+    for threads in [2, 4] {
+        sweep_every_boundary(config, threads);
+        sweep_every_boundary(is_config(config), threads);
     }
 }
 
@@ -329,6 +342,47 @@ fn injected_kills_retry_and_preserve_tallies() {
 }
 
 #[test]
+fn concurrent_shards_retry_kills_and_watchdog_timeouts_like_one_thread() {
+    // Kill and hang decisions are pure functions of (shard, attempt), so
+    // every thread count retries the same attempts: `retries` and
+    // `watchdog_kills` match the 1-thread run, and so do the tallies.
+    let (code, env, config) = setup();
+    let baseline = simulate_fleet(&code, &env, &config).tally;
+    let faults = FaultPlan {
+        seed: 0xDEAD,
+        kill_prob: 0.4,
+        hang_prob: 0.4,
+        hang_ms: 2_000,
+        ..FaultPlan::default()
+    };
+    let run = |threads: usize| {
+        let outcome = run_sharded(
+            &code,
+            &env,
+            &FleetConfig { threads, ..config },
+            &RunnerConfig {
+                shards: 6,
+                backoff_base_ms: 0,
+                max_retries: 16,
+                shard_timeout_ms: Some(500),
+                ..RunnerConfig::default()
+            },
+            Some(&faults),
+        )
+        .expect("failures within the retry budget");
+        let stats = outcome.stats().clone();
+        assert_eq!(complete(outcome).tally, baseline, "threads={threads}");
+        (stats.retries, stats.watchdog_kills)
+    };
+    let serial = run(1);
+    assert!(serial.0 > serial.1, "no injected kill fired: {serial:?}");
+    assert!(serial.1 > 0, "no hang tripped the watchdog: {serial:?}");
+    for threads in [2, 4] {
+        assert_eq!(run(threads), serial, "threads={threads}");
+    }
+}
+
+#[test]
 fn kill_every_attempt_exhausts_retries() {
     let (code, env, config) = setup();
     let faults = FaultPlan {
@@ -354,14 +408,16 @@ fn kill_every_attempt_exhausts_retries() {
     }
 }
 
-#[test]
-fn corrupt_newest_generation_falls_back_and_recomputes() {
+/// Runs four shards on `threads` workers with generation 4 corrupted
+/// right after its save, as a crash mid-write would; the resume must
+/// fall back to generation 3, which holds three shards, and recompute
+/// the other three.
+fn corrupt_generation_falls_back(threads: usize) {
     let (code, env, config) = setup();
     let baseline = simulate_fleet(&code, &env, &config).tally;
+    let config = FleetConfig { threads, ..config };
     for kind in [Corruption::Truncate, Corruption::BitFlip] {
-        let dir = TempDir::new(&format!("corrupt-{kind:?}"));
-        // Four shards done ⇒ generations 1..=4 written; corrupt gen 4
-        // right after its save, as a crash mid-write would.
+        let dir = TempDir::new(&format!("corrupt-{kind:?}-{threads}"));
         let faults = FaultPlan {
             corrupt_generation: Some((4, kind)),
             ..FaultPlan::default()
@@ -390,12 +446,100 @@ fn corrupt_newest_generation_falls_back_and_recomputes() {
         )
         .expect("resumed run");
         let stats = outcome.stats().clone();
+        let context = format!("{kind:?} threads={threads}");
         let info = stats.resume.expect("fell back to generation 3");
-        assert!(info.fell_back, "{kind:?}: newest generation was corrupt");
-        assert_eq!(info.generation, 3);
-        assert_eq!(info.shards_done, 3);
-        assert_eq!(stats.shards_run, 3, "{kind:?}: shard 4 is recomputed");
-        assert_eq!(complete(outcome).tally, baseline, "{kind:?}");
+        assert!(info.fell_back, "{context}: newest generation was corrupt");
+        assert_eq!(info.generation, 3, "{context}");
+        assert_eq!(info.shards_done, 3, "{context}");
+        assert_eq!(
+            stats.shards_run, 3,
+            "{context}: the lost shard is recomputed"
+        );
+        assert_eq!(complete(outcome).tally, baseline, "{context}");
+    }
+}
+
+#[test]
+fn corrupt_newest_generation_falls_back_and_recomputes() {
+    corrupt_generation_falls_back(1);
+}
+
+#[test]
+fn concurrent_shards_corrupt_newest_generation_falls_back() {
+    // Concurrent commits may land out of shard order, so generation 3
+    // can hold a non-contiguous set; it still holds exactly three.
+    corrupt_generation_falls_back(2);
+    corrupt_generation_falls_back(4);
+}
+
+#[test]
+fn drain_commits_every_finished_shard_and_resumes_bit_identically() {
+    // The stop flag is raised at the first commit. Workers stop
+    // claiming, the shards in flight finish, and every committed shard
+    // reaches disk in the final flush (the batch size alone would never
+    // save). Shards sleep an injected delay so they overlap in time.
+    let (code, env, config) = setup();
+    let baseline = simulate_fleet(&code, &env, &config).tally;
+    let faults = FaultPlan {
+        delay_ms_max: 30,
+        ..FaultPlan::default()
+    };
+    for threads in [1usize, 2, 4] {
+        let dir = TempDir::new(&format!("drain-{threads}"));
+        let stop = Arc::new(AtomicBool::new(false));
+        let telemetry = FleetTelemetry {
+            heartbeat: Some(Box::new(|_| stop.store(true, Ordering::Relaxed))),
+            ..FleetTelemetry::disabled()
+        };
+        let drained = run_sharded_with(
+            &code,
+            &env,
+            &FleetConfig { threads, ..config },
+            &RunnerConfig {
+                shards: 24,
+                checkpoint_every: 100,
+                stop: Some(Arc::clone(&stop)),
+                ..runner(&dir)
+            },
+            Some(&faults),
+            &telemetry,
+        )
+        .expect("drained run");
+        let ShardedOutcome::Interrupted { stats } = drained else {
+            panic!("threads={threads}: the drain did not interrupt");
+        };
+        // The caller commits between its own shards, so other workers
+        // may finish several before the first commit; a lone caller
+        // stops right after it.
+        assert!(stats.shards_run >= 1, "threads={threads}");
+        if threads == 1 {
+            assert_eq!(stats.shards_run, 1);
+        }
+        assert_eq!(stats.checkpoint_writes, 1, "threads={threads}");
+        let on_disk = CheckpointStore::open(&dir.0, "fleet")
+            .expect("store")
+            .load()
+            .expect("the drain checkpointed")
+            .checkpoint;
+        assert_eq!(
+            on_disk.done.len(),
+            stats.shards_run as usize,
+            "threads={threads}"
+        );
+        let outcome = run_sharded(
+            &code,
+            &env,
+            &config,
+            &RunnerConfig {
+                shards: 24,
+                resume: true,
+                ..runner(&dir)
+            },
+            None,
+        )
+        .expect("resumed run");
+        assert_eq!(outcome.stats().shards_resumed, stats.shards_run);
+        assert_eq!(complete(outcome).tally, baseline, "threads={threads}");
     }
 }
 

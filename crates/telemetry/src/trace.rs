@@ -2,17 +2,19 @@
 //!
 //! A [`Tracer`] accepts [`TraceEvent`]s from any thread through a *bounded*
 //! channel and writes them as JSON-lines from a dedicated writer thread.
-//! Emission never blocks: when the channel is full the event is counted as
-//! dropped instead.  Every line carries the schema tag and a monotonically
-//! increasing sequence number; the sequence is advanced even for dropped
-//! events, so gaps in a trace file show exactly where backpressure hit.
+//! Emission never waits on the sink: when the channel is full the event is
+//! counted as dropped instead.  Every line carries the schema tag and a
+//! monotonically increasing sequence number; the sequence is advanced even
+//! for dropped events, so gaps in a trace file show exactly where
+//! backpressure hit.  Concurrent emitters take a short lock around
+//! numbering and enqueueing, so lines reach the sink in sequence order.
 
 use crate::json::{parse_object, JsonBuilder, JsonError, JsonObject};
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Schema tag written into every trace line.
@@ -37,7 +39,8 @@ pub enum TraceEvent {
         dimms_per_shard: u64,
         /// Estimator in use (`naive` or `importance`).
         estimator: String,
-        /// Worker threads per shard.
+        /// Worker threads of the whole run: concurrent shards times the
+        /// engine threads each shard runs on.
         threads: u32,
     },
     /// A previous checkpoint was adopted at startup.
@@ -52,7 +55,9 @@ pub enum TraceEvent {
         /// back to the older one.
         fell_back: bool,
     },
-    /// A shard started executing.
+    /// A shard started executing. Shards run concurrently, so the
+    /// `shard_start`/`shard_end` pairs of different shards may interleave;
+    /// a shard's own start always precedes its end.
     ShardStart {
         /// Shard index within the plan.
         shard: u32,
@@ -338,9 +343,20 @@ pub struct TraceSummary {
 }
 
 struct Shared {
-    seq: AtomicU64,
+    /// Next sequence number; held while a line is numbered and enqueued.
+    seq: Mutex<u64>,
     dropped: AtomicU64,
     io_errors: AtomicU64,
+}
+
+impl Shared {
+    /// The sequence counter. Every update leaves it valid, so a panic
+    /// elsewhere under the lock cannot corrupt it.
+    fn seq(&self) -> std::sync::MutexGuard<'_, u64> {
+        self.seq
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 }
 
 /// Non-blocking trace emitter backed by a writer thread.
@@ -360,7 +376,7 @@ impl Tracer {
     pub fn new(sink: Box<dyn Write + Send>, capacity: usize) -> Self {
         let (tx, rx) = sync_channel::<String>(capacity.max(1));
         let shared = Arc::new(Shared {
-            seq: AtomicU64::new(0),
+            seq: Mutex::new(0),
             dropped: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
         });
@@ -401,14 +417,15 @@ impl Tracer {
         Ok(Self::new(Box::new(file), capacity))
     }
 
-    /// Emits an event without ever blocking.
+    /// Emits an event without waiting on the sink.
     ///
     /// The sequence number is assigned unconditionally; if the channel is
     /// full the event is dropped and counted, leaving a visible gap in the
     /// written sequence.
     pub fn emit(&self, event: &TraceEvent) {
-        let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        let line = event.to_json_line(seq);
+        let mut seq = self.shared.seq();
+        let line = event.to_json_line(*seq);
+        *seq += 1;
         if let Some(tx) = &self.tx {
             match tx.try_send(line) {
                 Ok(()) => {}
@@ -441,7 +458,7 @@ impl Tracer {
             None => 0,
         };
         TraceSummary {
-            emitted: self.shared.seq.load(Ordering::Relaxed),
+            emitted: *self.shared.seq(),
             written,
             dropped: self.shared.dropped.load(Ordering::Relaxed),
             io_errors: self.shared.io_errors.load(Ordering::Relaxed),
@@ -471,7 +488,7 @@ impl Drop for Tracer {
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
-            .field("seq", &self.shared.seq.load(Ordering::Relaxed))
+            .field("seq", &*self.shared.seq())
             .field("dropped", &self.shared.dropped.load(Ordering::Relaxed))
             .finish()
     }
@@ -480,7 +497,6 @@ impl std::fmt::Debug for Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     /// A `Write` sink that appends into a shared buffer.
     #[derive(Clone, Default)]
@@ -569,6 +585,33 @@ mod tests {
         assert!(TraceEvent::parse_line(&wrong_schema).is_err());
         let wrong_kind = line.replace("run_start", "run_begin");
         assert!(TraceEvent::parse_line(&wrong_kind).is_err());
+    }
+
+    #[test]
+    fn concurrent_emitters_write_lines_in_sequence_order() {
+        let buf = SharedBuf::default();
+        let tracer = Tracer::new(Box::new(buf.clone()), 4096);
+        let events = sample_events();
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..100 {
+                        for event in &events {
+                            tracer.emit(event);
+                        }
+                    }
+                });
+            }
+        });
+        let summary = tracer.finish();
+        assert_eq!(summary.dropped, 0);
+        let body = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let mut lines = 0;
+        for (i, line) in body.lines().enumerate() {
+            assert_eq!(TraceEvent::parse_line(line).unwrap().0, i as u64);
+            lines += 1;
+        }
+        assert_eq!(lines, 4 * 100 * events.len());
     }
 
     #[test]
