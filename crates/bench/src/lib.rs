@@ -167,10 +167,8 @@
 //! submit, SIGTERM mid-run, restart-resume, pinned tallies, cache-served
 //! resubmit.
 
-pub mod baseline;
 pub mod experiments;
 pub mod format;
 
-pub use baseline::naive_msed;
 pub use experiments::*;
 pub use format::{bar, print_table};

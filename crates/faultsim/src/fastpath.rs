@@ -19,10 +19,12 @@
 //!
 //! No wide word — and no payload limb — is ever materialized on this path.
 //! This module holds what differs between the simulators: [`TrialPlan`]'s
-//! per-configuration sampling constants, and the two fixed-capacity MSED
-//! trials that replay bulk-filled draw columns ([`Bounded32::fill`],
-//! [`Rng::fill_u64s`]), which removes the serial RNG dependency between
-//! consecutive trials. What they share lives in `muse-core`: a symbol's
+//! per-configuration sampling constants, [`StrikeSampler`] — the one place
+//! that decides how an MSED trial's `k`-device strike is drawn, for MUSE
+//! and Reed-Solomon alike, mostly as bulk-filled draw columns
+//! ([`Bounded32::fill`]) that remove the serial RNG dependency between
+//! consecutive trials — and the fixed-capacity MSED trial that classifies
+//! resolved strikes. What they share lives in `muse-core`: a symbol's
 //! content is assembled by [`SyndromeKernel::content_from_raw`], every
 //! read ends in [`SyndromeKernel::finish_read`], and the Vec-based
 //! simulators keep their lazily sampled contents in a
@@ -36,9 +38,9 @@ use crate::rng::Bounded32;
 use crate::Rng;
 
 /// Maximum simultaneous device failures the fixed-capacity content-space
-/// trial paths support; experiments beyond this route through the
-/// Vec-based distinct samplers in `msed` (still syndrome-domain — the
-/// wide-word fallbacks are retired; any `k ≤ n_devices` is accepted).
+/// trial paths support; experiments beyond this draw their strikes live
+/// ([`StrikeSampler::draw`]) into the Vec-based routes in `msed` (still
+/// syndrome-domain — any `k ≤ n_devices` is accepted).
 pub(crate) const MAX_STRIKES: usize = 8;
 
 /// Splits raw `u64` draws into 32-bit halves so two bounded samples usually
@@ -73,8 +75,6 @@ pub(crate) struct TrialPlan {
     patterns: Vec<Bounded32>,
     /// Per-symbol bit-position samplers over `width`.
     bits: Vec<Bounded32>,
-    /// Check-value sampler over `[0, m)`.
-    x_pick: Bounded32,
 }
 
 impl TrialPlan {
@@ -90,27 +90,7 @@ impl TrialPlan {
             bits: (0..n)
                 .map(|s| Bounded32::new(kernel.symbol_bits(s)))
                 .collect(),
-            x_pick: Bounded32::new(u32::try_from(kernel.modulus()).expect("kernel moduli fit u32")),
         }
-    }
-
-    /// The check-value sampler (uniform over `[0, m)`).
-    #[inline]
-    pub fn x_pick(&self) -> Bounded32 {
-        self.x_pick
-    }
-
-    /// The sampler for distinct-symbol draw `i` (over `n_sym − i`).
-    #[inline]
-    pub fn pick(&self, i: usize) -> Bounded32 {
-        self.picks[i]
-    }
-
-    /// When every symbol shares one width: the common nonzero-pattern
-    /// sampler (add 1 to its samples), enabling columnar pattern fills.
-    pub fn uniform_pattern(&self) -> Option<Bounded32> {
-        let first = *self.patterns.first()?;
-        self.patterns.iter().all(|p| *p == first).then_some(first)
     }
 
     /// Draws one uniformly random symbol index.
@@ -140,7 +120,7 @@ impl TrialPlan {
     pub fn inject_distinct(&self, strikes: &mut Vec<(usize, u16)>, rng: &mut Rng, k: usize) {
         debug_assert!(k <= self.picks.len(), "plan built for fewer strikes");
         let mut halves = HalfDraws::default();
-        let mut sorted = [0usize; MAX_STRIKES];
+        let mut chosen = [0usize; MAX_STRIKES];
         assert!(
             k <= MAX_STRIKES,
             "at most {MAX_STRIKES} simultaneous device failures on the fast path"
@@ -148,7 +128,7 @@ impl TrialPlan {
         for i in 0..k {
             let half = halves.next(rng);
             let draw = self.picks[i].of_half(rng, half) as usize;
-            let sym = place_distinct(&mut sorted, i, draw);
+            let sym = place_distinct(&mut chosen, i, draw);
             let pattern = self.pick_pattern(rng, &mut halves, sym);
             strikes.push((sym, pattern));
         }
@@ -156,48 +136,155 @@ impl TrialPlan {
 }
 
 /// Maps the `i`-th distinct draw `v ∈ [0, n−i)` onto the complement of the
-/// ascending set `chosen[..i]`, inserts it, and returns the chosen index —
-/// direct distinct sampling with no retry loop.
+/// set `chosen[..i]`, records it in `chosen[i]`, and returns the chosen
+/// index — direct distinct sampling with no retry loop.
+///
+/// The `v`-th unchosen index is the least fixed point of
+/// `s ↦ v + #{c ∈ chosen : c ≤ s}`. Iterating from `s = v` climbs to it in
+/// at most `i` steps, so a fixed `i` steps of compares find it without a
+/// data-dependent branch.
 #[inline]
-pub(crate) fn place_distinct(chosen: &mut [usize; 8], i: usize, mut sym: usize) -> usize {
-    // Shift past the already-chosen indices to land on the v-th unchosen
-    // one; `chosen` stays sorted, so stopping at the first larger entry is
-    // sound.
-    let mut insert = i;
-    for (j, &prev) in chosen[..i].iter().enumerate() {
-        if sym >= prev {
-            sym += 1;
-        } else {
-            insert = j;
-            break;
+pub(crate) fn place_distinct(chosen: &mut [usize; 8], i: usize, v: usize) -> usize {
+    let mut sym = v;
+    for _ in 0..i {
+        sym = v + chosen[..i].iter().filter(|&&c| c <= sym).count();
+    }
+    chosen[i] = sym;
+    sym
+}
+
+/// How one MSED trial's `k`-device strike is drawn — `k` distinct devices,
+/// each XOR-hit by a uniform nonzero pattern over its width — for MUSE
+/// symbols and Reed-Solomon devices alike. Two schemes, chosen here once:
+///
+/// * **columnar** (`k ≤ MAX_STRIKES`, one width `w` on every device): per
+///   engine block, `k` distinct-pick columns (column `i` over `n − i`), then
+///   one `k·len` pattern column (`1 +` a draw over `2^w − 1`), resolved per
+///   trial by [`place_distinct`] ([`Self::fill`], [`StrikeBlock::strikes`]);
+/// * **live** (everything else): [`Rng::choose_k`], then
+///   [`Rng::nonzero_below`] per device, in trial order ([`Self::draw`]).
+///   MUSE sends mixed-width layouts with `k ≤ MAX_STRIKES` through
+///   [`TrialPlan::inject_distinct`] instead.
+pub(crate) struct StrikeSampler {
+    k: usize,
+    /// Per-device pattern widths.
+    widths: Vec<u32>,
+    /// The columnar scheme's distinct-pick samplers (`picks[i]` over
+    /// `n − i`) and common nonzero-pattern sampler, when it applies.
+    columns: Option<(Vec<Bounded32>, Bounded32)>,
+}
+
+impl StrikeSampler {
+    /// A sampler striking `k` of the devices whose widths `widths` lists.
+    pub fn new(widths: Vec<u32>, k: usize) -> Self {
+        let n = widths.len();
+        assert!((1..=n).contains(&k), "cannot corrupt {k} of {n} devices");
+        let uniform = widths.iter().all(|&w| w == widths[0]);
+        let columns = (k <= MAX_STRIKES && uniform).then(|| {
+            (
+                (0..k).map(|i| Bounded32::new((n - i) as u32)).collect(),
+                Bounded32::new((1u32 << widths[0]) - 1),
+            )
+        });
+        Self { k, widths, columns }
+    }
+
+    /// Whether strikes come from [`Self::fill`]ed columns rather than
+    /// [`Self::draw`].
+    pub fn is_columnar(&self) -> bool {
+        self.columns.is_some()
+    }
+
+    /// Draws one trial's strikes live, appending them to `strikes`.
+    pub fn draw(&self, rng: &mut Rng, strikes: &mut Vec<(usize, u16)>) {
+        for dev in rng.choose_k(self.widths.len(), self.k) {
+            strikes.push((dev, rng.nonzero_below(1 << self.widths[dev]) as u16));
         }
     }
-    let mut j = i;
-    while j > insert {
-        chosen[j] = chosen[j - 1];
-        j -= 1;
+
+    /// Fills one block's strike columns for `len` trials into the
+    /// per-worker buffers `cols`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`Self::is_columnar`].
+    pub fn fill<'c>(
+        &self,
+        rng: &mut Rng,
+        cols: &'c mut StrikeColumns,
+        len: usize,
+    ) -> StrikeBlock<'c> {
+        let (picks, pattern) = self.columns.as_ref().expect("columnar strike scheme");
+        let k = self.k;
+        for col in [&mut cols.picks, &mut cols.patterns] {
+            if col.len() < k * len {
+                col.resize(k * len, 0);
+            }
+        }
+        for (i, pick) in picks.iter().enumerate() {
+            pick.fill(rng, &mut cols.picks[i * len..(i + 1) * len]);
+        }
+        pattern.fill(rng, &mut cols.patterns[..k * len]);
+        StrikeBlock {
+            picks: &cols.picks[..k * len],
+            patterns: &cols.patterns[..k * len],
+            k,
+            len,
+        }
     }
-    chosen[insert] = sym;
-    sym
+}
+
+/// Per-worker strike-column buffers for [`StrikeSampler::fill`];
+/// grow-only.
+#[derive(Default)]
+pub(crate) struct StrikeColumns {
+    picks: Vec<u32>,
+    patterns: Vec<u32>,
+}
+
+/// One block's filled strike columns.
+#[derive(Clone, Copy)]
+pub(crate) struct StrikeBlock<'c> {
+    /// `k` distinct-pick columns of `len` draws, back to back.
+    picks: &'c [u32],
+    /// `k·len` pattern draws, strike-major like `picks`.
+    patterns: &'c [u32],
+    k: usize,
+    len: usize,
+}
+
+impl StrikeBlock<'_> {
+    /// Resolves trial `t`'s strikes into `out`, returning them:
+    /// `(device, nonzero pattern)` in draw order.
+    #[inline]
+    pub fn strikes<'s>(
+        &self,
+        t: usize,
+        out: &'s mut [(usize, u16); MAX_STRIKES],
+    ) -> &'s [(usize, u16)] {
+        let mut chosen = [0usize; MAX_STRIKES];
+        for (i, strike) in out[..self.k].iter_mut().enumerate() {
+            let dev = place_distinct(&mut chosen, i, self.picks[i * self.len + t] as usize);
+            *strike = (dev, 1 + self.patterns[i * self.len + t] as u16);
+        }
+        &out[..self.k]
+    }
 }
 
 /// Fixed-capacity record of one columnar-replay trial — the MSED hot path
 /// for strike counts other than 2.
 ///
 /// Unlike a [`MuseClassifier`](muse_core::MuseClassifier) (whose content
-/// cache lives in per-symbol vectors), an inline trial keeps its strikes in
-/// small fixed arrays that stay in registers when the record is a
+/// cache lives in per-symbol vectors), an inline trial keeps its contents
+/// in small fixed arrays that stay in registers when the record is a
 /// non-escaping local, so consecutive trials share no memory traffic and
 /// the CPU overlaps their table lookups. Capacity is [`MAX_STRIKES`]
 /// simultaneous device failures; larger experiments take the Vec-based
 /// content path.
 #[derive(Default)]
 pub(crate) struct InlineTrial {
-    /// `(symbol, pattern)` per strike.
-    strikes: [(usize, u16); MAX_STRIKES],
     /// Stored content per strike.
     contents: [u16; MAX_STRIKES],
-    len: usize,
     /// Content drawn for a correction target outside the strikes.
     extra: Option<(usize, u16)>,
     /// The trial's check value, drawn on first use.
@@ -205,13 +292,17 @@ pub(crate) struct InlineTrial {
 }
 
 impl InlineTrial {
-    /// The observations of the last trial, in
+    /// The observations of the last trial (which struck `strikes`), in
     /// [`MuseClassifier::observed`](muse_core::MuseClassifier::observed)
     /// form, for reference reconstruction.
     #[cfg(test)]
-    pub fn observed(&self, n_sym: usize) -> (Vec<Option<u16>>, Option<u64>) {
+    pub fn observed(
+        &self,
+        strikes: &[(usize, u16)],
+        n_sym: usize,
+    ) -> (Vec<Option<u16>>, Option<u64>) {
         let mut observed = vec![None; n_sym];
-        for (&(s, _), &c) in self.strikes().iter().zip(&self.contents) {
+        for (&(s, _), &c) in strikes.iter().zip(&self.contents) {
             observed[s] = Some(c);
         }
         if let Some((s, c)) = self.extra {
@@ -219,17 +310,11 @@ impl InlineTrial {
         }
         (observed, self.x)
     }
-
-    /// The `(symbol, pattern)` strikes of the last trial.
-    #[cfg(test)]
-    pub fn strikes(&self) -> &[(usize, u16)] {
-        &self.strikes[..self.len]
-    }
 }
 
-/// Runs one content-space MSED trial from pre-drawn columns: `draws[i]` is
-/// the `i`-th strike's `(distinct-symbol draw, final nonzero pattern, raw
-/// content bits)`. The check value and an outside-strike correction
+/// Runs one content-space MSED trial on resolved `strikes` (distinct
+/// `(symbol, nonzero pattern)` pairs); `raw(i)` gives strike `i`'s raw
+/// content bits. The check value and an outside-strike correction
 /// target's content are drawn live, on first use, and the read ends in
 /// [`SyndromeKernel::finish_read`].
 ///
@@ -242,34 +327,24 @@ pub(crate) fn msed_inline_trial(
     x_pick: Bounded32,
     rng: &mut Rng,
     trial: &mut InlineTrial,
-    draws: &[(u32, u16, u16)],
+    strikes: &[(usize, u16)],
+    raw: impl Fn(usize) -> u16,
 ) -> ReadOutcome {
     assert!(
-        draws.len() <= MAX_STRIKES,
+        strikes.len() <= MAX_STRIKES,
         "at most {MAX_STRIKES} simultaneous device failures on the fast path"
     );
-    let InlineTrial {
-        strikes,
-        contents,
-        len,
-        extra,
-        x,
-    } = trial;
-    *len = draws.len();
+    let InlineTrial { contents, extra, x } = trial;
     *extra = None;
     *x = None;
-    let mut chosen = [0usize; MAX_STRIKES];
     let mut rem = 0u64;
-    for (i, &(sym_draw, pattern, raw)) in draws.iter().enumerate() {
-        let sym = place_distinct(&mut chosen, i, sym_draw as usize);
-        let content = kernel.content_from_raw(sym, raw, || {
+    for (i, &(sym, pattern)) in strikes.iter().enumerate() {
+        let content = kernel.content_from_raw(sym, raw(i), || {
             *x.get_or_insert_with(|| x_pick.sample(rng) as u64)
         });
         rem = kernel.add_mod(rem, kernel.flip_delta(sym, content, pattern));
-        strikes[i] = (sym, pattern);
         contents[i] = content;
     }
-    let strikes = &strikes[..draws.len()];
     kernel.finish_read(rem, strikes, |symbol| {
         match strikes.iter().position(|&(s, _)| s == symbol) {
             Some(i) => contents[i],
@@ -285,27 +360,17 @@ pub(crate) fn msed_inline_trial(
     })
 }
 
-/// One double-strike MSED trial from the k = 2 fully-columnar draw scheme,
-/// with *no* live randomness: every observation is pre-drawn in bulk —
-///
-/// * `quad ∈ [0, n(n−1)·(2^w−1)²)` — one quad-packed bounded draw carrying
-///   both distinct symbols *and* both nonzero patterns. The symbol pair is
-///   `quad mod n(n−1)` (first strike `· / (n−1)`, second `· mod (n−1)`
-///   adjusted past it — a uniform ordered pair of distinct symbols); the
-///   pattern pair is `quad / n(n−1)`, split by `2^w−1` and offset by 1
-///   (uniform width `w` only, and only while the product fits `u32`);
-/// * `cnt` — two raw 16-bit contents, strike 0 in the low half;
-/// * `x ∈ [0, m)` — the trial's check value, drawn unconditionally (the
-///   lazy per-trial draw would serialize the stream behind a data-dependent
-///   branch; an unused uniform draw biases nothing);
-/// * `extra` — raw content bits for a correction target outside the
-///   strikes, likewise drawn unconditionally and usually unused.
+/// One double-strike MSED trial from the k = 2 fully-columnar draw
+/// columns (the scheme is spelled out on
+/// [`LaneKernel::run_block`](crate::lanes::LaneKernel::run_block)),
+/// decoded with hardware divisions and classified one trial at a time:
+/// the draw-for-draw scalar oracle the lane kernel is proven bit-identical
+/// to.
 ///
 /// Returns the outcome plus the outside-strike correction target's
 /// `(symbol, content)` when one was consulted (for reference
-/// reconstruction in tests). This is the draw-for-draw scalar oracle the
-/// lane kernel (`lanes.rs`) is proven bit-identical to.
-#[inline]
+/// reconstruction).
+#[cfg(test)]
 pub(crate) fn msed_trial_k2_cols(
     kernel: &SyndromeKernel,
     quad: u32,
@@ -610,42 +675,43 @@ mod tests {
     }
 
     /// The inline (columnar-replay) MSED path against the wide decoder:
-    /// same reconstruction as `sampled_trials_match_wide_decoder`, driving
-    /// `msed_inline_trial` the way `muse_msed`'s hot loop does.
+    /// same reconstruction as `sampled_trials_match_wide_decoder`, drawing
+    /// strikes through a one-trial [`StrikeSampler`] block and classifying
+    /// them with `msed_inline_trial` the way `muse_msed`'s hot loop does.
     #[test]
     fn inline_trials_match_wide_decoder() {
         for code in preset_codes() {
             let Some(kernel) = code.kernel() else {
                 continue;
             };
-            let plan = TrialPlan::new(kernel, 3);
-            let Some(uniform) = plan.uniform_pattern() else {
-                continue;
-            };
+            let n = kernel.num_symbols();
+            let widths: Vec<u32> = (0..n).map(|s| kernel.symbol_bits(s)).collect();
+            let samplers: Vec<StrikeSampler> = (1..=3)
+                .map(|k| StrikeSampler::new(widths.clone(), k))
+                .collect();
+            let x_pick = Bounded32::new(kernel.modulus() as u32);
+            let mut cols = StrikeColumns::default();
             let mut trial = InlineTrial::default();
             let mut rng = Rng::seeded(0x1221);
             let mut reconstructed = 0u32;
             for t in 0..400 {
                 let k = 1 + (t % 3);
-                let mut draws = [(0u32, 0u16, 0u16); 8];
-                for (i, draw) in draws[..k].iter_mut().enumerate() {
-                    *draw = (
-                        plan.pick(i).sample(&mut rng),
-                        1 + uniform.sample(&mut rng) as u16,
-                        rng.next_u64() as u16,
-                    );
-                }
+                let mut strikes = [(0, 0); MAX_STRIKES];
+                let strikes = samplers[k - 1]
+                    .fill(&mut rng, &mut cols, 1)
+                    .strikes(0, &mut strikes);
+                let raws: Vec<u16> = strikes.iter().map(|_| rng.next_u64() as u16).collect();
                 let fast =
-                    msed_inline_trial(kernel, plan.x_pick(), &mut rng, &mut trial, &draws[..k]);
+                    msed_inline_trial(kernel, x_pick, &mut rng, &mut trial, strikes, |i| raws[i]);
 
-                let (observed, x) = trial.observed(kernel.num_symbols());
+                let (observed, x) = trial.observed(strikes, n);
                 let Some(cw) = reconstruct(&code, &observed, x) else {
                     continue;
                 };
                 reconstructed += 1;
                 let payload = code.payload_of(&cw);
                 let mut corrupted = cw;
-                for &(sym, pattern) in trial.strikes() {
+                for &(sym, pattern) in strikes {
                     code.symbol_map()
                         .apply_xor_pattern(&mut corrupted, sym, pattern as u64);
                 }
@@ -659,6 +725,61 @@ mod tests {
         }
     }
 
+    /// `place_distinct` lands on the `v`-th index outside the chosen set,
+    /// for every draw of a full pick sequence.
+    #[test]
+    fn place_distinct_picks_the_vth_unchosen_index() {
+        let n = 12;
+        let mut rng = Rng::seeded(0xD157);
+        for _ in 0..2_000 {
+            let mut chosen = [0usize; MAX_STRIKES];
+            let mut taken = vec![false; n];
+            for i in 0..MAX_STRIKES {
+                let v = rng.below((n - i) as u64) as usize;
+                let expect = (0..n).filter(|&s| !taken[s]).nth(v).expect("v < n − i");
+                assert_eq!(place_distinct(&mut chosen, i, v), expect);
+                taken[expect] = true;
+            }
+        }
+    }
+
+    /// Both strike schemes draw distinct devices with nonzero patterns
+    /// inside each device's width.
+    #[test]
+    fn strike_sampler_draws_distinct_nonzero_strikes() {
+        let mut rng = Rng::seeded(0x57_21CE);
+        let mut cols = StrikeColumns::default();
+        let mut live = Vec::new();
+        for (widths, k) in [(vec![4u32; 36], 3), (vec![8; 10], 8), (vec![4; 36], 12)] {
+            let sampler = StrikeSampler::new(widths.clone(), k);
+            assert_eq!(sampler.is_columnar(), k <= MAX_STRIKES);
+            for _ in 0..50 {
+                let strikes = if sampler.is_columnar() {
+                    let mut out = [(0, 0); MAX_STRIKES];
+                    sampler
+                        .fill(&mut rng, &mut cols, 1)
+                        .strikes(0, &mut out)
+                        .to_vec()
+                } else {
+                    live.clear();
+                    sampler.draw(&mut rng, &mut live);
+                    live.clone()
+                };
+                let mut devs: Vec<usize> = strikes.iter().map(|&(d, _)| d).collect();
+                for &(d, p) in &strikes {
+                    assert!(p != 0 && u32::from(p) < 1 << widths[d], "{strikes:?}");
+                }
+                devs.sort_unstable();
+                devs.dedup();
+                assert_eq!(devs.len(), k, "distinct devices: {strikes:?}");
+            }
+        }
+        assert!(
+            !StrikeSampler::new(vec![4, 8, 4], 2).is_columnar(),
+            "mixed widths draw live"
+        );
+    }
+
     /// The fully-columnar k = 2 trial against the wide decoder: sample the
     /// four pre-drawn columns the way `muse_msed` fills them, reconstruct a
     /// codeword consistent with every observation, and compare outcomes —
@@ -669,11 +790,10 @@ mod tests {
             let Some(kernel) = code.kernel() else {
                 continue;
             };
-            let plan = TrialPlan::new(kernel, 2);
-            if plan.uniform_pattern().is_none() {
-                continue;
-            }
             let n = kernel.num_symbols() as u32;
+            if (1..n as usize).any(|s| kernel.symbol_bits(s) != kernel.symbol_bits(0)) {
+                continue; // the scheme needs one symbol width
+            }
             let pb = (1u32 << kernel.symbol_bits(0)) - 1;
             let bound = n as u64 * (n - 1) as u64 * pb as u64 * pb as u64;
             if bound > u32::MAX as u64 {

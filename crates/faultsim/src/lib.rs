@@ -105,8 +105,6 @@ pub(crate) fn require_kernel<'a>(
 pub use fit::{
     measure_mode, measure_mode_threaded, project_fit, FailureMode, FitProjection, ModeOutcome,
 };
-#[doc(hidden)]
-pub use msed::muse_msed_scalar;
 pub use msed::{muse_msed, random_payload, rs_msed, MsedConfig, MsedStats, Outcome, RsDetectMode};
 pub use ondie::{simulate_stack, simulate_stack_threaded, OndieStats, Stack};
 pub use retention::{

@@ -11,17 +11,25 @@
 //! residue-syndrome kernel: no codeword is ever built — a trial draws the
 //! contents of the symbols it corrupts, accumulates the syndrome with
 //! per-symbol table lookups, and finishes like every MUSE read in
-//! [`SyndromeKernel::finish_read`]. The dominant `k = 2` case is
-//! fully columnar: each engine block pre-fills four flat draw columns —
-//! one *quad* draw packing both distinct symbol indices and both nonzero
-//! patterns into a single bounded integer, two raw contents, an
-//! unconditional check value, and an outside-strike correction content —
-//! so a trial's outcome is a pure function of its column entries with no
-//! live PRNG in the hot loop. On uniform affine layouts those columns
-//! feed the structure-of-arrays lane kernel ([`crate::lanes`]); everywhere
-//! else a scalar walk consumes the *same* columns, so the stream — and
-//! therefore every tally — is identical on both paths and bit-identical
-//! at any `threads` setting.
+//! [`SyndromeKernel::finish_read`]. [`muse_msed`] picks one of three
+//! routes:
+//!
+//! * **k = 2, one symbol width** (every preset): fully columnar — each
+//!   engine block pre-fills four flat draw columns (one *quad* draw packing
+//!   both distinct symbol indices and both nonzero patterns into a single
+//!   bounded integer, two raw contents, an unconditional check value, and
+//!   an outside-strike correction content), and the structure-of-arrays
+//!   lane kernel ([`crate::lanes`]) classifies the block with no live PRNG
+//!   in the hot loop;
+//! * **other k up to `MAX_STRIKES`**: per-strike columns from the shared
+//!   strike sampler, one trial at a time, with the check value drawn
+//!   lazily in trial order;
+//! * **k past `MAX_STRIKES`, or mixed widths**: the generic
+//!   [`MuseClassifier`] loop.
+//!
+//! Every route draws from per-block streams, so tallies are bit-identical
+//! at any `threads` setting. [`rs_msed`] draws its device strikes through
+//! the same sampler as the per-strike MUSE route.
 
 use muse_core::{MuseClassifier, MuseCode, ReadOutcome, SyndromeKernel, Word};
 use muse_rs::RsMemoryCode;
@@ -30,9 +38,9 @@ use muse_rs::RsMemoryDecoded;
 
 use crate::engine::{SimEngine, Tally};
 use crate::fastpath::{
-    self, msed_inline_trial, msed_trial_k2_cols, place_distinct, InlineTrial, TrialPlan,
+    self, msed_inline_trial, InlineTrial, StrikeColumns, StrikeSampler, TrialPlan,
 };
-use crate::lanes::{LaneBuffers, LaneKernel};
+use crate::lanes::{self, LaneBuffers, LaneKernel};
 use crate::rng::Bounded32;
 use crate::Rng;
 
@@ -154,24 +162,6 @@ impl Default for MsedConfig {
 /// assert!(stats.detection_rate() > 75.0 && stats.detection_rate() < 95.0);
 /// ```
 pub fn muse_msed(code: &MuseCode, config: MsedConfig) -> MsedStats {
-    route_muse_msed(code, config, true)
-}
-
-/// [`muse_msed`] with the lane kernel switched off: every route runs its
-/// draw-for-draw scalar form — the lane kernel's bit-exactness oracle. Not
-/// part of the public API; exposed for the `lane_equivalence` integration
-/// suite (and anyone auditing the lane kernel), which asserts `muse_msed ==
-/// muse_msed_scalar` tally-for-tally on every preset, trial count, and
-/// thread count.
-#[doc(hidden)]
-pub fn muse_msed_scalar(code: &MuseCode, config: MsedConfig) -> MsedStats {
-    route_muse_msed(code, config, false)
-}
-
-/// The one MSED route decision. `lanes` lets the k = 2 columnar route use
-/// the lane kernel where the layout allows; the draw stream, and so every
-/// tally, is the same either way.
-fn route_muse_msed(code: &MuseCode, config: MsedConfig, lanes: bool) -> MsedStats {
     let kernel = crate::require_kernel(code, "MSED");
     let k = config.failing_devices;
     let n_sym = kernel.num_symbols();
@@ -179,33 +169,21 @@ fn route_muse_msed(code: &MuseCode, config: MsedConfig, lanes: bool) -> MsedStat
         (1..=n_sym).contains(&k),
         "cannot corrupt {k} of {n_sym} devices: failing_devices must be in 1..={n_sym}"
     );
-    if k > fastpath::MAX_STRIKES {
-        // Beyond the fixed-capacity inline arrays: draws go through the
-        // Vec-based distinct sampler instead of the columnar fills.
-        return muse_msed_generic(kernel, config, |strikes, rng| {
-            for sym in rng.choose_k(n_sym, k) {
-                let pattern = rng.nonzero_below(1 << kernel.symbol_bits(sym)) as u16;
-                strikes.push((sym, pattern));
-            }
+    let sampler = StrikeSampler::new((0..n_sym).map(|s| kernel.symbol_bits(s)).collect(), k);
+    if !sampler.is_columnar() {
+        // Beyond the fixed-capacity arrays, or mixed symbol widths
+        // (patterns cannot be column-filled ahead of the symbol draw).
+        let plan = (k <= fastpath::MAX_STRIKES).then(|| TrialPlan::new(kernel, k));
+        return muse_msed_generic(kernel, config, |strikes, rng| match &plan {
+            Some(plan) => plan.inject_distinct(strikes, rng, k),
+            None => sampler.draw(rng, strikes),
         });
     }
-    let plan = TrialPlan::new(kernel, k);
-    let Some(uniform_pattern) = plan.uniform_pattern() else {
-        // Mixed symbol widths: patterns cannot be column-filled ahead of
-        // the symbol draw.
-        return muse_msed_generic(kernel, config, |strikes, rng| {
-            plan.inject_distinct(strikes, rng, k)
-        });
-    };
-    if k == 2 {
-        if let Some(quad_bound) = k2_quad_bound(kernel) {
-            // The canonical double-symbol experiment: the fully-columnar
-            // quad-packed draw scheme, lane-kernel accelerated where the
-            // layout allows.
-            return muse_msed_columnar_k2(kernel, quad_bound, config, lanes);
-        }
+    if k == 2 && lanes::quad_bound(kernel).is_some() {
+        muse_msed_lanes(kernel, config)
+    } else {
+        muse_msed_columnar(kernel, &sampler, config)
     }
-    muse_msed_columnar_scalar(kernel, &plan, uniform_pattern, k, config)
 }
 
 /// The generic content-space route: `inject` pushes one trial's strikes,
@@ -232,32 +210,15 @@ fn muse_msed_generic(
     )
 }
 
-/// The k = 2 quad-draw bound `n(n−1)·(2^w−1)²` when it fits a `u32` — the
-/// applicability gate of the fully-columnar scheme. `None` (a geometry far
-/// past any real preset) sends k = 2 down the generic per-strike columnar
-/// path instead.
-fn k2_quad_bound(kernel: &SyndromeKernel) -> Option<u32> {
-    let n = kernel.num_symbols() as u64;
-    let pb = (1u64 << kernel.symbol_bits(0)) - 1;
-    u32::try_from(n * (n - 1) * pb * pb).ok()
-}
-
-/// The k = 2 columnar path: four bulk-filled draw columns per engine block
-/// (see [`msed_trial_k2_cols`] for the scheme), classified by the lane
-/// kernel when `lanes` is set and the layout supports it — otherwise by the
-/// draw-for-draw scalar oracle. Both consume the same fills and no live
-/// randomness, so the draw stream — and therefore every tally — is
-/// identical either way, at any thread count.
-fn muse_msed_columnar_k2(
-    kernel: &SyndromeKernel,
-    quad_bound: u32,
-    config: MsedConfig,
-    lanes: bool,
-) -> MsedStats {
+/// The k = 2 route: four bulk-filled draw columns per engine block (see
+/// [`LaneKernel::run_block`] for the scheme), classified by the lane
+/// kernel. The columns hold every draw, so tallies are bit-identical at
+/// any thread count.
+fn muse_msed_lanes(kernel: &SyndromeKernel, config: MsedConfig) -> MsedStats {
     const BLOCK: usize = SimEngine::TRIAL_BLOCK as usize;
-    let quad_pick = Bounded32::new(quad_bound);
-    let x_pick = Bounded32::new(u32::try_from(kernel.modulus()).expect("kernel moduli fit u32"));
-    let lanes = if lanes { LaneKernel::new(kernel) } else { None };
+    let lanes = LaneKernel::new(kernel);
+    let quad_pick = Bounded32::new(lanes.quad_bound);
+    let x_pick = x_sampler(kernel);
     SimEngine::new(config.threads).run_blocked(
         config.seed,
         config.trials,
@@ -277,31 +238,22 @@ fn muse_msed_columnar_k2(
             rng.fill_u32s(cnt_col);
             x_pick.fill(rng, x_col);
             rng.fill_u32s(extra_col);
-            match &lanes {
-                Some(lanes) => lanes.run_block(
-                    buf,
-                    len,
-                    quad_col,
-                    cnt_col,
-                    x_col,
-                    extra_col,
-                    |outcome, count| stats.record_many(outcome_of(outcome), count),
-                ),
-                None => {
-                    for t in 0..len {
-                        let (outcome, _) = msed_trial_k2_cols(
-                            kernel,
-                            quad_col[t],
-                            cnt_col[t],
-                            x_col[t] as u64,
-                            extra_col[t],
-                        );
-                        stats.record(outcome_of(outcome));
-                    }
-                }
-            }
+            lanes.run_block(
+                buf,
+                len,
+                quad_col,
+                cnt_col,
+                x_col,
+                extra_col,
+                |outcome, count| stats.record_many(outcome_of(outcome), count),
+            );
         },
     )
+}
+
+/// The check-value sampler, uniform over `[0, m)`.
+fn x_sampler(kernel: &SyndromeKernel) -> Bounded32 {
+    Bounded32::new(u32::try_from(kernel.modulus()).expect("kernel moduli fit u32"))
 }
 
 /// Maps a read outcome onto the MSED tally class. The decoder reads a zero
@@ -317,55 +269,40 @@ fn outcome_of(outcome: ReadOutcome) -> Outcome {
     }
 }
 
-/// The scalar columnar path for strike counts other than 2: per-strike
-/// column fills consumed one trial at a time through
-/// [`msed_inline_trial`], with lazily drawn check values. (The k = 2 hot
-/// path uses the pair-packed fully-columnar scheme in
-/// [`muse_msed_columnar_k2`] instead.)
-fn muse_msed_columnar_scalar(
+/// The per-strike columnar route, for strike counts other than 2 (and
+/// k = 2 past the quad bound): the sampler's strike columns plus one raw
+/// content column, consumed one trial at a time through
+/// [`msed_inline_trial`] with lazily drawn check values.
+fn muse_msed_columnar(
     kernel: &SyndromeKernel,
-    plan: &TrialPlan,
-    uniform_pattern: Bounded32,
-    k: usize,
+    sampler: &StrikeSampler,
     config: MsedConfig,
 ) -> MsedStats {
-    const BLOCK: usize = SimEngine::TRIAL_BLOCK as usize;
+    let k = config.failing_devices;
+    let x_pick = x_sampler(kernel);
     let content16 = Bounded32::new(1 << 16);
     SimEngine::new(config.threads).run_blocked(
         config.seed,
         config.trials,
-        || {
-            (
-                vec![0u32; k * BLOCK],
-                vec![0u32; k * BLOCK],
-                vec![0u32; k * BLOCK],
-            )
-        },
-        |range, rng, (sym_col, pat_col, cnt_col), stats: &mut MsedStats| {
+        || (StrikeColumns::default(), Vec::new()),
+        |range, rng, (cols, cnt_col), stats: &mut MsedStats| {
             let len = (range.end - range.start) as usize;
-            for i in 0..k {
-                plan.pick(i).fill(rng, &mut sym_col[i * len..(i + 1) * len]);
-            }
-            uniform_pattern.fill(rng, &mut pat_col[..k * len]);
-            content16.fill(rng, &mut cnt_col[..k * len]);
-            let mut draws = [(0u32, 0u16, 0u16); fastpath::MAX_STRIKES];
+            let block = sampler.fill(rng, cols, len);
+            cnt_col.resize(k * len, 0);
+            content16.fill(rng, cnt_col);
+            let cnt_col = &cnt_col[..];
             for t in 0..len {
-                for (i, draw) in draws[..k].iter_mut().enumerate() {
-                    *draw = (
-                        sym_col[i * len + t],
-                        1 + pat_col[i * len + t] as u16,
-                        cnt_col[i * len + t] as u16,
-                    );
-                }
-                // A fresh trial record per trial: local and non-escaping,
-                // so its stores stay in registers.
+                // Fresh per-trial records: local and non-escaping, so their
+                // stores stay in registers.
+                let mut strikes = [(0, 0); fastpath::MAX_STRIKES];
                 let mut trial = InlineTrial::default();
                 stats.record(outcome_of(msed_inline_trial(
                     kernel,
-                    plan.x_pick(),
+                    x_pick,
                     rng,
                     &mut trial,
-                    &draws[..k],
+                    block.strikes(t, &mut strikes),
+                    |i| cnt_col[i * len + t] as u16,
                 )));
             }
         },
@@ -408,16 +345,17 @@ pub fn rs_msed(
     mode: RsDetectMode,
     config: MsedConfig,
 ) -> MsedStats {
-    let n_devices = (code.n_bits() / device_bits) as usize;
     let ctx = RsFastMsed::new(code, device_bits, mode);
+    let n_devices = ctx.n_devices;
     let k = config.failing_devices;
     assert!(
         (1..=n_devices).contains(&k),
         "cannot corrupt {k} of {n_devices} devices: failing_devices must be in 1..={n_devices}"
     );
-    if k > fastpath::MAX_STRIKES {
-        // Beyond the fixed-capacity arrays: Vec-based distinct sampling,
-        // same error-domain classification backend.
+    let sampler = StrikeSampler::new(vec![device_bits; n_devices], k);
+    if !sampler.is_columnar() {
+        // Beyond the fixed-capacity arrays: live draws into a Vec, same
+        // error-domain classification backend.
         return SimEngine::new(config.threads).run_blocked(
             config.seed,
             config.trials,
@@ -425,9 +363,7 @@ pub fn rs_msed(
             |range, rng, (strikes, errors), stats: &mut MsedStats| {
                 for _ in range {
                     strikes.clear();
-                    for dev in rng.choose_k(n_devices, k) {
-                        strikes.push((dev, rng.nonzero_below(1 << device_bits) as u16));
-                    }
+                    sampler.draw(rng, strikes);
                     errors.clear();
                     ctx.fold_into(strikes, errors);
                     stats.record(ctx.classify_errors(rng, errors).0);
@@ -435,33 +371,20 @@ pub fn rs_msed(
             },
         );
     }
-    // Structure-of-arrays draws, like the MUSE fast path: whole columns of
-    // device picks and patterns fill per 1024-trial block, and the live
-    // block RNG is touched per trial only by the rare shortened-top
-    // content check inside `classify_errors`.
-    let picks: Vec<Bounded32> = (0..k)
-        .map(|i| Bounded32::new((ctx.n_devices - i) as u32))
-        .collect();
-    let pattern_pick = Bounded32::new((1u32 << device_bits) - 1);
-    const BLOCK: usize = SimEngine::TRIAL_BLOCK as usize;
+    // Structure-of-arrays draws, like the MUSE fast path: whole strike
+    // columns fill per 1024-trial block, and the live block RNG is touched
+    // per trial only by the rare shortened-top content check inside
+    // `classify_errors`.
     SimEngine::new(config.threads).run_blocked(
         config.seed,
         config.trials,
-        || (vec![0u32; k * BLOCK], vec![0u32; k * BLOCK]),
-        |range, rng, (dev_col, pat_col), stats: &mut MsedStats| {
+        StrikeColumns::default,
+        |range, rng, cols, stats: &mut MsedStats| {
             let len = (range.end - range.start) as usize;
-            for (i, pick) in picks.iter().enumerate() {
-                pick.fill(rng, &mut dev_col[i * len..(i + 1) * len]);
-            }
-            pattern_pick.fill(rng, &mut pat_col[..k * len]);
+            let block = sampler.fill(rng, cols, len);
+            let mut strikes = [(0, 0); fastpath::MAX_STRIKES];
             for t in 0..len {
-                let mut chosen = [0usize; fastpath::MAX_STRIKES];
-                let mut strikes = [(0usize, 0u16); fastpath::MAX_STRIKES];
-                for (i, strike) in strikes[..k].iter_mut().enumerate() {
-                    let dev = place_distinct(&mut chosen, i, dev_col[i * len + t] as usize);
-                    *strike = (dev, 1 + pat_col[i * len + t] as u16);
-                }
-                stats.record(ctx.classify(rng, &strikes[..k]).0);
+                stats.record(ctx.classify(rng, block.strikes(t, &mut strikes)).0);
             }
         },
     )

@@ -238,8 +238,13 @@ pub fn simulate_attacks(
 /// ELC transition) instead of a wide encode/decode, and the read-back
 /// payload is reassembled from the flip/correction deltas alone. Draw
 /// order, outcomes, and tallies are bit-identical to the wide pipeline,
-/// which survives as the fallback for kernel-less codes (pinned by
+/// which survives as a test oracle (pinned by
 /// `fast_attacks_match_wide_pipeline` below).
+///
+/// # Panics
+///
+/// Panics if the code has fewer than 5 spare bits per word or carries no
+/// syndrome kernel.
 pub fn simulate_attacks_threaded(
     code: &MuseCode,
     hasher: &LineHasher,
@@ -249,9 +254,7 @@ pub fn simulate_attacks_threaded(
     threads: usize,
 ) -> AttackStats {
     assert!(code.spare_bits() >= 5, "need 5 spare bits per word");
-    let Some(kernel) = code.kernel() else {
-        return simulate_attacks_wide(code, hasher, flips, trials, seed, threads);
-    };
+    let kernel = crate::require_kernel(code, "rowhammer");
     let n_bits = code.n_bits();
     SimEngine::new(threads).run_with(
         seed,
@@ -381,8 +384,9 @@ fn classify_line_fast(
 }
 
 /// The wide-word reference pipeline: encode the line, flip storage bits,
-/// decode through [`HashedLine::verify`]. The fallback for kernel-less
-/// codes and the property-tested oracle for the residue-space path.
+/// decode through [`HashedLine::verify`] — the oracle for the
+/// residue-space path.
+#[cfg(test)]
 fn simulate_attacks_wide(
     code: &MuseCode,
     hasher: &LineHasher,
@@ -472,14 +476,12 @@ mod tests {
     #[test]
     fn fast_attacks_match_wide_pipeline() {
         // The residue-space ECC step must reproduce the wide pipeline's
-        // tallies exactly: same seed, kernel on vs kernel dropped.
-        let mut wide_code = presets::muse_80_69();
-        wide_code.disable_syndrome_kernel();
-        let fast_code = presets::muse_80_69();
+        // tallies exactly: same seed, same draws.
+        let code = presets::muse_80_69();
         let hasher = LineHasher::new(0xFA57, 0x31DE);
         for (flips, seed) in [(1usize, 7u64), (4, 8), (9, 9), (23, 10)] {
-            let fast = simulate_attacks(&fast_code, &hasher, flips, 300, seed);
-            let wide = simulate_attacks(&wide_code, &hasher, flips, 300, seed);
+            let fast = simulate_attacks(&code, &hasher, flips, 300, seed);
+            let wide = simulate_attacks_wide(&code, &hasher, flips, 300, seed, 0);
             assert_eq!(
                 (
                     fast.blocked_by_ecc,

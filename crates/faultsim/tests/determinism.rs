@@ -55,11 +55,11 @@ fn msed_identical_with_auto_threads() {
 
 #[test]
 fn msed_lane_path_identical_across_thread_counts() {
-    // The k = 2 lane kernel consumes
-    // pre-filled per-block draw columns, so worker count must never show:
-    // exercise a non-multiple-of-block trial count (4 blocks + 904-trial
-    // tail) on a lane-eligible preset and on the interleaved layout that
-    // falls back to the scalar oracle.
+    // The k = 2 lane kernel consumes pre-filled per-block draw columns,
+    // so worker count must never show: exercise a non-multiple-of-block
+    // trial count (4 blocks + 904-trial tail) on MUSE(144,132), on the
+    // Eq. 6 layout of MUSE(80,70) and on the interleaved Eq. 5 layout of
+    // MUSE(80,67).
     for code in [
         presets::muse_144_132(),
         presets::muse_80_70(),

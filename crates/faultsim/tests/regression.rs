@@ -12,10 +12,10 @@
 //! MSED path moved to the fully-columnar quad-packed draw scheme for the
 //! lane kernel — see CHANGES.md.)
 
-use muse_core::presets;
+use muse_core::{presets, MuseCode};
 use muse_faultsim::{
     measure_mode_threaded, muse_msed, simulate_retention_threaded, simulate_stack_threaded,
-    FailureMode, MsedConfig, RetentionModel, Rng, Stack,
+    FailureMode, MsedConfig, MsedStats, RetentionModel, Rng, Stack,
 };
 
 #[test]
@@ -93,6 +93,132 @@ fn msed_tally_pin_muse_80_69() {
         (80.0..90.0).contains(&rate),
         "rate {rate} left the plausible band"
     );
+}
+
+/// A preset and its `(failing_devices, trials, tally)` pins.
+type MsedPins = (fn() -> MuseCode, &'static [(usize, u64, [u64; 4])]);
+
+/// Exact `muse_msed` tallies `[detected, corrected, miscorrected, silent]`
+/// at the default seed, per preset and `(failing_devices, trials)`: every
+/// preset on every MSED route it takes (k = 2 on the lane kernel, k = 1
+/// and 3 on the per-strike columnar route), at one trial, one whole
+/// engine block, and two blocks plus a 452-trial tail. Captured before
+/// MUSE(80,67) k = 2 moved from a scalar walk onto the lane kernel, so
+/// they prove every route draws and classifies bit-identically.
+const MSED_PINS: &[MsedPins] = &[
+    (
+        presets::muse_144_132,
+        &[
+            (1, 1, [0, 1, 0, 0]),
+            (1, 1024, [0, 1024, 0, 0]),
+            (1, 2500, [0, 2500, 0, 0]),
+            (2, 1, [1, 0, 0, 0]),
+            (2, 1024, [890, 0, 134, 0]),
+            (2, 2500, [2150, 0, 350, 0]),
+            (3, 1, [0, 0, 1, 0]),
+            (3, 1024, [875, 0, 149, 0]),
+            (3, 2500, [2157, 0, 342, 1]),
+        ],
+    ),
+    (
+        presets::muse_144_128,
+        &[
+            (1, 1, [0, 1, 0, 0]),
+            (1, 1024, [0, 1024, 0, 0]),
+            (1, 2500, [0, 2500, 0, 0]),
+            (2, 1, [1, 0, 0, 0]),
+            (2, 1024, [1008, 0, 16, 0]),
+            (2, 2500, [2462, 0, 38, 0]),
+            (3, 1, [1, 0, 0, 0]),
+            (3, 1024, [1015, 0, 9, 0]),
+            (3, 2500, [2473, 0, 27, 0]),
+        ],
+    ),
+    (
+        presets::muse_80_67,
+        &[
+            (1, 1, [1, 0, 0, 0]),
+            (1, 1024, [900, 91, 33, 0]),
+            (1, 2500, [2208, 226, 66, 0]),
+            (2, 1, [1, 0, 0, 0]),
+            (2, 1024, [969, 0, 55, 0]),
+            (2, 2500, [2384, 0, 116, 0]),
+            (3, 1, [0, 0, 1, 0]),
+            (3, 1024, [975, 0, 48, 1]),
+            (3, 2500, [2385, 0, 114, 1]),
+        ],
+    ),
+    (
+        presets::muse_80_69,
+        &[
+            (1, 1, [0, 1, 0, 0]),
+            (1, 1024, [0, 1024, 0, 0]),
+            (1, 2500, [0, 2500, 0, 0]),
+            (2, 1, [1, 0, 0, 0]),
+            (2, 1024, [865, 0, 159, 0]),
+            (2, 2500, [2117, 0, 383, 0]),
+            (3, 1, [1, 0, 0, 0]),
+            (3, 1024, [862, 0, 158, 4]),
+            (3, 2500, [2104, 0, 391, 5]),
+        ],
+    ),
+    (
+        presets::muse_80_70,
+        &[
+            (1, 1, [0, 0, 1, 0]),
+            (1, 1024, [518, 408, 98, 0]),
+            (1, 2500, [1316, 979, 205, 0]),
+            (2, 1, [1, 0, 0, 0]),
+            (2, 1024, [872, 0, 151, 1]),
+            (2, 2500, [2122, 0, 377, 1]),
+            (3, 1, [1, 0, 0, 0]),
+            (3, 1024, [898, 0, 126, 0]),
+            (3, 2500, [2140, 0, 359, 1]),
+        ],
+    ),
+    (
+        presets::muse_268_256,
+        &[
+            (1, 1, [0, 1, 0, 0]),
+            (1, 1024, [0, 1024, 0, 0]),
+            (1, 2500, [0, 2500, 0, 0]),
+            (2, 1, [1, 0, 0, 0]),
+            (2, 1024, [703, 0, 321, 0]),
+            (2, 2500, [1743, 0, 757, 0]),
+            (3, 1, [1, 0, 0, 0]),
+            (3, 1024, [753, 0, 271, 0]),
+            (3, 2500, [1821, 0, 679, 0]),
+        ],
+    ),
+];
+
+#[test]
+fn msed_tally_pins_every_preset_and_route() {
+    for &(preset, pins) in MSED_PINS {
+        let code = preset();
+        for &(k, trials, [detected, corrected, miscorrected, silent]) in pins {
+            let want = MsedStats {
+                detected,
+                corrected,
+                miscorrected,
+                silent,
+            };
+            for threads in [1, 3] {
+                let config = MsedConfig {
+                    failing_devices: k,
+                    trials,
+                    threads,
+                    ..MsedConfig::default()
+                };
+                assert_eq!(
+                    muse_msed(&code, config),
+                    want,
+                    "{} k={k} trials={trials} threads={threads}",
+                    code.name()
+                );
+            }
+        }
+    }
 }
 
 // The three content-space simulators outside MSED, pinned exactly: each

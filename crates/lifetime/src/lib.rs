@@ -463,6 +463,36 @@ impl Tally for LifetimeTally {
     }
 }
 
+impl LifetimeTally {
+    /// The `(DUE, SDC)` rate estimates of this tally over `dimms` DIMMs
+    /// and `machine_years` under `estimator`: Poisson intervals for naive
+    /// runs, across-DIMM CLT intervals for importance-sampling runs. The
+    /// final report and the live heartbeat both price rates here.
+    pub(crate) fn rate_estimates(
+        &self,
+        estimator: Estimator,
+        dimms: u64,
+        machine_years: f64,
+    ) -> (RateEstimate, RateEstimate) {
+        let due_events = self.due_words + self.data_loss_events;
+        match estimator {
+            Estimator::Naive => (
+                RateEstimate::from_count(due_events, machine_years),
+                RateEstimate::from_count(self.sdc_words, machine_years),
+            ),
+            Estimator::Importance { .. } => (
+                RateEstimate::from_weighted(due_events, self.due_weighted, dimms, machine_years),
+                RateEstimate::from_weighted(
+                    self.sdc_words,
+                    self.sdc_weighted,
+                    dimms,
+                    machine_years,
+                ),
+            ),
+        }
+    }
+}
+
 /// One fleet run, reduced to machine-year rates.
 #[derive(Debug, Clone)]
 pub struct LifetimeReport {
@@ -508,17 +538,7 @@ impl LifetimeReport {
         t: LifetimeTally,
     ) -> Self {
         let my = config.machine_years();
-        let due_events = t.due_words + t.data_loss_events;
-        let (due_estimate, sdc_estimate) = match config.estimator {
-            Estimator::Naive => (
-                RateEstimate::from_count(due_events, my),
-                RateEstimate::from_count(t.sdc_words, my),
-            ),
-            Estimator::Importance { .. } => (
-                RateEstimate::from_weighted(due_events, t.due_weighted, config.dimms, my),
-                RateEstimate::from_weighted(t.sdc_words, t.sdc_weighted, config.dimms, my),
-            ),
-        };
+        let (due_estimate, sdc_estimate) = t.rate_estimates(config.estimator, config.dimms, my);
         Self {
             code: code.name(),
             environment: env.name.to_string(),

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use muse_telemetry::{Counter, Gauge, Histogram, Metrics, ProgressSnapshot, Tracer};
 
 use crate::estimator::EXTRA_P_CAP;
-use crate::{Estimator, FleetConfig, LifetimeTally, RateEstimate};
+use crate::{Estimator, FleetConfig, LifetimeTally};
 
 /// Callback invoked with one warning line (shard retry, corruption
 /// fallback).
@@ -228,22 +228,7 @@ pub(crate) fn ci_half_widths(
     if machine_years <= 0.0 {
         return (f64::INFINITY, f64::INFINITY);
     }
-    let due_events = tally.due_words + tally.data_loss_events;
-    let (due, sdc) = match config.estimator {
-        Estimator::Naive => (
-            RateEstimate::from_count(due_events, machine_years),
-            RateEstimate::from_count(tally.sdc_words, machine_years),
-        ),
-        Estimator::Importance { .. } => (
-            RateEstimate::from_weighted(due_events, tally.due_weighted, dimms_done, machine_years),
-            RateEstimate::from_weighted(
-                tally.sdc_words,
-                tally.sdc_weighted,
-                dimms_done,
-                machine_years,
-            ),
-        ),
-    };
+    let (due, sdc) = tally.rate_estimates(config.estimator, dimms_done, machine_years);
     ((due.hi - due.lo) / 2.0, (sdc.hi - sdc.lo) / 2.0)
 }
 
@@ -306,6 +291,42 @@ mod tests {
         // Zero coverage: no estimate yet.
         let (due, _) = ci_half_widths(&config, &tally, 0);
         assert!(due.is_infinite());
+    }
+
+    /// At full coverage the heartbeat's half-widths are the final
+    /// report's `(hi − lo) / 2`, under both estimators.
+    #[test]
+    fn ci_half_widths_match_the_report_at_full_coverage() {
+        let code = crate::FleetCode::muse(muse_core::presets::muse_144_132());
+        let env = crate::transient_dominant();
+        let mut weighted = crate::WeightedCount::default();
+        for w in [0.5, 2.0, 0.25] {
+            weighted.push(w);
+        }
+        let tally = LifetimeTally {
+            due_words: 40,
+            data_loss_events: 3,
+            sdc_words: 4,
+            due_weighted: weighted,
+            sdc_weighted: weighted,
+            ..LifetimeTally::default()
+        };
+        for estimator in [Estimator::Naive, Estimator::importance(16.0)] {
+            let config = FleetConfig {
+                dimms: 1000,
+                years: 2.0,
+                dimms_per_machine: 4,
+                estimator,
+                ..FleetConfig::default()
+            };
+            let report = crate::LifetimeReport::from_tally(&code, &env, &config, tally);
+            let half = |r: crate::RateEstimate| (r.hi - r.lo) / 2.0;
+            assert_eq!(
+                ci_half_widths(&config, &tally, config.dimms),
+                (half(report.due_estimate), half(report.sdc_estimate)),
+                "{estimator:?}"
+            );
+        }
     }
 
     #[test]

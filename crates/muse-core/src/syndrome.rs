@@ -500,24 +500,6 @@ impl SyndromeKernel {
         self.syms[sym].check_mask != 0
     }
 
-    /// When `sym`'s check-region sources form one contiguous run — content
-    /// bits `ibase..ibase+nbits` mirroring check-value bits
-    /// `cbase..cbase+nbits` — returns `(cbase, ibase, nbits)`, so
-    /// [`Self::apply_check_bits`] collapses to a single shift-and-mask:
-    /// `vp | (((x >> cbase) & ((1 << nbits) - 1)) << ibase)`. Symbols with
-    /// no check bits report `(0, 0, 0)`. `None` for scattered sources
-    /// (shuffled maps), where only the per-bit gather is exact.
-    pub fn check_span(&self, sym: usize) -> Option<(u8, u8, u8)> {
-        let src = &self.check_sources[sym];
-        let Some(&(i0, c0)) = src.first() else {
-            return Some((0, 0, 0));
-        };
-        src.iter()
-            .enumerate()
-            .all(|(j, &(i, c))| i == i0 + j as u8 && c == c0 + j as u8)
-            .then_some((c0, i0, src.len() as u8))
-    }
-
     /// Modular addition in `[0, m)`.
     #[inline]
     pub fn add_mod(&self, a: u64, b: u64) -> u64 {

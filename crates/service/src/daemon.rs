@@ -11,8 +11,8 @@ use std::sync::Arc;
 
 use muse_lifetime::telemetry::WarnFn;
 use muse_lifetime::{
-    cell_label, run_sharded_with, FaultPlan, FleetTelemetry, LifetimeReport, LifetimeTally,
-    RunStats, RunnerConfig, ShardedOutcome,
+    cell_label, run_sharded_with, write_durable, FaultPlan, FleetTelemetry, LifetimeReport,
+    LifetimeTally, RunStats, RunnerConfig, ShardedOutcome,
 };
 use muse_telemetry::{parse_object, Counter, Gauge, JsonBuilder, Metrics, Tracer};
 
@@ -65,12 +65,6 @@ fn jobs_in(dir: &Path) -> std::io::Result<Vec<String>> {
     // Deterministic claim order regardless of readdir order.
     ids.sort();
     Ok(ids)
-}
-
-fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path)
 }
 
 impl Spool {
@@ -130,7 +124,14 @@ impl Spool {
         if queued.exists() || self.active_dir().join(format!("{id}.job")).exists() {
             return Ok((id, false));
         }
-        write_atomic(&queued, &spec.to_json()).map_err(|e| format!("submit {id}: {e}"))?;
+        write_durable(
+            &queued.with_extension("tmp"),
+            &queued,
+            spec.to_json().as_bytes(),
+            None,
+            0,
+        )
+        .map_err(|e| format!("submit {id}: {e}"))?;
         Ok((id, true))
     }
 
@@ -575,7 +576,8 @@ fn run_job(
     let fail = |error: String| {
         telemetry.warn(&format!("job {id} failed: {error}"));
         let _ = std::fs::rename(&active, spool.failed_dir().join(format!("{id}.job")));
-        let _ = write_atomic(&spool.failed_dir().join(format!("{id}.err")), &error);
+        let err = spool.failed_dir().join(format!("{id}.err"));
+        let _ = write_durable(&err.with_extension("tmp"), &err, error.as_bytes(), None, 0);
         if let Some(ins) = instruments {
             ins.jobs_failed.inc();
         }
@@ -609,10 +611,15 @@ fn run_job(
     let finish = |tally: LifetimeTally, cache_hit: bool, stats: &RunStats| {
         let report = LifetimeReport::from_tally(&code, &env, &fleet_config, tally);
         let result = JobResult::new(id, &report, cache_hit, stats);
-        if let Err(e) = write_atomic(
-            &spool.done_dir().join(format!("{id}.result")),
-            &result.to_json(),
-        ) {
+        let done = spool.done_dir().join(format!("{id}.result"));
+        let written = write_durable(
+            &done.with_extension("tmp"),
+            &done,
+            result.to_json().as_bytes(),
+            None,
+            0,
+        );
+        if let Err(e) = written {
             return fail(format!("writing result: {e}"));
         }
         let _ = std::fs::remove_file(&active);

@@ -22,10 +22,12 @@
 //!
 //! where `<id>` is the 16-hex [`config_hash`](muse_lifetime::config_hash)
 //! of the resolved job — submission is idempotent and deduplication is
-//! structural. Claims are single `rename`s (atomic on POSIX), results
-//! are written temp-then-rename, and every startup *adopts* whatever a
-//! previous process left in `active/` by renaming it back to `queue/`:
-//! recovery and normal startup are the same code path. A drained or
+//! structural. Claims are single `rename`s (atomic on POSIX); queued
+//! specs, results and error texts are written temp-then-`fsync`-then-rename
+//! through [`write_durable`](muse_lifetime::write_durable), so a power loss
+//! never leaves an empty result behind a removed job; and every startup
+//! *adopts* whatever a previous process left in `active/` by renaming it
+//! back to `queue/`: recovery and normal startup are the same code path. A drained or
 //! killed daemon therefore never needs a shutdown protocol to preserve
 //! state — the state was never anywhere volatile to begin with.
 //!
@@ -42,9 +44,9 @@
 //!
 //! # Chaos coverage
 //!
-//! Checkpoints and cache records both commit through
-//! [`write_durable`](muse_lifetime::write_durable), which threads an
-//! [`IoFaultPlan`](muse_lifetime::IoFaultPlan); `tests/chaos.rs` sweeps
+//! Checkpoints and cache records commit through the same `write_durable`,
+//! which threads an [`IoFaultPlan`](muse_lifetime::IoFaultPlan) (the
+//! spool's own files pass none); `tests/chaos.rs` sweeps
 //! injected kills, shard hangs (watchdog), ENOSPC, torn writes, rename
 //! and fsync failures, cache-record corruption, and failing/blocked
 //! telemetry sinks, asserting the invariant the whole crate is built
