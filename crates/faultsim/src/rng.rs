@@ -292,12 +292,20 @@ pub struct CountCdf {
     /// raw draw below `thresholds[i]` but not `thresholds[i-1]` samples
     /// count `i`. Trailing counts of cumulative ≈ 1 are truncated.
     thresholds: Vec<u64>,
+    /// The count a raw draw at or above every threshold samples:
+    /// `thresholds.len()` ("more than listed") for a truncated CDF, or the
+    /// largest count with nonzero probability when the CDF reached 1
+    /// exactly (its threshold saturated at `u64::MAX`, so only the raw
+    /// `u64::MAX` itself lands here).
+    overflow: u32,
 }
 
 impl CountCdf {
     /// Builds a sampler from cumulative probabilities
     /// `cum[i] = P(count ≤ i)` (non-decreasing, in `[0, 1]`). Draws beyond
-    /// the last entry sample `cum.len()` ("more than listed").
+    /// the last entry sample `cum.len()` ("more than listed") — unless the
+    /// cumulative reaches exactly 1, in which case every draw samples a
+    /// count of nonzero probability.
     ///
     /// # Panics
     ///
@@ -315,11 +323,19 @@ impl CountCdf {
                 scaled as u64
             });
         }
-        Self { thresholds }
+        let overflow = thresholds
+            .iter()
+            .position(|&t| t == u64::MAX)
+            .unwrap_or(thresholds.len()) as u32;
+        Self {
+            thresholds,
+            overflow,
+        }
     }
 
     /// Builds the CDF of `Binomial(n, p)`, truncated once the cumulative
     /// mass is within `2⁻⁶⁴` of 1 (the truncated tail is unsampleable).
+    /// Every sample lies in `0..=n`.
     ///
     /// # Panics
     ///
@@ -345,6 +361,12 @@ impl CountCdf {
             pmf *= (n - k) as f64 / (k + 1) as f64 * odds;
             total += pmf;
         }
+        if cum.len() == n as usize + 1 {
+            // The whole support is listed: the CDF is complete, whatever
+            // rounding left in the running total, so no draw may sample
+            // past `n`.
+            cum[n as usize] = 1.0;
+        }
         Self::from_cumulative(&cum)
     }
 
@@ -356,11 +378,17 @@ impl CountCdf {
                 return i as u32;
             }
         }
-        self.thresholds.len() as u32
+        self.overflow
     }
 
     /// `P(count = 0)` in the sampler's quantized arithmetic, as a raw-draw
-    /// threshold (a draw below this samples zero).
+    /// threshold.
+    ///
+    /// The contract is one-way: `raw < zero_threshold()` implies
+    /// `sample(raw) == 0`, so a caller may screen out zero-count draws
+    /// with one compare. The converse can fail at the saturated edge —
+    /// `Binomial(n, 0)` has threshold `u64::MAX` yet samples zero for the
+    /// raw `u64::MAX` too.
     pub fn zero_threshold(&self) -> u64 {
         self.thresholds.first().copied().unwrap_or(0)
     }
@@ -586,16 +614,41 @@ mod tests {
         let zero = CountCdf::binomial(136, 0.0);
         assert_eq!(zero.sample(0), 0);
         assert_eq!(zero.sample(u64::MAX - 1), 0);
+        assert_eq!(zero.sample(u64::MAX), 0);
         assert_eq!(zero.zero_threshold(), u64::MAX);
-        // p = 1: always n faults.
+        // p = 1: always n faults, the top raw included.
         let one = CountCdf::binomial(5, 1.0);
         assert_eq!(one.sample(0), 5);
+        assert_eq!(one.sample(u64::MAX), 5);
         assert_eq!(one.zero_threshold(), 0);
-        // Explicit three-way split.
+        // A CDF that reaches 1 before its last entry clamps to the last
+        // count with nonzero probability.
+        let early = CountCdf::from_cumulative(&[0.5, 1.0, 1.0]);
+        assert_eq!(early.sample(u64::MAX - 1), 1);
+        assert_eq!(early.sample(u64::MAX), 1);
+        // Explicit three-way split: a truncated tail still samples "more
+        // than listed".
         let tri = CountCdf::from_cumulative(&[0.25, 0.75]);
         assert_eq!(tri.sample(0), 0);
         assert_eq!(tri.sample(1 << 63), 1);
         assert_eq!(tri.sample(u64::MAX), 2);
+    }
+
+    #[test]
+    fn count_cdf_stays_in_support() {
+        // Every binomial sample lies in 0..=n, whatever the raw draw.
+        for n in [1u32, 5, 18, 36, 136] {
+            for p in [0.0, 1e-9, 1e-3, 0.3, 0.5, 0.999, 1.0] {
+                let cdf = CountCdf::binomial(n, p);
+                for raw in [0, 1, 1 << 63, u64::MAX - 1, u64::MAX] {
+                    assert!(cdf.sample(raw) <= n, "Binomial({n}, {p}) at {raw:#x}");
+                }
+                let t = cdf.zero_threshold();
+                if t > 0 {
+                    assert_eq!(cdf.sample(t - 1), 0, "Binomial({n}, {p})");
+                }
+            }
+        }
     }
 
     #[test]

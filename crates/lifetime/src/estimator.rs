@@ -230,7 +230,8 @@ pub fn binomial_pmf(n: u32, p: f64) -> Vec<f64> {
 /// vanishes (no bias-stream draws, all ratios exactly 1.0).
 #[derive(Debug, Clone)]
 pub struct BiasedCount {
-    extra: Option<CountCdf>,
+    /// The extra-arrival sampler; `None` when the inflation is inactive.
+    pub(crate) extra: Option<CountCdf>,
     lr: Vec<f64>,
 }
 
@@ -285,6 +286,13 @@ impl BiasedCount {
             Some(cdf) => cdf.sample(bias_rng.next_u64()),
             None => 0,
         }
+    }
+
+    /// The extra sampler's raw-draw zero threshold
+    /// ([`CountCdf::zero_threshold`]), or `None` when the inflation is
+    /// inactive and [`Self::sample_extra`] draws nothing.
+    pub fn zero_threshold(&self) -> Option<u64> {
+        self.extra.as_ref().map(CountCdf::zero_threshold)
     }
 
     /// The likelihood ratio `pmf_nominal(total) / pmf_biased(total)` for

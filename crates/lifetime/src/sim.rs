@@ -33,12 +33,27 @@
 //!    unrecoverable device combination) is a data-loss event: the DIMM is
 //!    replaced and restarts fresh.
 //!
+//! ## Quiet epochs
+//!
+//! At realistic rates well under 1% of DIMM-epochs draw any arrival,
+//! and an epoch whose four counts are all zero changes nothing but the
+//! epoch tallies and, under importance sampling, the weight (by the
+//! all-zero likelihood ratio). The walk therefore screens each chunk of
+//! up to 64 epochs first: a branch-free column pass draws only the
+//! arrival raws of every epoch in the chunk and compares each with its
+//! sampler's zero threshold ([`CountCdf::zero_threshold`]), yielding a
+//! 64-bit loud mask. Quiet epochs then cost a few adds and a multiply;
+//! only loud ones run the full epoch step.
+//!
 //! # Determinism
 //!
 //! Epoch `e` of DIMM `d` draws exclusively from
 //! [`Rng::for_cell`]`(seed, d, e)`; per-DIMM tallies merge in DIMM order.
 //! Results are bit-identical at any thread count
-//! (`tests/determinism.rs`).
+//! (`tests/determinism.rs`). The quiet-epoch screen draws nothing that
+//! the epoch step would not — it reads the same arrival raws off its own
+//! copy of each epoch's streams — and a loud epoch re-derives its streams
+//! from scratch, so screening changes no draw.
 //!
 //! # Importance sampling
 //!
@@ -72,6 +87,9 @@ pub(crate) struct Plan {
     cdf_multi: CountCdf,
     cdf_whole: CountCdf,
     cdf_trans: CountCdf,
+    /// Zero thresholds of the four arrival samplers above, in draw order:
+    /// the quiet-epoch screen.
+    zero_main: [u64; 4],
     device_pick: Bounded32,
     words: f64,
     row_words: u32,
@@ -93,6 +111,31 @@ struct BiasPlan {
     single: BiasedCount,
     multi: BiasedCount,
     whole: BiasedCount,
+    /// Zero thresholds of the *active* extra-arrival samplers, in
+    /// bias-stream draw order (inactive channels draw nothing).
+    zero_extra: Vec<u64>,
+    /// The weight factor of an epoch with four zero counts — the
+    /// product `epoch_step` multiplies in, in the same order.
+    lr0: f64,
+}
+
+impl BiasPlan {
+    fn new(devices: u32, [p_single, p_multi, p_whole]: [f64; 3], factor: f64) -> Self {
+        let single = BiasedCount::new(devices, p_single, factor);
+        let multi = BiasedCount::new(devices, p_multi, factor);
+        let whole = BiasedCount::new(devices, p_whole, factor);
+        Self {
+            factor,
+            zero_extra: [&single, &multi, &whole]
+                .iter()
+                .filter_map(|c| c.zero_threshold())
+                .collect(),
+            lr0: single.likelihood(0) * multi.likelihood(0) * whole.likelihood(0),
+            single,
+            multi,
+            whole,
+        }
+    }
 }
 
 impl Plan {
@@ -100,15 +143,21 @@ impl Plan {
         let devices = code.devices() as u32;
         let hours = config.scrub_interval_hours;
         let [(_, p_single), (_, p_multi), (_, p_whole)] = arrival_probabilities(env, config);
+        let cdf_single = CountCdf::binomial(devices, p_single);
+        let cdf_multi = CountCdf::binomial(devices, p_multi);
+        let cdf_whole = CountCdf::binomial(devices, p_whole);
+        let cdf_trans = CountCdf::binomial(
+            devices,
+            (env.transient_fit_per_device * hours / 1e9).min(1.0),
+        );
         Self {
             epochs: config.epochs(),
-            cdf_single: CountCdf::binomial(devices, p_single),
-            cdf_multi: CountCdf::binomial(devices, p_multi),
-            cdf_whole: CountCdf::binomial(devices, p_whole),
-            cdf_trans: CountCdf::binomial(
-                devices,
-                (env.transient_fit_per_device * hours / 1e9).min(1.0),
-            ),
+            zero_main: [&cdf_single, &cdf_multi, &cdf_whole, &cdf_trans]
+                .map(CountCdf::zero_threshold),
+            cdf_single,
+            cdf_multi,
+            cdf_whole,
+            cdf_trans,
             device_pick: Bounded32::new(devices),
             words: config.words_per_dimm as f64,
             row_words: config.row_words,
@@ -116,14 +165,39 @@ impl Plan {
             asym: env.asymmetric_transients,
             bias: match config.estimator {
                 Estimator::Naive => None,
-                Estimator::Importance { bias } => Some(BiasPlan {
-                    factor: bias,
-                    single: BiasedCount::new(devices, p_single, bias),
-                    multi: BiasedCount::new(devices, p_multi, bias),
-                    whole: BiasedCount::new(devices, p_whole, bias),
-                }),
+                Estimator::Importance { bias } => {
+                    Some(BiasPlan::new(devices, [p_single, p_multi, p_whole], bias))
+                }
             },
         }
+    }
+
+    /// The loud mask of epochs `first..first + n` (`n <= 64`) of `dimm`:
+    /// bit `i` is set when epoch `first + i` draws a nonzero arrival
+    /// count on either stream. Draws exactly the arrival raws
+    /// [`epoch_step`] draws first, off freshly derived copies of the same
+    /// streams, and compares each with its sampler's zero threshold —
+    /// no branch on the draws, so consecutive epochs' stream derivations
+    /// overlap in the pipeline.
+    fn loud_mask(&self, seed: u64, dimm: u64, first: u64, n: u64) -> u64 {
+        let zero_extra = self.bias.as_ref().map_or(&[][..], |b| &b.zero_extra);
+        let mut mask = 0u64;
+        for i in 0..n {
+            let epoch = first + i;
+            let mut rng = Rng::for_cell(seed, dimm, epoch);
+            let mut loud = false;
+            for &t in &self.zero_main {
+                loud |= rng.next_u64() >= t;
+            }
+            if !zero_extra.is_empty() {
+                let mut brng = Rng::for_bias(seed, dimm, epoch);
+                for &t in zero_extra {
+                    loud |= brng.next_u64() >= t;
+                }
+            }
+            mask |= (loud as u64) << i;
+        }
+        mask
     }
 }
 
@@ -234,6 +308,28 @@ pub(crate) fn run_fleet_range(
     config: &FleetConfig,
     range: std::ops::Range<u64>,
 ) -> LifetimeTally {
+    run_range_with(code, env, config, range, screened_walk)
+}
+
+/// One DIMM's epoch walk, from a fresh state to the end of the horizon.
+type Walk = fn(
+    &Plan,
+    &FleetConfig,
+    u64,
+    &mut Weights,
+    &mut DimmState,
+    &mut FleetBackend<'_>,
+    &mut LifetimeTally,
+);
+
+/// Runs `walk` over the DIMMs of `range` on the engine's workers.
+fn run_range_with(
+    code: &FleetCode,
+    env: &Environment,
+    config: &FleetConfig,
+    range: std::ops::Range<u64>,
+    walk: Walk,
+) -> LifetimeTally {
     let plan = Plan::new(code, env, config);
     // Validate the starting erased set once, up front (fails fast instead
     // of panicking inside a worker).
@@ -246,29 +342,8 @@ pub(crate) fn run_fleet_range(
             let dimm = range.start + local;
             let mut state = DimmState::fresh(backend, config);
             let mut ws = Weights::fresh();
-            let biased = plan.bias.is_some();
-            for epoch in 0..plan.epochs {
-                // The determinism contract: epoch e of DIMM d draws only
-                // from this stream (plus its domain-separated bias
-                // companion), regardless of worker assignment.
-                let mut rng = Rng::for_cell(config.seed, dimm, epoch);
-                let mut bias_rng = if biased {
-                    Some(Rng::for_bias(config.seed, dimm, epoch))
-                } else {
-                    None
-                };
-                epoch_step(
-                    &plan,
-                    config,
-                    &mut rng,
-                    bias_rng.as_mut(),
-                    &mut ws,
-                    &mut state,
-                    backend,
-                    tally,
-                );
-            }
-            if biased {
+            walk(&plan, config, dimm, &mut ws, &mut state, backend, tally);
+            if plan.bias.is_some() {
                 // Quantize the per-DIMM f64 totals once, in DIMM order:
                 // fixed-point addition is associative, so the merged
                 // fleet sums are partition-invariant.
@@ -278,6 +353,82 @@ pub(crate) fn run_fleet_range(
             }
         },
     )
+}
+
+/// The fleet walk: screens each chunk of up to 64 epochs with
+/// [`Plan::loud_mask`], runs [`epoch_step`] on the loud epochs only, and
+/// does a quiet epoch's bookkeeping inline.
+fn screened_walk(
+    plan: &Plan,
+    config: &FleetConfig,
+    dimm: u64,
+    ws: &mut Weights,
+    state: &mut DimmState,
+    backend: &mut FleetBackend<'_>,
+    tally: &mut LifetimeTally,
+) {
+    let lr0 = plan.bias.as_ref().map(|b| b.lr0);
+    let mut first = 0;
+    while first < plan.epochs {
+        let n = (plan.epochs - first).min(64);
+        let loud = plan.loud_mask(config.seed, dimm, first, n);
+        for i in 0..n {
+            if loud >> i & 1 != 0 {
+                step(plan, config, dimm, first + i, ws, state, backend, tally);
+            } else {
+                // Four zero counts: `epoch_step` would count the epoch
+                // and multiply in the all-zero likelihood ratio, nothing
+                // else.
+                count_epoch(state, tally);
+                if let Some(lr0) = lr0 {
+                    ws.w *= lr0;
+                }
+            }
+        }
+        first += n;
+    }
+}
+
+/// Derives epoch `epoch`'s streams and runs [`epoch_step`] on them.
+#[allow(clippy::too_many_arguments)]
+fn step(
+    plan: &Plan,
+    config: &FleetConfig,
+    dimm: u64,
+    epoch: u64,
+    ws: &mut Weights,
+    state: &mut DimmState,
+    backend: &mut FleetBackend<'_>,
+    tally: &mut LifetimeTally,
+) {
+    // The determinism contract: epoch e of DIMM d draws only from this
+    // stream (plus its domain-separated bias companion), regardless of
+    // worker assignment.
+    let mut rng = Rng::for_cell(config.seed, dimm, epoch);
+    let mut bias_rng = plan
+        .bias
+        .is_some()
+        .then(|| Rng::for_bias(config.seed, dimm, epoch));
+    epoch_step(
+        plan,
+        config,
+        &mut rng,
+        bias_rng.as_mut(),
+        ws,
+        state,
+        backend,
+        tally,
+    );
+}
+
+/// Counts one epoch (and whether it ran degraded); returns the latter.
+fn count_epoch(state: &DimmState, tally: &mut LifetimeTally) -> bool {
+    tally.epochs += 1;
+    let degraded = !state.erased.is_empty();
+    if degraded {
+        tally.degraded_epochs += 1;
+    }
+    degraded
 }
 
 /// Draws one collision decision: the plain `chance(p)` under the naive
@@ -309,11 +460,7 @@ fn epoch_step(
     backend: &mut FleetBackend<'_>,
     tally: &mut LifetimeTally,
 ) {
-    tally.epochs += 1;
-    let degraded = !state.erased.is_empty();
-    if degraded {
-        tally.degraded_epochs += 1;
-    }
+    let degraded = count_epoch(state, tally);
     let boost = plan.bias.as_ref().map(|b| b.factor);
 
     // 1. Arrival counts: one raw draw each, through the exact binomial
@@ -521,6 +668,208 @@ fn epoch_step(
             tally.dimm_replacements += 1;
             *state = DimmState::fresh(backend, config);
             break;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{all_environments, scenario_codes, smoke_setup};
+
+    /// The unscreened reference walk: every epoch through [`epoch_step`].
+    fn per_epoch_walk(
+        plan: &Plan,
+        config: &FleetConfig,
+        dimm: u64,
+        ws: &mut Weights,
+        state: &mut DimmState,
+        backend: &mut FleetBackend<'_>,
+        tally: &mut LifetimeTally,
+    ) {
+        for epoch in 0..plan.epochs {
+            step(plan, config, dimm, epoch, ws, state, backend, tally);
+        }
+    }
+
+    /// Runs `config` through the screened walk and the reference walk,
+    /// asserts the two tallies are bitwise equal (weighted sums
+    /// included), and returns the tally.
+    fn assert_screen_matches(
+        code: &FleetCode,
+        env: &Environment,
+        config: &FleetConfig,
+    ) -> LifetimeTally {
+        let range = 0..config.dimms;
+        let screened = run_range_with(code, env, config, range.clone(), screened_walk);
+        let oracle = run_range_with(code, env, config, range, per_epoch_walk);
+        assert_eq!(
+            screened,
+            oracle,
+            "{} / {} / {:?}",
+            code.name(),
+            env.name,
+            config.estimator
+        );
+        assert_eq!(oracle.epochs, config.dimms * config.epochs());
+        oracle
+    }
+
+    const ESTIMATORS: [Estimator; 3] = [
+        Estimator::Naive,
+        Estimator::Importance { bias: 16.0 },
+        Estimator::Importance { bias: 1.0 },
+    ];
+
+    /// Every environment × scenario code × estimator at `dimms` DIMMs
+    /// over `years`, starting with `initial_failed_devices` retired.
+    fn assert_matrix(dimms: u64, years: f64, initial_failed_devices: u32) {
+        for env in all_environments() {
+            for code in scenario_codes() {
+                for estimator in ESTIMATORS {
+                    let config = FleetConfig {
+                        dimms,
+                        years,
+                        initial_failed_devices,
+                        threads: 1,
+                        estimator,
+                        ..FleetConfig::default()
+                    };
+                    assert_ne!(config.epochs() % 64, 0, "want a partial last chunk");
+                    assert_screen_matches(&code, &env, &config);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn screen_matches_per_epoch_walk_on_the_matrix() {
+        assert_matrix(4, 2.0, 0);
+    }
+
+    #[test]
+    fn screen_matches_when_degraded_from_epoch_zero() {
+        assert_matrix(2, 1.0, 1);
+    }
+
+    #[test]
+    #[ignore = "deep variant: 512 DIMMs x 5 years over the full matrix (release build)"]
+    fn screen_matches_per_epoch_walk_deep() {
+        assert_matrix(512, 5.0, 0);
+    }
+
+    #[test]
+    fn screen_matches_on_the_smoke_config() {
+        // Many loud epochs: every DIMM starts degraded and faults arrive
+        // at elevated rates.
+        let (env, smoke) = smoke_setup();
+        for code in scenario_codes() {
+            for estimator in ESTIMATORS {
+                let config = FleetConfig { estimator, ..smoke };
+                let tally = assert_screen_matches(&code, &env, &config);
+                assert!(tally.erasure_reads > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn screen_matches_across_data_loss_replacements() {
+        // Whole-device failures on about a third of the epochs, no
+        // spares: data-loss replacements land inside chunks (63 of every
+        // 64 epochs are not a chunk's last), and the fresh DIMM's
+        // bookkeeping must carry on from there.
+        let env = Environment {
+            name: "data-loss",
+            transient_fit_per_device: 2.0e5,
+            permanent_scale: [2.0, 2.0, 2.0e5],
+            asymmetric_transients: false,
+        };
+        for code in scenario_codes() {
+            for estimator in ESTIMATORS {
+                let config = FleetConfig {
+                    dimms: 4,
+                    years: 0.5,
+                    initial_failed_devices: 1,
+                    threads: 1,
+                    estimator,
+                    ..FleetConfig::default()
+                };
+                let tally = assert_screen_matches(&code, &env, &config);
+                assert!(tally.dimm_replacements >= 8, "{tally:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn screen_matches_when_every_epoch_is_loud() {
+        // A transient rate with p = 1: its zero threshold is 0, so the
+        // screen passes every epoch to `epoch_step`.
+        let env = Environment {
+            name: "saturated",
+            transient_fit_per_device: 1e12,
+            permanent_scale: [1.0, 1.0, 1.0],
+            asymmetric_transients: false,
+        };
+        for code in scenario_codes() {
+            for estimator in ESTIMATORS {
+                let config = FleetConfig {
+                    dimms: 2,
+                    years: 0.1,
+                    threads: 1,
+                    estimator,
+                    ..FleetConfig::default()
+                };
+                assert_eq!(Plan::new(&code, &env, &config).zero_main[3], 0);
+                assert_screen_matches(&code, &env, &config);
+            }
+        }
+    }
+
+    /// The screen's contract on one sampler: a raw below the zero
+    /// threshold samples zero, and (short of saturation) the threshold
+    /// itself does not.
+    fn assert_zero_threshold_exact(cdf: &CountCdf, what: &str) {
+        let t = cdf.zero_threshold();
+        if t > 0 {
+            assert_eq!(cdf.sample(0), 0, "{what}");
+            assert_eq!(cdf.sample(t - 1), 0, "{what}");
+        }
+        if t < u64::MAX {
+            assert_ne!(cdf.sample(t), 0, "{what}");
+        }
+    }
+
+    #[test]
+    fn zero_thresholds_hold_on_every_plan_binomial() {
+        let (smoke_env, smoke) = smoke_setup();
+        let mut envs = all_environments();
+        envs.push(smoke_env);
+        for env in &envs {
+            for code in scenario_codes() {
+                for estimator in ESTIMATORS {
+                    for base in [FleetConfig::default(), smoke] {
+                        let config = FleetConfig { estimator, ..base };
+                        let plan = Plan::new(&code, env, &config);
+                        let what = format!("{} / {} / {estimator:?}", code.name(), env.name);
+                        let mut cdfs = vec![
+                            &plan.cdf_single,
+                            &plan.cdf_multi,
+                            &plan.cdf_whole,
+                            &plan.cdf_trans,
+                        ];
+                        if let Some(bp) = &plan.bias {
+                            cdfs.extend(
+                                [&bp.single, &bp.multi, &bp.whole]
+                                    .into_iter()
+                                    .filter_map(|c| c.extra.as_ref()),
+                            );
+                        }
+                        for cdf in cdfs {
+                            assert_zero_threshold_exact(cdf, &what);
+                        }
+                    }
+                }
+            }
         }
     }
 }
