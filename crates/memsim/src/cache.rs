@@ -22,7 +22,7 @@ impl CacheAccess {
 }
 
 /// Hit/miss counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Demand hits.
     pub hits: u64,

@@ -81,7 +81,7 @@ impl EccLatency {
 }
 
 /// Operation counters.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Read bursts serviced.
     pub reads: u64,

@@ -16,6 +16,18 @@
 //! * [`System`] — in-order 1-IPC CPU (gem5 `TimingSimpleCPU`-like) wiring
 //!   the levels together, with [`TagStorage`] controlling where memory-
 //!   tagging metadata lives.
+//! * Two stages per access: stage 1 is the L1 lookup, and stage 2 is
+//!   everything below L1 (L2, L3, DRAM, tag fetches, prefetches).
+//!   [`System::run`] pipelines them across two threads: the op generator
+//!   and L1 run on a scoped producer thread, which sends each L1 miss
+//!   (with the cycles elapsed since the previous one) through a FIFO in
+//!   batches of [`PIPELINE_BATCH`], while the calling thread runs stage 2.
+//!   The split is exact: in this blocking in-order model, cache contents
+//!   depend only on the order of accesses, and nothing in L1 reads the
+//!   cycle count or the levels below it (no back-invalidation, no
+//!   inclusion, and prefetches probe only L3). [`System::step`], and so
+//!   [`Trace::replay`], runs the same two stages back to back on one
+//!   thread, and every counter comes out bit-identical either way.
 //! * [`Workload`] — deterministic SPEC-2017-shaped access generators.
 //! * [`DramPowerModel`] — IDD-style power reporting.
 //!
@@ -32,6 +44,7 @@
 
 mod cache;
 mod dram;
+mod pipeline;
 mod power;
 mod system;
 mod trace;
@@ -39,6 +52,7 @@ mod workload;
 
 pub use cache::{Cache, CacheAccess, CacheStats, MetadataCache};
 pub use dram::{Dram, DramConfig, DramStats, EccLatency, PagePolicy};
+pub use pipeline::PIPELINE_BATCH;
 pub use power::{DramPowerModel, PowerReport};
 pub use system::{RunStats, System, SystemConfig, TagStorage};
 pub use trace::{ParseTraceError, Trace};

@@ -2,6 +2,9 @@
 //! hierarchy, DRAM, ECC interface latency, and memory-tagging metadata
 //! traffic (the gem5 substitute — DESIGN.md §3.1).
 
+use std::cell::Cell;
+
+use crate::pipeline::pipeline;
 use crate::{
     Cache, CacheAccess, CacheStats, Dram, DramConfig, DramStats, EccLatency, MetadataCache,
     Workload,
@@ -72,7 +75,7 @@ impl Default for SystemConfig {
 }
 
 /// Aggregate results of one run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunStats {
     /// Instructions executed (memory + non-memory).
     pub instructions: u64,
@@ -133,20 +136,85 @@ const LINES_PER_META: u64 = 32;
 /// i.e. 512-byte entries, each covering 256 data lines (16 kB of data).
 const META_LINES_PER_ENTRY: u64 = 8;
 
-/// The simulated system.
+/// One L1 miss, as stage 1 of a run hands it to stage 2.
+#[derive(Debug, Clone, Copy)]
+struct L1Miss {
+    /// The demand address.
+    addr: u64,
+    /// The dirty L1 victim to write back, or `addr` for none: a victim
+    /// always lies on another line than the demand that evicted it, so
+    /// `addr` is free as the marker and the event stays 24 bytes.
+    victim: u64,
+    /// Cycles since the previous miss: instruction gaps and L1 latency.
+    cycles: u64,
+}
+
+impl L1Miss {
+    fn victim(&self) -> Option<u64> {
+        (self.victim != self.addr).then_some(self.victim)
+    }
+}
+
+/// Stage 1: the L1 data cache and the counters only it advances.
+///
+/// Nothing in it depends on the cycle count or on the levels below: there
+/// is no back-invalidation and no inclusion, and the prefetcher probes
+/// only the L3. It is aligned to cache lines of its own so that, while
+/// [`System::run`] drives it from the producer thread, none of its
+/// counters shares a line with a field stage 2 writes.
 #[derive(Debug, Clone)]
-pub struct System {
+#[repr(align(128))]
+struct L1Stage {
+    cache: Cache,
+    instructions: u64,
+    /// Cycles not yet handed to stage 2.
+    cycles: u64,
+}
+
+impl L1Stage {
+    /// Advances time by the op's instruction gap and the L1 latency, then
+    /// looks the op up in L1; a miss carries the elapsed cycles along.
+    #[inline]
+    fn access(&mut self, op: crate::MemOp) -> Option<L1Miss> {
+        self.instructions += op.gap_insts + 1;
+        self.cycles += op.gap_insts + 1 + self.cache.latency();
+        match self.cache.access(op.addr, op.is_write) {
+            CacheAccess::Hit => None,
+            CacheAccess::Miss { writeback } => Some(L1Miss {
+                addr: op.addr,
+                victim: writeback.unwrap_or(op.addr),
+                cycles: std::mem::take(&mut self.cycles),
+            }),
+        }
+    }
+}
+
+/// Stage 2: every level below L1, the DRAM and the metadata traffic, and
+/// the cycle count they drive.
+#[derive(Debug, Clone)]
+struct BelowL1 {
     config: SystemConfig,
-    l1: Cache,
     l2: Cache,
     l3: Cache,
     dram: Dram,
     meta_cache: Option<MetadataCache>,
     cycle: u64,
-    instructions: u64,
     metadata_dram_reads: u64,
     llc_misses: u64,
     prefetches: u64,
+}
+
+thread_local! {
+    /// Batch buffers of [`System::run`]'s pipeline, reused by every run on
+    /// the calling thread.
+    static BATCHES: Cell<Vec<Vec<L1Miss>>> = const { Cell::new(Vec::new()) };
+}
+
+/// The simulated system.
+#[derive(Debug, Clone)]
+pub struct System {
+    l1: L1Stage,
+    below: BelowL1,
 }
 
 impl System {
@@ -160,67 +228,116 @@ impl System {
             _ => None,
         };
         Self {
-            l1: Cache::new("L1D", config.l1_bytes, 8, line, config.l1_latency),
-            l2: Cache::new("L2", config.l2_bytes, 8, line, config.l2_latency),
-            l3: Cache::new("L3", config.l3_bytes, 16, line, config.l3_latency),
-            dram: Dram::new(config.dram, config.ecc),
-            meta_cache,
-            config,
-            cycle: 0,
-            instructions: 0,
-            metadata_dram_reads: 0,
-            llc_misses: 0,
-            prefetches: 0,
+            l1: L1Stage {
+                cache: Cache::new("L1D", config.l1_bytes, 8, line, config.l1_latency),
+                instructions: 0,
+                cycles: 0,
+            },
+            below: BelowL1 {
+                l2: Cache::new("L2", config.l2_bytes, 8, line, config.l2_latency),
+                l3: Cache::new("L3", config.l3_bytes, 16, line, config.l3_latency),
+                dram: Dram::new(config.dram, config.ecc),
+                meta_cache,
+                config,
+                cycle: 0,
+                metadata_dram_reads: 0,
+                llc_misses: 0,
+                prefetches: 0,
+            },
         }
     }
 
     /// Runs `mem_ops` memory operations from the workload (plus their
     /// surrounding non-memory instructions) and reports the stats.
+    ///
+    /// The run is a two-stage pipeline over the same two stages as
+    /// [`step`](Self::step). Stage 1 runs on a scoped producer thread: it
+    /// draws each op from the workload and looks it up in L1, and for each
+    /// L1 miss it sends one event (the demand address, the dirty victim,
+    /// and the cycles elapsed since the previous miss) into a FIFO. Stage
+    /// 2 runs on the calling thread: it adds those cycles and takes the
+    /// miss through L2, L3, DRAM, the tag fetch and the prefetcher.
+    ///
+    /// The split is exact. In this blocking in-order model, L1's contents
+    /// depend only on the order of accesses, and nothing in L1 reads the
+    /// cycle count or the levels below it. The FIFO keeps the order, so
+    /// every counter is bit-identical to running the ops one by one
+    /// through [`step`](Self::step).
+    ///
+    /// # Panics
+    ///
+    /// A panic in either stage stops both and is resumed on the caller.
     pub fn run(&mut self, workload: &mut Workload, mem_ops: u64) -> RunStats {
-        for _ in 0..mem_ops {
-            self.step(workload.next_op());
-        }
+        let Self { l1, below } = self;
+        let mut batches = BATCHES.take();
+        pipeline(
+            &mut batches,
+            |misses| {
+                // A copy on this thread's stack keeps the generator's state
+                // off the cache lines stage 2 writes.
+                let mut stream = workload.clone();
+                for _ in 0..mem_ops {
+                    if let Some(miss) = l1.access(stream.next_op()) {
+                        misses.send(miss);
+                    }
+                }
+                *workload = stream;
+            },
+            |miss| below.below_l1(miss),
+        );
+        BATCHES.set(batches);
+        self.settle();
         self.stats()
     }
 
     /// Executes a single externally supplied memory operation (the
     /// trace-replay entry point): advances time by the op's instruction
-    /// gap, then performs the access.
+    /// gap, then performs the access. It runs [`run`](Self::run)'s two
+    /// stages back to back on the calling thread.
     pub fn step(&mut self, op: crate::MemOp) {
-        self.cycle += op.gap_insts + 1;
-        self.instructions += op.gap_insts + 1;
-        self.access(op.addr, op.is_write);
+        if let Some(miss) = self.l1.access(op) {
+            self.below.below_l1(&miss);
+        }
+        self.settle();
+    }
+
+    /// Hands stage 2 the cycles of L1 hits since the last miss.
+    fn settle(&mut self) {
+        self.below.cycle += std::mem::take(&mut self.l1.cycles);
     }
 
     /// Stats snapshot.
     pub fn stats(&self) -> RunStats {
+        let below = &self.below;
         RunStats {
-            instructions: self.instructions,
-            cycles: self.cycle,
-            dram: self.dram.stats(),
-            metadata_dram_reads: self.metadata_dram_reads,
-            metadata_cache_hits: self.meta_cache.as_ref().map_or(0, |m| m.stats().hits),
-            llc_misses: self.llc_misses,
-            prefetches: self.prefetches,
+            instructions: self.l1.instructions,
+            cycles: below.cycle,
+            dram: below.dram.stats(),
+            metadata_dram_reads: below.metadata_dram_reads,
+            metadata_cache_hits: below.meta_cache.as_ref().map_or(0, |m| m.stats().hits),
+            llc_misses: below.llc_misses,
+            prefetches: below.prefetches,
         }
     }
 
     /// Per-level cache statistics `(L1, L2, L3)`.
     pub fn cache_stats(&self) -> (CacheStats, CacheStats, CacheStats) {
-        (self.l1.stats(), self.l2.stats(), self.l3.stats())
+        (
+            self.l1.cache.stats(),
+            self.below.l2.stats(),
+            self.below.l3.stats(),
+        )
     }
+}
 
-    /// One blocking memory access through the hierarchy.
-    fn access(&mut self, addr: u64, is_write: bool) {
-        self.cycle += self.config.l1_latency;
-        match self.l1.access(addr, is_write) {
-            CacheAccess::Hit => return,
-            CacheAccess::Miss { writeback } => {
-                if let Some(victim) = writeback {
-                    self.writeback_to_l2(victim);
-                }
-            }
+impl BelowL1 {
+    /// The rest of one blocking memory access after an L1 miss.
+    fn below_l1(&mut self, miss: &L1Miss) {
+        self.cycle += miss.cycles;
+        if let Some(victim) = miss.victim() {
+            self.writeback_to_l2(victim);
         }
+        let addr = miss.addr;
         self.cycle += self.config.l2_latency;
         match self.l2.access(addr, false) {
             CacheAccess::Hit => return,

@@ -137,6 +137,8 @@ impl Trace {
     }
 
     /// Replays the whole trace through a system, returning the final stats.
+    /// Each op goes through [`System::step`], which runs the two stages of
+    /// [`System::run`] back to back on the calling thread.
     pub fn replay(&self, system: &mut System) -> RunStats {
         for &op in &self.ops {
             system.step(op);

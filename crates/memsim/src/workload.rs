@@ -58,12 +58,53 @@ pub struct Workload {
 
 impl Workload {
     /// Creates the generator with a per-run seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile cannot drive a stream:
+    ///
+    /// * `mem_ratio` is not in `(0, 1]`, or is so small that an
+    ///   instruction gap would not fit in a `u64`;
+    /// * `write_fraction`, `hot_fraction` or `stream_fraction` is not in
+    ///   `[0, 1]`;
+    /// * `footprint_lines` is zero;
+    /// * `hot_lines` is zero while `hot_fraction` is not.
     pub fn new(profile: WorkloadProfile, seed: u64) -> Self {
         let p = &profile;
+        let name = p.name;
+        assert!(
+            p.mem_ratio > 0.0 && p.mem_ratio <= 1.0,
+            "{name}: mem_ratio {} is not in (0, 1]",
+            p.mem_ratio
+        );
+        for (field, value) in [
+            ("write_fraction", p.write_fraction),
+            ("hot_fraction", p.hot_fraction),
+            ("stream_fraction", p.stream_fraction),
+        ] {
+            assert!(
+                (0.0..=1.0).contains(&value),
+                "{name}: {field} {value} is not in [0, 1]"
+            );
+        }
+        assert!(p.footprint_lines > 0, "{name}: footprint_lines is zero");
+        assert!(
+            p.hot_lines > 0 || p.hot_fraction == 0.0,
+            "{name}: hot_lines is zero but hot_fraction is {}",
+            p.hot_fraction
+        );
         // Geometric-ish gap with mean 1/mem_ratio − 1 non-memory instructions.
         let mean_gap = (1.0 / p.mem_ratio - 1.0).max(0.0);
+        let gap_span = mean_gap * 2.0 + 1.0;
+        // Gaps stay below `gap_span`, so a gap plus its memory instruction
+        // fits in a `u64` without wrapping.
+        assert!(
+            gap_span <= (1u64 << 63) as f64,
+            "{name}: mem_ratio {} gives gaps beyond a u64",
+            p.mem_ratio
+        );
         Self {
-            gap_span: mean_gap * 2.0 + 1.0,
+            gap_span,
             stream_cut: p.hot_fraction + (1.0 - p.hot_fraction) * p.stream_fraction,
             profile,
             rng: crate::SplitMix::new(seed ^ fxhash(profile.name)),
@@ -191,6 +232,7 @@ mod tests {
             assert!((0.0..=1.0).contains(&p.hot_fraction), "{}", p.name);
             assert!((0.0..=1.0).contains(&p.stream_fraction), "{}", p.name);
             assert!(p.hot_lines < p.footprint_lines, "{}", p.name);
+            Workload::new(p, 1);
         }
     }
 
@@ -234,6 +276,148 @@ mod tests {
         assert!(
             (frac - p.write_fraction).abs() < 0.02,
             "write fraction {frac}"
+        );
+    }
+
+    fn valid() -> WorkloadProfile {
+        profile("valid", 0.4, 0.3, 1 << 12, 0.5, 1 << 6, 0.5)
+    }
+
+    #[test]
+    fn edge_profiles_are_accepted() {
+        let edges = [
+            WorkloadProfile {
+                mem_ratio: 1.0,
+                ..valid()
+            },
+            WorkloadProfile {
+                hot_lines: 0,
+                hot_fraction: 0.0,
+                ..valid()
+            },
+            WorkloadProfile {
+                write_fraction: 1.0,
+                hot_fraction: 1.0,
+                stream_fraction: 0.0,
+                ..valid()
+            },
+            WorkloadProfile {
+                footprint_lines: 1,
+                ..valid()
+            },
+        ];
+        for p in edges {
+            let mut w = Workload::new(p, 1);
+            let gaps: u64 = (0..1000).map(|_| w.next_op().gap_insts).sum();
+            assert!(gaps < 1000 * 5, "{p:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "mem_ratio 0 is not in (0, 1]")]
+    fn zero_mem_ratio_panics() {
+        Workload::new(
+            WorkloadProfile {
+                mem_ratio: 0.0,
+                ..valid()
+            },
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "mem_ratio 1.5 is not in (0, 1]")]
+    fn mem_ratio_above_one_panics() {
+        Workload::new(
+            WorkloadProfile {
+                mem_ratio: 1.5,
+                ..valid()
+            },
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "mem_ratio NaN is not in (0, 1]")]
+    fn nan_mem_ratio_panics() {
+        Workload::new(
+            WorkloadProfile {
+                mem_ratio: f64::NAN,
+                ..valid()
+            },
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "gives gaps beyond a u64")]
+    fn vanishing_mem_ratio_panics() {
+        Workload::new(
+            WorkloadProfile {
+                mem_ratio: 1e-300,
+                ..valid()
+            },
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "write_fraction -0.1 is not in [0, 1]")]
+    fn negative_write_fraction_panics() {
+        Workload::new(
+            WorkloadProfile {
+                write_fraction: -0.1,
+                ..valid()
+            },
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "hot_fraction 1.2 is not in [0, 1]")]
+    fn hot_fraction_above_one_panics() {
+        Workload::new(
+            WorkloadProfile {
+                hot_fraction: 1.2,
+                ..valid()
+            },
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "stream_fraction NaN is not in [0, 1]")]
+    fn nan_stream_fraction_panics() {
+        Workload::new(
+            WorkloadProfile {
+                stream_fraction: f64::NAN,
+                ..valid()
+            },
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "footprint_lines is zero")]
+    fn empty_footprint_panics() {
+        Workload::new(
+            WorkloadProfile {
+                footprint_lines: 0,
+                ..valid()
+            },
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "hot_lines is zero but hot_fraction is 0.5")]
+    fn empty_hot_set_panics() {
+        Workload::new(
+            WorkloadProfile {
+                hot_lines: 0,
+                ..valid()
+            },
+            1,
         );
     }
 

@@ -10,10 +10,10 @@
 //! writes. The pins change only when the model's behaviour does; a faster
 //! implementation of the same model must reproduce them exactly.
 
-use muse_memsim::{
-    spec2017_profiles, DramConfig, EccLatency, PagePolicy, System, SystemConfig, TagStorage,
-    Workload,
-};
+mod common;
+
+use common::configs;
+use muse_memsim::{spec2017_profiles, System, SystemConfig, Workload};
 
 /// The workload seed `muse_bench::measure` uses.
 const SEED: u64 = 0xF16;
@@ -21,72 +21,6 @@ const SEED: u64 = 0xF16;
 const WINDOW: u64 = 40_000;
 /// 500.perlbench_r, 505.mcf_r, 519.lbm_r, 548.exchange2_r.
 const PROFILES: [usize; 4] = [0, 3, 8, 18];
-
-fn configs() -> [(&'static str, SystemConfig); 8] {
-    let base = SystemConfig::default();
-    [
-        ("no ECC", base),
-        (
-            "encode+correct",
-            SystemConfig {
-                ecc: EccLatency {
-                    encode: 4,
-                    correct: 3,
-                },
-                ..base
-            },
-        ),
-        (
-            "inline tags",
-            SystemConfig {
-                tagging: TagStorage::InlineEcc,
-                ..base
-            },
-        ),
-        (
-            "disjoint, 32 entries",
-            SystemConfig {
-                tagging: TagStorage::Disjoint {
-                    cache_entries: Some(32),
-                },
-                ..base
-            },
-        ),
-        (
-            "disjoint, uncached",
-            SystemConfig {
-                tagging: TagStorage::Disjoint {
-                    cache_entries: None,
-                },
-                ..base
-            },
-        ),
-        (
-            "next-line prefetch",
-            SystemConfig {
-                prefetch_next_line: true,
-                ..base
-            },
-        ),
-        (
-            "closed page",
-            SystemConfig {
-                dram: DramConfig {
-                    page_policy: PagePolicy::Closed,
-                    ..DramConfig::default()
-                },
-                ..base
-            },
-        ),
-        (
-            "1 MB L3",
-            SystemConfig {
-                l3_bytes: 1024 * 1024,
-                ..base
-            },
-        ),
-    ]
-}
 
 /// `[instructions, cycles, dram reads, dram writes, activates, row hits,
 /// refreshes, metadata DRAM reads, metadata cache hits, LLC misses,
