@@ -265,6 +265,68 @@ mod tests {
         assert!(rs.correct < muse.correct);
     }
 
+    /// Figure 6's five ECC settings, then Figure 7's three tag placements,
+    /// as `figure6` and `figure7` build them.
+    fn figure_systems() -> Vec<SystemConfig> {
+        let (muse, rs) = study_latencies(3.4);
+        let no_correct = |ecc: EccLatency| EccLatency { correct: 0, ..ecc };
+        let fig6 = [EccLatency::NONE, no_correct(muse), no_correct(rs), muse, rs].map(|ecc| {
+            SystemConfig {
+                ecc,
+                ..study_config()
+            }
+        });
+        let fig7 = [
+            (muse, TagStorage::InlineEcc),
+            (
+                rs,
+                TagStorage::Disjoint {
+                    cache_entries: Some(32),
+                },
+            ),
+            (
+                rs,
+                TagStorage::Disjoint {
+                    cache_entries: None,
+                },
+            ),
+        ]
+        .map(|(ecc, tagging)| SystemConfig {
+            ecc,
+            tagging,
+            ..study_config()
+        });
+        fig6.into_iter().chain(fig7).collect()
+    }
+
+    /// The figures' exact cells come out the same from `System::run`,
+    /// which pipelines each run across two threads, as from stepping the
+    /// same ops one at a time: `measure`'s warm-up and window at the
+    /// binaries' default of 150k ops, every profile, every system. Slow in
+    /// debug builds; CI runs it in release with `--ignored`.
+    #[test]
+    #[ignore]
+    fn figure_cells_match_serial_steps() {
+        let window = 150_000;
+        for profile in spec2017_profiles() {
+            for (i, config) in figure_systems().into_iter().enumerate() {
+                let mut piped = System::new(config);
+                let mut stepped = System::new(config);
+                let mut piped_ops = Workload::new(profile, 0xF16);
+                let mut stepped_ops = Workload::new(profile, 0xF16);
+                for mem_ops in [window / 2, window] {
+                    let got = piped.run(&mut piped_ops, mem_ops);
+                    for _ in 0..mem_ops {
+                        stepped.step(stepped_ops.next_op());
+                    }
+                    let at = format!("{}, system {i}, run of {mem_ops} ops", profile.name);
+                    assert_eq!(got, stepped.stats(), "{at}: run stats");
+                    assert_eq!(piped.cache_stats(), stepped.cache_stats(), "{at}: caches");
+                }
+            }
+        }
+    }
+
     #[test]
     fn means() {
         assert!((gmean([1.0, 4.0].into_iter()) - 2.0).abs() < 1e-12);

@@ -62,20 +62,19 @@ fn touch(set: &mut [u64], tag: u64) -> Result<usize, u64> {
     Err(carried)
 }
 
-/// Per-set bookkeeping beside the tags.
-#[derive(Debug, Clone, Copy, Default)]
-struct SetState {
-    /// Bit `i` set: the line in slot `i` is dirty.
-    dirty: u64,
-    /// Ways filled so far; slots `fill..` hold no line.
-    fill: u32,
-}
+/// The tag of an empty way. A tag is a line address shifted right by the
+/// set-index bits, so it stays below `u64::MAX` whenever a line and its
+/// set index span at least one address bit, which [`Cache::new`] requires.
+const EMPTY: u64 = u64::MAX;
 
 /// A single cache level.
 ///
 /// Each set keeps its tags in recency order, most recently used first, in
 /// one set-major tag array: a hit moves its tag to slot 0, and a miss
-/// evicts the tail slot, which is either an empty way or the true LRU line.
+/// shifts every slot one towards the tail and pushes out the last one.
+/// Empty ways hold a tag no line can have, so no lookup matches them. They
+/// start at the tail and stay behind every line, so the slot pushed out is
+/// either an empty way or the true LRU line.
 ///
 /// # Examples
 ///
@@ -91,7 +90,8 @@ pub struct Cache {
     name: &'static str,
     /// `ways` tags per set, set after set.
     tags: Vec<u64>,
-    sets: Vec<SetState>,
+    /// Per set: bit `i` set means the line in slot `i` is dirty.
+    dirty: Vec<u64>,
     ways: usize,
     set_bits: u32,
     line_bits: u32,
@@ -105,8 +105,9 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics unless sizes are powers of two and consistent, and unless
-    /// `ways` is between 1 and 64.
+    /// Panics unless sizes are powers of two and consistent, unless `ways`
+    /// is between 1 and 64, and unless each way holds at least two bytes
+    /// (`size_bytes / ways >= 2`).
     pub fn new(
         name: &'static str,
         size_bytes: u64,
@@ -123,10 +124,14 @@ impl Cache {
         );
         let n_sets = n_lines as usize / ways;
         assert!(n_sets.is_power_of_two(), "set count must be a power of two");
+        assert!(
+            n_sets as u64 * line_bytes >= 2,
+            "each way must hold at least two bytes"
+        );
         Self {
             name,
-            tags: vec![0; n_sets * ways],
-            sets: vec![SetState::default(); n_sets],
+            tags: vec![EMPTY; n_sets * ways],
+            dirty: vec![0; n_sets],
             ways,
             set_bits: n_sets.trailing_zeros(),
             line_bits: line_bytes.trailing_zeros(),
@@ -161,49 +166,52 @@ impl Cache {
     /// Accesses `addr`; on a miss the line is filled (write-allocate) and a
     /// dirty victim may be returned for write-back.
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheAccess {
-        let (set_idx, tag) = self.locate(addr);
-        let ways = self.ways;
-        let state = &mut self.sets[set_idx];
-        let fill = state.fill as usize;
-        let set = &mut self.tags[set_idx * ways..][..ways];
+        // The hierarchy's associativities get a set of fixed length, whose
+        // scan the compiler unrolls.
+        match self.ways {
+            8 => self.access_set::<8>(addr, is_write),
+            16 => self.access_set::<16>(addr, is_write),
+            _ => self.access_set::<0>(addr, is_write),
+        }
+    }
 
-        let tail = match touch(&mut set[..fill], tag) {
+    /// [`access`](Self::access) on sets of `WAYS` ways, or of `self.ways`
+    /// when `WAYS` is 0.
+    #[inline(always)]
+    fn access_set<const WAYS: usize>(&mut self, addr: u64, is_write: bool) -> CacheAccess {
+        let ways = if WAYS == 0 { self.ways } else { WAYS };
+        let (set_idx, tag) = self.locate(addr);
+        let set = &mut self.tags[set_idx * ways..][..ways];
+        let dirty = &mut self.dirty[set_idx];
+        let d = *dirty;
+        let tail = match touch(set, tag) {
             Ok(slot) => {
                 // The dirty bits of slots `..slot` shift one slot towards
                 // the tail, and `slot`'s bit moves to slot 0.
                 let below = (1u64 << slot) - 1;
-                let d = state.dirty;
                 let moved = (d >> slot) & 1 | is_write as u64;
-                state.dirty = (d & !(below << 1 | 1)) | (d & below) << 1 | moved;
+                *dirty = (d & !(below << 1 | 1)) | (d & below) << 1 | moved;
                 self.stats.hits += 1;
                 return CacheAccess::Hit;
             }
             Err(tail) => tail,
         };
+        // Every line shifts one slot towards the tail. The tail's bit moves
+        // past the last way, where no lookup reads it and it only ever
+        // shifts further out; an empty way's bit is always clear.
+        *dirty = d << 1 | is_write as u64;
         self.stats.misses += 1;
-        let writeback = if fill < ways {
-            // The tail moves into the first empty way.
-            set[fill] = tail;
-            state.fill += 1;
-            None
-        } else {
-            ((state.dirty >> (ways - 1)) & 1 == 1).then(|| {
-                self.stats.writebacks += 1;
-                ((tail << self.set_bits) | set_idx as u64) << self.line_bits
-            })
-        };
-        // Every line shifts one slot towards the tail. The tail's bit (an
-        // empty way's, or the victim's) moves past the last way, where no
-        // lookup reads it and it only ever shifts further out.
-        state.dirty = state.dirty << 1 | is_write as u64;
+        let writeback = (tail != EMPTY && (d >> (ways - 1)) & 1 == 1).then(|| {
+            self.stats.writebacks += 1;
+            ((tail << self.set_bits) | set_idx as u64) << self.line_bits
+        });
         CacheAccess::Miss { writeback }
     }
 
     /// Whether `addr` is currently resident (no state change).
     pub fn probe(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.locate(addr);
-        let fill = self.sets[set_idx].fill as usize;
-        self.tags[set_idx * self.ways..][..fill].contains(&tag)
+        self.tags[set_idx * self.ways..][..self.ways].contains(&tag)
     }
 }
 
@@ -349,6 +357,14 @@ mod tests {
     #[should_panic(expected = "ways must be between 1 and 64")]
     fn more_than_sixty_four_ways_panics() {
         Cache::new("t", 128 * 64, 128, 64, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "each way must hold at least two bytes")]
+    fn one_byte_ways_panic() {
+        // One set of one-byte lines: every address would be its own tag,
+        // `u64::MAX` (the empty-way marker) included.
+        Cache::new("t", 4, 4, 1, 1);
     }
 
     #[test]

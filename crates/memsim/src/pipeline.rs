@@ -9,7 +9,8 @@
 //!   a run allocates nothing once the pool is stocked.
 //! * Either stage closes its end when it stops, by returning or by
 //!   unwinding, so the other stage never waits forever; a panic in either
-//!   stage reaches the caller.
+//!   stage reaches the caller. A producer learns that the consumer has
+//!   stopped at its next full batch, when [`Sender::send`] returns false.
 //! * The producer asks the OS to run it off the caller's CPU (see
 //!   `placement`).
 
@@ -73,23 +74,24 @@ pub(crate) struct Sender<'a, T> {
 }
 
 impl<T> Sender<'_, T> {
-    /// Appends `item` to the current batch.
+    /// Appends `item` to the current batch. Returns false once the
+    /// consumer has stopped, when nothing more will be drained: the
+    /// producer should stop too.
     #[inline]
-    pub(crate) fn send(&mut self, item: T) {
+    pub(crate) fn send(&mut self, item: T) -> bool {
         self.batch.push(item);
-        if self.batch.len() == PIPELINE_BATCH {
-            self.hand_off();
-        }
+        self.batch.len() < PIPELINE_BATCH || self.hand_off()
     }
 
     /// Queues the full batch and takes a drained buffer, parking until
-    /// one comes back. Once the consumer is gone, items are dropped.
+    /// one comes back. Returns false, dropping the batch, once the
+    /// consumer has stopped.
     #[cold]
-    fn hand_off(&mut self) {
+    fn hand_off(&mut self) -> bool {
         let mut state = self.fifo.lock();
         if state.consumer_done {
             self.batch.clear();
-            return;
+            return false;
         }
         state.full.push_back(std::mem::take(&mut self.batch));
         if state.consumer_parked && state.full.len() >= WAKE_AT {
@@ -103,6 +105,7 @@ impl<T> Sender<'_, T> {
             state.producer_parked = false;
         }
         self.batch = state.empty.pop().unwrap_or_default();
+        !state.consumer_done
     }
 }
 
@@ -213,11 +216,13 @@ pub(crate) fn pipeline<T: Send, R: Send>(
 ///
 /// The two stages of a pipeline on one CPU take turns instead of
 /// overlapping: whenever one waits, the other runs. A new thread starts on
-/// its parent's CPU, and some schedulers move a thread to an idle CPU only
-/// after a long delay, or never (under cpusets with load balancing off,
-/// for example); a producer that lives for one run would then share the
-/// caller's CPU for all of it. So the producer restricts itself to the CPUs
-/// it may use other than the caller's, when there are any.
+/// its parent's CPU; some schedulers move a thread to an idle CPU only
+/// after a long delay, or never (under cpusets with load balancing off, for
+/// example), and a scheduler that does move it may pull it back next to
+/// the thread that wakes it. So for its whole run the producer restricts
+/// itself to the CPUs it may use other than the caller's, when there are
+/// any. Only the producer is restricted, and only until its run ends; the
+/// caller keeps its CPU mask.
 #[cfg(target_os = "linux")]
 mod placement {
     use std::os::raw::{c_int, c_ulong};
@@ -276,7 +281,7 @@ mod tests {
         let produced = pipeline(
             &mut pool,
             |tx| {
-                (0..n).for_each(|i| tx.send(i));
+                (0..n).for_each(|i| assert!(tx.send(i)));
                 n
             },
             |&i| got.push(i),
@@ -303,9 +308,9 @@ mod tests {
             a
         };
         let mut pool = Vec::new();
-        pipeline(&mut pool, |tx| tx.send(1), |_| {});
+        pipeline(&mut pool, |tx| assert!(tx.send(1)), |_| {});
         let first = addresses(&pool);
-        pipeline(&mut pool, |tx| tx.send(2), |_| {});
+        pipeline(&mut pool, |tx| assert!(tx.send(2)), |_| {});
         assert_eq!(addresses(&pool), first);
     }
 
@@ -315,7 +320,7 @@ mod tests {
         pipeline(
             &mut Vec::new(),
             |tx| {
-                (0..3 * PIPELINE_BATCH).for_each(|i| tx.send(i));
+                (0..3 * PIPELINE_BATCH).for_each(|i| assert!(tx.send(i)));
                 panic!("producer failed");
             },
             |_| {},
@@ -330,8 +335,35 @@ mod tests {
         // not close the FIFO.
         pipeline(
             &mut Vec::new(),
-            |tx| (0..100 * PIPELINE_BATCH).for_each(|i| tx.send(i)),
+            |tx| (0..100 * PIPELINE_BATCH).for_each(|i| _ = tx.send(i)),
             |&i| assert!(i < 10, "consumer failed"),
+        );
+    }
+
+    #[test]
+    fn a_stopped_consumer_stops_the_producer() {
+        // The consumer panics on the first item; the producer must see
+        // `send` fail within the batches in flight, not run to the end.
+        let sent = std::sync::atomic::AtomicUsize::new(0);
+        let caught = panic::catch_unwind(panic::AssertUnwindSafe(|| {
+            pipeline(
+                &mut Vec::new(),
+                |tx| {
+                    for i in 0..1000 * PIPELINE_BATCH {
+                        sent.store(i + 1, std::sync::atomic::Ordering::Relaxed);
+                        if !tx.send(i) {
+                            return;
+                        }
+                    }
+                },
+                |_| panic!("consumer failed"),
+            )
+        }));
+        assert!(caught.is_err(), "the consumer's panic reaches the caller");
+        let sent = sent.into_inner();
+        assert!(
+            sent <= (BUFFERS + 1) * PIPELINE_BATCH,
+            "the producer sent {sent} items after the consumer stopped"
         );
     }
 }

@@ -266,7 +266,9 @@ impl System {
     ///
     /// # Panics
     ///
-    /// A panic in either stage stops both and is resumed on the caller.
+    /// A panic in either stage stops both and is resumed on the caller:
+    /// the producer stops at its next full batch once the consumer has
+    /// unwound.
     pub fn run(&mut self, workload: &mut Workload, mem_ops: u64) -> RunStats {
         let Self { l1, below } = self;
         let mut batches = BATCHES.take();
@@ -278,7 +280,9 @@ impl System {
                 let mut stream = workload.clone();
                 for _ in 0..mem_ops {
                     if let Some(miss) = l1.access(stream.next_op()) {
-                        misses.send(miss);
+                        if !misses.send(miss) {
+                            break;
+                        }
                     }
                 }
                 *workload = stream;

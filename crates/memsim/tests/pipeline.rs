@@ -9,8 +9,7 @@ mod common;
 
 use common::configs;
 use muse_memsim::{
-    spec2017_profiles, EccLatency, System, SystemConfig, TagStorage, Workload, WorkloadProfile,
-    PIPELINE_BATCH,
+    spec2017_profiles, System, SystemConfig, Workload, WorkloadProfile, PIPELINE_BATCH,
 };
 
 /// The workload seed `muse_bench::measure` uses.
@@ -110,64 +109,5 @@ fn l1_resident_window_has_only_the_final_flush() {
             stats.cycles > stats.instructions,
             "{name}: hit cycles arrive"
         );
-    }
-}
-
-/// The eight systems of `memtag_figures` and the `fig6`/`fig7` binaries:
-/// `muse_bench::study_config` (128 kB L2, 1 MB L3) with the ECC latencies
-/// `muse_bench::study_latencies(3.4)` derives from the hardware model for
-/// MUSE(144,132) and RS(144,128): Figure 6's five ECC settings, then
-/// Figure 7's three tag placements.
-fn study_configs() -> Vec<SystemConfig> {
-    let study = SystemConfig {
-        l2_bytes: 128 * 1024,
-        l3_bytes: 1024 * 1024,
-        ..SystemConfig::default()
-    };
-    let muse = EccLatency {
-        encode: 4,
-        correct: 6,
-    };
-    let rs = EccLatency {
-        encode: 1,
-        correct: 3,
-    };
-    let no_correct = |ecc: EccLatency| EccLatency { correct: 0, ..ecc };
-    let fig6 = [EccLatency::NONE, no_correct(muse), no_correct(rs), muse, rs]
-        .map(|ecc| SystemConfig { ecc, ..study });
-    let fig7 = [
-        (muse, TagStorage::InlineEcc),
-        (
-            rs,
-            TagStorage::Disjoint {
-                cache_entries: Some(32),
-            },
-        ),
-        (
-            rs,
-            TagStorage::Disjoint {
-                cache_entries: None,
-            },
-        ),
-    ]
-    .map(|(ecc, tagging)| SystemConfig {
-        ecc,
-        tagging,
-        ..study
-    });
-    fig6.into_iter().chain(fig7).collect()
-}
-
-/// The figures' exact cells: a 75k-op warm-up and a 150k-op window on
-/// every profile under every study system. Slow in debug builds; CI runs it
-/// in release with `--ignored`.
-#[test]
-#[ignore]
-fn figure_cells_match_serial_steps() {
-    for profile in spec2017_profiles() {
-        for (i, config) in study_configs().into_iter().enumerate() {
-            let label = format!("study config {i}");
-            assert_pipeline_matches_steps(profile, config, &label, &[75_000, 150_000]);
-        }
     }
 }
