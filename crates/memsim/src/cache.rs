@@ -165,6 +165,7 @@ impl Cache {
 
     /// Accesses `addr`; on a miss the line is filled (write-allocate) and a
     /// dirty victim may be returned for write-back.
+    #[inline(always)]
     pub fn access(&mut self, addr: u64, is_write: bool) -> CacheAccess {
         // The hierarchy's associativities get a set of fixed length, whose
         // scan the compiler unrolls.

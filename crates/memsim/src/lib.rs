@@ -6,9 +6,10 @@
 //!
 //! * [`Cache`] / [`MetadataCache`] — LRU write-back caches. Each set
 //!   keeps its tags in recency order (most recently used first) in one
-//!   flat set-major array, with a per-set fill count and dirty bitmask, so
-//!   a hit moves its tag to the front and a miss evicts the tail; the
-//!   metadata cache is a single such fully associative set.
+//!   flat set-major array, with a per-set dirty bitmask and a marker tag
+//!   for empty ways, so a hit moves its tag to the front and a miss evicts
+//!   the tail; 8- and 16-way sets are scanned at a fixed length. The
+//!   metadata cache is one fully associative, recency-ordered set.
 //! * [`Dram`] — DDR4-like banks, row buffers, shared bus, refresh, and
 //!   [`EccLatency`] injection on the memory interface. Row size and bank
 //!   count are powers of two, so the bank and row of an address are

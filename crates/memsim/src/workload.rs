@@ -119,6 +119,7 @@ impl Workload {
     }
 
     /// Produces the next memory operation.
+    #[inline(always)]
     pub fn next_op(&mut self) -> MemOp {
         let p = &self.profile;
         let gap_insts = (self.gap_span * self.rng.f64()) as u64;
