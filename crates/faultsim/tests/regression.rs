@@ -14,9 +14,11 @@
 
 use muse_core::{presets, MuseCode};
 use muse_faultsim::{
-    measure_mode_threaded, muse_msed, simulate_retention_threaded, simulate_stack_threaded,
-    FailureMode, MsedConfig, MsedStats, RetentionModel, Rng, Stack,
+    measure_mode_threaded, muse_msed, rs_msed, simulate_retention_threaded,
+    simulate_stack_threaded, FailureMode, MsedConfig, MsedStats, RetentionModel, Rng, RsDetectMode,
+    Stack,
 };
+use muse_rs::RsMemoryCode;
 
 #[test]
 fn rng_stream_pin() {
@@ -215,6 +217,69 @@ fn msed_tally_pins_every_preset_and_route() {
                     want,
                     "{} k={k} trials={trials} threads={threads}",
                     code.name()
+                );
+            }
+        }
+    }
+}
+
+/// One RS(144, ·) MSED cell: `(symbol_bits, device_bits, t,
+/// failing_devices)`, then its tallies `[detected, corrected,
+/// miscorrected, silent]` under `SymbolSyndromes` and `DeviceConfined`.
+type RsMsedPin = ((u32, u32, usize, usize), [u64; 4], [u64; 4]);
+
+/// Exact `rs_msed` tallies at the default seed and 2500 trials (two
+/// engine blocks plus a tail): Table IV's four x4 rows with whole
+/// (s = 8, 6) and shortened (s = 7, 5) top symbols and devices straddling
+/// symbols (s = 7, 6, 5), the t = 2 code, x8 devices each straddling up to
+/// three 5-bit symbols, and one k = 9 cell on the live-draw route.
+const RS_MSED_PINS: &[RsMsedPin] = &[
+    ((8, 4, 1, 1), [0, 2500, 0, 0], [0, 2500, 0, 0]),
+    ((8, 4, 1, 2), [2272, 63, 165, 0], [2353, 63, 84, 0]),
+    ((8, 4, 1, 3), [2338, 0, 161, 1], [2460, 0, 39, 1]),
+    ((7, 4, 1, 1), [525, 1942, 33, 0], [558, 1942, 0, 0]),
+    ((7, 4, 1, 2), [2098, 31, 371, 0], [2379, 31, 90, 0]),
+    ((7, 4, 1, 3), [2114, 0, 386, 0], [2417, 0, 83, 0]),
+    ((6, 4, 1, 1), [276, 1976, 248, 0], [524, 1976, 0, 0]),
+    ((6, 4, 1, 2), [1614, 18, 868, 0], [2170, 18, 312, 0]),
+    ((6, 4, 1, 3), [1599, 0, 899, 2], [2229, 0, 269, 2]),
+    ((5, 4, 1, 1), [88, 1729, 683, 0], [678, 1729, 93, 0]),
+    ((5, 4, 1, 2), [368, 9, 2122, 1], [1575, 9, 915, 1]),
+    ((5, 4, 1, 3), [342, 0, 2157, 1], [1546, 0, 953, 1]),
+    ((8, 4, 2, 1), [0, 2500, 0, 0], [0, 2500, 0, 0]),
+    ((8, 4, 2, 2), [0, 2500, 0, 0], [0, 2500, 0, 0]),
+    ((8, 4, 2, 3), [2282, 217, 1, 0], [2283, 217, 0, 0]),
+    ((5, 8, 1, 1), [318, 334, 1848, 0], [862, 334, 1304, 0]),
+    ((5, 8, 1, 2), [341, 1, 2157, 1], [942, 1, 1556, 1]),
+    ((5, 8, 1, 3), [341, 0, 2156, 3], [977, 0, 1520, 3]),
+    ((5, 4, 1, 9), [378, 0, 2119, 3], [1573, 0, 924, 3]),
+];
+
+#[test]
+fn rs_msed_tally_pins() {
+    let stats = |[detected, corrected, miscorrected, silent]: [u64; 4]| MsedStats {
+        detected,
+        corrected,
+        miscorrected,
+        silent,
+    };
+    for &((symbol_bits, device_bits, t, k), symbol, device) in RS_MSED_PINS {
+        let code = RsMemoryCode::new(symbol_bits, 144, t).expect("RS(144, ·) geometry");
+        for (mode, want) in [
+            (RsDetectMode::SymbolSyndromes, symbol),
+            (RsDetectMode::DeviceConfined, device),
+        ] {
+            for threads in [1, 3] {
+                let config = MsedConfig {
+                    failing_devices: k,
+                    trials: 2_500,
+                    threads,
+                    ..MsedConfig::default()
+                };
+                assert_eq!(
+                    rs_msed(&code, device_bits, mode, config),
+                    stats(want),
+                    "s={symbol_bits} x{device_bits} t={t} k={k} {mode:?} threads={threads}"
                 );
             }
         }
