@@ -463,18 +463,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let threads: usize = parse_or(&rest, "--threads", 0)?;
             let default = muse_service::JobSpec::default();
             let specs: Vec<muse_service::JobSpec> = if has_flag(&rest, "--smoke") {
-                // The four pinned smoke cells, in scenario order.
-                ["muse144_132", "muse80_69", "rs144_128_t1", "rs144_112_t2"]
-                    .into_iter()
-                    .map(|code| muse_service::JobSpec {
-                        code: code.to_string(),
-                        env: "smoke".to_string(),
-                        smoke: true,
-                        shards,
-                        threads,
-                        ..muse_service::JobSpec::default()
-                    })
-                    .collect()
+                smoke_specs(shards, threads)
             } else {
                 vec![muse_service::JobSpec {
                     code: flag_value(&rest, "--code")?.unwrap_or("muse144_132").into(),
@@ -603,36 +592,18 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             let spool = open_spool(&rest)?;
             let pins = muse_lifetime::smoke_expected();
             let mut checked = 0;
-            for code in ["muse144_132", "muse80_69", "rs144_128_t1", "rs144_112_t2"] {
-                let spec = muse_service::JobSpec {
-                    code: code.to_string(),
-                    env: "smoke".to_string(),
-                    smoke: true,
-                    ..muse_service::JobSpec::default()
-                };
+            for spec in smoke_specs(0, 0) {
                 let id = spec.job_id().map_err(err)?;
                 let json = spool
                     .result_json(&id)
-                    .map_err(|e| err(format!("smoke-check: job {id} ({code}): {e}")))?;
+                    .map_err(|e| err(format!("smoke-check: job {id} ({}): {e}", spec.code)))?;
                 let result = muse_service::JobResult::from_json(&json).map_err(err)?;
                 let pin = pins
                     .iter()
                     .find(|p| p.code == result.code)
                     .ok_or_else(|| err(format!("smoke-check: no pin for code {}", result.code)))?;
-                let t = &result.tally;
-                let got = (t.due_words, t.sdc_words, t.corrected_words, t.erasure_reads);
-                let want = (
-                    pin.due_words,
-                    pin.sdc_words,
-                    pin.corrected_words,
-                    pin.erasure_reads,
-                );
-                if got != want {
-                    return Err(err(format!(
-                        "smoke-check: {} tallies drifted: got {got:?}, pinned {want:?}",
-                        result.code
-                    )));
-                }
+                pin.check(&result.tally)
+                    .map_err(|drift| err(format!("smoke-check: tallies drifted: {drift}")))?;
                 checked += 1;
             }
             Ok(format!(
@@ -641,6 +612,22 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
         }
         Some(other) => Err(err(format!("unknown command {other:?}\n\n{USAGE}"))),
     }
+}
+
+/// The four pinned smoke cells, in scenario order: what `submit --smoke`
+/// enqueues and `smoke-check` verifies.
+fn smoke_specs(shards: u32, threads: usize) -> Vec<muse_service::JobSpec> {
+    ["muse144_132", "muse80_69", "rs144_128_t1", "rs144_112_t2"]
+        .into_iter()
+        .map(|code| muse_service::JobSpec {
+            code: code.to_string(),
+            env: "smoke".to_string(),
+            smoke: true,
+            shards,
+            threads,
+            ..muse_service::JobSpec::default()
+        })
+        .collect()
 }
 
 /// Opens the spool at `--root` (default `muse-spool`).

@@ -30,8 +30,9 @@
 //!    tables and fused fast-ELC content transitions
 //!    ([`muse_core::SyndromeKernel`]) at code construction, so classifying
 //!    a MUSE trial is a few table lookups and small modular adds; the
-//!    Reed-Solomon baseline has the matching error-domain GF-syndrome path
-//!    (`muse_rs::RsMemoryCode::error_syndromes`), and the on-die SEC stack
+//!    Reed-Solomon baseline classifies in the error-value domain through
+//!    `muse_rs::RsClassifier` (GF syndromes of the folded device errors),
+//!    and the on-die SEC stack
 //!    reduces to flip-position algebra over parity-check columns. Every
 //!    wide encode/decode path survives as the reference implementation and
 //!    is cross-validated against its fast path by property tests that

@@ -31,10 +31,10 @@
 //! at any `threads` setting. [`rs_msed`] draws its device strikes through
 //! the same sampler as the per-strike MUSE route.
 
-use muse_core::{MuseClassifier, MuseCode, ReadOutcome, SyndromeKernel, Word};
-use muse_rs::RsMemoryCode;
+use muse_core::{Classifier, Entropy, MuseClassifier, MuseCode, ReadOutcome, SyndromeKernel, Word};
 #[cfg(test)]
 use muse_rs::RsMemoryDecoded;
+use muse_rs::{RsClassifier, RsMemoryCode};
 
 use crate::engine::{SimEngine, Tally};
 use crate::fastpath::{
@@ -312,28 +312,27 @@ fn muse_msed_columnar(
 /// How an RS "correction" of a beyond-model error is classified.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RsDetectMode {
-    /// Any successful single-symbol correction counts as a (silent)
+    /// Any successful correction into wrong data counts as a (silent)
     /// miscorrection — the plain symbol-domain reading of the decoder.
     SymbolSyndromes,
-    /// A correction only counts as a miscorrection when its error pattern is
-    /// confined to a single physical device; otherwise the controller knows
-    /// the correction is impossible under the ChipKill error model and
-    /// flags it (the reading that matches the paper's Table IV numbers).
+    /// A miscorrection counts only when every located error value lies
+    /// within one physical device; a correction spanning devices is
+    /// impossible under the ChipKill single-device error model, so the
+    /// controller flags it as detected.
     DeviceConfined,
 }
 
 /// Estimates the MSED rate of a Reed-Solomon memory code against
 /// `device_bits`-wide physical device failures (x4 ⇒ 4).
 ///
-/// Both `t` values run in the error-value domain: a trial folds the device
-/// patterns into per-RS-symbol error values, accumulates the `2t` GF
-/// syndromes from the incremental table
-/// ([`RsMemoryCode::error_syndromes`]), and classifies through the
-/// syndrome-domain PGZ location
-/// ([`muse_rs::RsCode::locate_errors_fixed`]) without ever encoding a
-/// codeword — symbol contents are only sampled in the rare
-/// shortened-top-symbol range check. The wide encode/decode pipeline
-/// survives as the property-test oracle only.
+/// Each trial draws its device strikes through the shared strike sampler
+/// and classifies them with [`RsClassifier::read_healthy`], the one RS
+/// read classifier: the strikes fold into per-symbol error values (a
+/// device may straddle symbols), and the read ends in the error-value
+/// domain without ever encoding a codeword — a symbol content is drawn
+/// only for the range check of a shortened top symbol. The `mode` then
+/// judges miscorrections ([`RsDetectMode`]). The wide encode/decode
+/// pipeline survives as the property-test oracle only.
 ///
 /// # Panics
 ///
@@ -345,8 +344,8 @@ pub fn rs_msed(
     mode: RsDetectMode,
     config: MsedConfig,
 ) -> MsedStats {
-    let ctx = RsFastMsed::new(code, device_bits, mode);
-    let n_devices = ctx.n_devices;
+    let classifier = || RsClassifier::new(code, device_bits);
+    let n_devices = classifier().devices();
     let k = config.failing_devices;
     assert!(
         (1..=n_devices).contains(&k),
@@ -354,217 +353,58 @@ pub fn rs_msed(
     );
     let sampler = StrikeSampler::new(vec![device_bits; n_devices], k);
     if !sampler.is_columnar() {
-        // Beyond the fixed-capacity arrays: live draws into a Vec, same
-        // error-domain classification backend.
+        // Beyond the fixed-capacity arrays: live draws into a Vec.
         return SimEngine::new(config.threads).run_blocked(
             config.seed,
             config.trials,
-            || (Vec::new(), Vec::new()),
-            |range, rng, (strikes, errors), stats: &mut MsedStats| {
+            || (classifier(), Vec::new()),
+            |range, rng, (classifier, strikes), stats: &mut MsedStats| {
                 for _ in range {
                     strikes.clear();
                     sampler.draw(rng, strikes);
-                    errors.clear();
-                    ctx.fold_into(strikes, errors);
-                    stats.record(ctx.classify_errors(rng, errors).0);
+                    stats.record(rs_outcome(classifier, mode, rng, strikes));
                 }
             },
         );
     }
     // Structure-of-arrays draws, like the MUSE fast path: whole strike
     // columns fill per 1024-trial block, and the live block RNG is touched
-    // per trial only by the rare shortened-top content check inside
-    // `classify_errors`.
+    // per trial only by the shortened-top range check.
     SimEngine::new(config.threads).run_blocked(
         config.seed,
         config.trials,
-        StrikeColumns::default,
-        |range, rng, cols, stats: &mut MsedStats| {
+        || (classifier(), StrikeColumns::default()),
+        |range, rng, (classifier, cols), stats: &mut MsedStats| {
             let len = (range.end - range.start) as usize;
             let block = sampler.fill(rng, cols, len);
             let mut strikes = [(0, 0); fastpath::MAX_STRIKES];
             for t in 0..len {
-                stats.record(ctx.classify(rng, block.strikes(t, &mut strikes)).0);
+                let strikes = block.strikes(t, &mut strikes);
+                stats.record(rs_outcome(classifier, mode, rng, strikes));
             }
         },
     )
 }
 
-/// Error-domain MSED classification context for RS memory codes (both `t`
-/// values — the `t = 2` wide-PGZ-per-trial fallback is retired).
-struct RsFastMsed<'a> {
-    code: &'a RsMemoryCode,
-    device_bits: u32,
+/// Classifies one RS MSED trial: the read's outcome, with `mode` applied
+/// to miscorrections.
+#[inline]
+fn rs_outcome<E: Entropy>(
+    classifier: &mut RsClassifier,
     mode: RsDetectMode,
-    n_devices: usize,
-    /// Per-device `(first RS symbol, bit offset within it)`.
-    splits: Vec<(usize, u32)>,
-    /// Whether every device lies inside a single RS symbol (device width
-    /// divides symbol width): the straddle-free fold fast path.
-    nested: bool,
-    symbol_bits: u32,
-    /// `2t` — syndromes consumed / first data symbol.
-    parity: usize,
-    top: usize,
-    top_mask: u16,
-}
-
-impl<'a> RsFastMsed<'a> {
-    fn new(code: &'a RsMemoryCode, device_bits: u32, mode: RsDetectMode) -> Self {
-        let n_devices = (code.n_bits() / device_bits) as usize;
-        let symbol_bits = code.symbol_bits();
-        Self {
-            code,
-            device_bits,
-            mode,
-            n_devices,
-            splits: (0..n_devices as u32)
-                .map(|dev| {
-                    let base = dev * device_bits;
-                    ((base / symbol_bits) as usize, base % symbol_bits)
-                })
-                .collect(),
-            nested: symbol_bits.is_multiple_of(device_bits),
-            symbol_bits,
-            parity: 2 * code.inner().t(),
-            top: code.n_symbols() - 1,
-            top_mask: ((1u32 << code.top_symbol_bits()) - 1) as u16,
+    entropy: &mut E,
+    strikes: &[(usize, u16)],
+) -> Outcome {
+    let read = classifier.read_healthy(entropy, strikes);
+    if read == ReadOutcome::Miscorrected && mode == RsDetectMode::DeviceConfined {
+        let device_bits = classifier.device_width(0); // every device is as wide
+        if !classifier.corrections().iter().all(|&(symbol, value)| {
+            error_confined_to_device(classifier.code(), device_bits, symbol, value)
+        }) {
+            return Outcome::Detected;
         }
     }
-
-    /// Folds device strikes into per-RS-symbol error chunks, emitting each
-    /// nonzero `(symbol, value)` chunk through `sink` (a device may
-    /// straddle several symbols — e.g. x8 devices on 5-bit symbols span
-    /// three; adjacent devices may share one, so sinks XOR-merge by
-    /// symbol).
-    #[inline]
-    fn fold(&self, strikes: &[(usize, u16)], mut sink: impl FnMut(usize, u16)) {
-        let sym_mask = (1u32 << self.symbol_bits) - 1;
-        for &(dev, pattern) in strikes {
-            let (mut sym, shift) = self.splits[dev];
-            let mut bits = (pattern as u32) << shift;
-            while bits != 0 {
-                let val = (bits & sym_mask) as u16;
-                if val != 0 {
-                    sink(sym, val);
-                }
-                bits >>= self.symbol_bits;
-                sym += 1;
-            }
-        }
-    }
-
-    /// [`Self::fold`] into a `Vec` sink (the arbitrary-`k` path).
-    fn fold_into(&self, strikes: &[(usize, u16)], errors: &mut Vec<(usize, u16)>) {
-        self.fold(strikes, |sym, val| {
-            match errors.iter_mut().find(|e| e.0 == sym) {
-                Some(e) => e.1 ^= val,
-                None => errors.push((sym, val)),
-            }
-        });
-    }
-
-    /// Classifies one trial given its device strikes (fixed-capacity fold:
-    /// `MAX_STRIKES` devices of ≤ 16 bits over ≥ 2-bit symbols touch at
-    /// most 64 symbols).
-    fn classify(&self, rng: &mut Rng, strikes: &[(usize, u16)]) -> (Outcome, Option<u16>) {
-        if self.nested {
-            // Devices nest inside symbols: each strike lands in exactly one
-            // symbol, so `MAX_STRIKES` entries suffice and the per-trial
-            // scratch shrinks from 64 slots (1 KiB of zeroing) to 8.
-            let mut errors = [(0usize, 0u16); fastpath::MAX_STRIKES];
-            let mut n_errors = 0usize;
-            for &(dev, pattern) in strikes {
-                let (sym, shift) = self.splits[dev];
-                let val = pattern << shift;
-                if let Some(e) = errors[..n_errors].iter_mut().find(|e| e.0 == sym) {
-                    e.1 ^= val;
-                } else {
-                    errors[n_errors] = (sym, val);
-                    n_errors += 1;
-                }
-            }
-            return self.classify_errors(rng, &errors[..n_errors]);
-        }
-        let mut errors = [(0usize, 0u16); 64];
-        let mut n_errors = 0usize;
-        self.fold(strikes, |sym, val| {
-            if let Some(e) = errors[..n_errors].iter_mut().find(|e| e.0 == sym) {
-                e.1 ^= val;
-            } else {
-                errors[n_errors] = (sym, val);
-                n_errors += 1;
-            }
-        });
-        self.classify_errors(rng, &errors[..n_errors])
-    }
-
-    /// Classifies one trial from its folded per-symbol error values,
-    /// reproducing the wide `encode → corrupt → decode` classification
-    /// exactly (property-tested against it below). Symbol contents never
-    /// enter the decision except through the shortened-top range check,
-    /// where the top content is sampled uniformly on demand — the sampled
-    /// value (if any) is returned for reference reconstruction.
-    fn classify_errors(&self, rng: &mut Rng, errors: &[(usize, u16)]) -> (Outcome, Option<u16>) {
-        let synd = self.code.error_syndromes(errors);
-        let synd = &synd[..self.parity];
-        if synd.iter().all(|&s| s == 0) {
-            return (Outcome::Silent, None);
-        }
-        let Some(located) = self.code.inner().locate_errors_fixed(synd) else {
-            return (Outcome::Detected, None);
-        };
-        let corrections = located.corrections();
-        let injected_at = |pos: usize| {
-            errors
-                .iter()
-                .find(|&&(s, _)| s == pos)
-                .map_or(0, |&(_, e)| e)
-        };
-        let mut top_content = None;
-        for &(symbol, value) in corrections {
-            if symbol == self.top {
-                // Shortened-code check: sample the top symbol's stored
-                // content and reject corrections escaping its width.
-                let original = rng.next_u64() as u16 & self.top_mask;
-                top_content = Some(original);
-                if original ^ injected_at(symbol) ^ value > self.top_mask {
-                    return (Outcome::Detected, top_content);
-                }
-            }
-        }
-        // The read is right iff the corrections cancel the injected
-        // corruption on every data symbol (positions ≥ 2t).
-        let corrected_at = |pos: usize| {
-            corrections
-                .iter()
-                .find(|&&(s, _)| s == pos)
-                .map_or(0, |&(_, v)| v)
-        };
-        let wrong = errors
-            .iter()
-            .map(|&(s, _)| s)
-            .chain(corrections.iter().map(|&(s, _)| s))
-            .filter(|&s| s >= self.parity)
-            .any(|s| injected_at(s) ^ corrected_at(s) != 0);
-        let outcome = if !wrong {
-            Outcome::Corrected
-        } else {
-            match self.mode {
-                RsDetectMode::SymbolSyndromes => Outcome::Miscorrected,
-                RsDetectMode::DeviceConfined => {
-                    if corrections.iter().all(|&(symbol, value)| {
-                        error_confined_to_device(self.code, self.device_bits, symbol, value)
-                    }) {
-                        Outcome::Miscorrected
-                    } else {
-                        Outcome::Detected
-                    }
-                }
-            }
-        };
-        (outcome, top_content)
-    }
+    outcome_of(read)
 }
 
 /// Wide-decode outcome classification: the property-test oracle the
@@ -740,6 +580,18 @@ mod tests {
         );
     }
 
+    /// Entropy recording the last raw draw it passed on: the top-symbol
+    /// content a read sampled, if any.
+    struct Observed<'a>(&'a mut Rng, Option<u64>);
+
+    impl Entropy for Observed<'_> {
+        fn next_u64(&mut self) -> u64 {
+            let raw = self.0.next_u64();
+            self.1 = Some(raw);
+            raw
+        }
+    }
+
     /// The error-domain RS classification against the wide reference: a
     /// trial's device strikes plus its (lazily sampled) top-symbol content
     /// fully determine the outcome, so reconstruct a payload consistent
@@ -762,26 +614,29 @@ mod tests {
         ] {
             let code = RsMemoryCode::new(sym_bits, 144, t).unwrap();
             for mode in [RsDetectMode::SymbolSyndromes, RsDetectMode::DeviceConfined] {
-                let ctx = RsFastMsed::new(&code, device_bits, mode);
+                let mut classifier = RsClassifier::new(&code, device_bits);
                 let mut rng = Rng::seeded(0x5EED ^ sym_bits as u64 ^ (t as u64) << 32);
                 for trial in 0..400u64 {
                     let k = 1 + (trial % 4) as usize;
                     let mut strikes: Vec<(usize, u16)> = Vec::new();
                     while strikes.len() < k {
-                        let dev = rng.below(ctx.n_devices as u64) as usize;
+                        let dev = rng.below(classifier.devices() as u64) as usize;
                         if strikes.iter().any(|&(d, _)| d == dev) {
                             continue;
                         }
                         let pattern = rng.nonzero_below(1 << device_bits) as u16;
                         strikes.push((dev, pattern));
                     }
-                    let (fast, top_content) = ctx.classify(&mut rng, &strikes);
+                    let mut observed = Observed(&mut rng, None);
+                    let fast = rs_outcome(&mut classifier, mode, &mut observed, &strikes);
+                    let top_content = observed.1.map(|raw| raw as u16);
 
                     // A payload consistent with the observation: the top
                     // symbol holds the sampled content (or anything, when
                     // none was sampled), everything else zero.
                     let top_offset = code.data_bits() - code.top_symbol_bits();
-                    let payload = Word::from(top_content.unwrap_or(0) as u64) << top_offset;
+                    let payload = (Word::from(top_content.unwrap_or(0) as u64) << top_offset)
+                        & Word::mask(code.data_bits());
                     let cw = code.encode(&payload);
                     let mut corrupted = cw;
                     for &(dev, pattern) in &strikes {

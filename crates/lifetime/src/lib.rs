@@ -32,9 +32,8 @@
 //!   ([`muse_core::Classifier`], wrapped here as [`FleetBackend`]) —
 //!   MUSE on the [`muse_core::SyndromeKernel`] residue algebra plus the
 //!   [`muse_core::ErasureTable`] combined solve, Reed-Solomon on
-//!   error-domain GF syndromes
-//!   ([`muse_rs::RsCode::locate_errors`] /
-//!   [`muse_rs::RsCode::decode_combined`]). The wide decoders survive as
+//!   error-domain GF syndromes ([`muse_rs::RsClassifier`], the one RS
+//!   read classifier, which MSED shares). The wide decoders survive as
 //!   property-tested oracles (`src/classify.rs` tests,
 //!   `muse-core/tests/erasure_equivalence.rs`).
 //!
@@ -126,15 +125,14 @@ impl FleetCode {
         Self::Muse(Box::new(code))
     }
 
-    /// Wraps an RS memory code, validating the fleet geometry (whole
-    /// symbols, devices nested in symbols).
+    /// Wraps an RS memory code, validating the fleet geometry: devices
+    /// nested in symbols, since a dead device erases its whole symbol.
     ///
     /// # Panics
     ///
-    /// Panics on geometries with a shortened top symbol or devices
-    /// straddling symbols.
+    /// Panics on devices straddling symbols.
     pub fn rs(code: RsMemoryCode, device_bits: u32) -> Self {
-        let _ = RsClassifier::new(&code, device_bits); // validates
+        let _ = RsClassifier::new(&code, device_bits).resolve(&[]); // validates
         Self::Rs { code, device_bits }
     }
 
@@ -640,6 +638,36 @@ pub struct SmokeExpectation {
     pub erasure_reads: u64,
 }
 
+impl SmokeExpectation {
+    /// Checks one row's (due, sdc, corrected, erasure_reads) tallies
+    /// against this pin.
+    ///
+    /// # Errors
+    ///
+    /// Names the code and both tuples when any of the four differs.
+    pub fn check(&self, tally: &LifetimeTally) -> Result<(), String> {
+        let got = (
+            tally.due_words,
+            tally.sdc_words,
+            tally.corrected_words,
+            tally.erasure_reads,
+        );
+        let want = (
+            self.due_words,
+            self.sdc_words,
+            self.corrected_words,
+            self.erasure_reads,
+        );
+        if got == want {
+            return Ok(());
+        }
+        Err(format!(
+            "{}: (due, sdc, corrected, erasure_reads) = {got:?}, pinned {want:?}",
+            self.code
+        ))
+    }
+}
+
 /// The pinned [`smoke_setup`] tallies, one row per [`scenario_codes`]
 /// entry. Any intentional change to RNG streams, arrival sampling, or
 /// erasure classification must re-baseline these (and say so in
@@ -709,20 +737,7 @@ pub fn verify_smoke(reports: &[LifetimeReport]) -> Result<(), String> {
                 pin.code, report.code
             ));
         }
-        let t = &report.tally;
-        let got = (t.due_words, t.sdc_words, t.corrected_words, t.erasure_reads);
-        let want = (
-            pin.due_words,
-            pin.sdc_words,
-            pin.corrected_words,
-            pin.erasure_reads,
-        );
-        if got != want {
-            return Err(format!(
-                "{}: (due, sdc, corrected, erasure_reads) = {got:?}, pinned {want:?}",
-                pin.code
-            ));
-        }
+        pin.check(&report.tally)?;
     }
     Ok(())
 }

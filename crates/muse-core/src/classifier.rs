@@ -19,8 +19,11 @@
 //!   that alone cannot explain the syndrome, correct one in-model error on
 //!   a survivor.
 //! * **Reed-Solomon** — `RsClassifier` in the `muse-rs` crate, over GF
-//!   syndromes: `error_syndromes` → `locate_errors` (healthy) or
-//!   Forney-style `decode_combined` (degraded).
+//!   syndromes: device strikes fold into per-symbol error values, and one
+//!   finish locates the errors (healthy) or runs the Forney-style
+//!   combined decode (degraded), then applies the shortened-top range
+//!   check and the residual check. `muse-faultsim`'s RS MSED trials
+//!   classify through its `read_healthy`.
 //!
 //! The backends never materialize a codeword; the wide decoders survive
 //! only as property-test oracles (see the `muse-lifetime` classification

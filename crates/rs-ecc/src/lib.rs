@@ -19,8 +19,9 @@
 //! [`RsCode::decode_combined`] adds Forney-style combined
 //! error-and-erasure decoding (`ν` erasures + `e` errors, `2e + ν ≤ 2t`)
 //! for degraded (known-failed-chip) operation, and [`RsClassifier`]
-//! packages it all as the workspace's unified `muse_core::Classifier`
-//! backend.
+//! packages it all as the one RS read classifier: the workspace's unified
+//! `muse_core::Classifier` backend for the fleet, and
+//! [`RsClassifier::read_healthy`] for MSED trials.
 
 #![deny(missing_docs)]
 
@@ -29,5 +30,5 @@ mod memory;
 mod rs;
 
 pub use classifier::{RsClassifier, RsContext};
-pub use memory::{RsFastLocate, RsMemoryCode, RsMemoryDecoded};
-pub use rs::{CombinedContext, RsCode, RsCorrections, RsDecoded, RsError, RsLocated};
+pub use memory::{RsMemoryCode, RsMemoryDecoded};
+pub use rs::{CombinedContext, RsCode, RsCorrections, RsDecoded, RsError};

@@ -51,24 +51,6 @@ pub struct RsMemoryCode {
     err_pow_logs: Vec<u16>,
 }
 
-/// Outcome of syndrome-domain single-symbol location (t = 1 codes): the
-/// error-value view of [`RsMemoryCode::decode`] that never touches a
-/// codeword.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RsFastLocate {
-    /// All syndromes zero: the word reads back as-is.
-    Clean,
-    /// Detected-but-uncorrectable.
-    Detected,
-    /// The decoder would XOR `value` onto `symbol`.
-    Correct {
-        /// Located symbol position.
-        symbol: usize,
-        /// Error value the decoder removes.
-        value: u16,
-    },
-}
-
 /// Outcome of bit-level RS decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RsMemoryDecoded {
@@ -275,36 +257,6 @@ impl RsMemoryCode {
         synd
     }
 
-    /// Syndrome-domain single-symbol location for `t = 1` codes — the
-    /// hot-loop form of [`Self::decode`]: same Clean / Detected / Correct
-    /// decision (including the out-of-range rejection of shortened codes),
-    /// with the caller applying the shortened-top-symbol content check.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the code has `t ≠ 1`.
-    #[inline]
-    pub fn locate_single(&self, s0: u16, s1: u16) -> RsFastLocate {
-        assert_eq!(self.rs.t(), 1, "locate_single is for t = 1 codes");
-        if s0 == 0 && s1 == 0 {
-            return RsFastLocate::Clean;
-        }
-        // A true single error e at position j has S0 = e ≠ 0 and
-        // S1 = e·α^j ≠ 0; anything else is uncorrectable.
-        if s0 == 0 || s1 == 0 {
-            return RsFastLocate::Detected;
-        }
-        let gf = self.rs.field();
-        let pos = gf.log(gf.div(s1, s0)).expect("nonzero ratio") as usize;
-        if pos >= self.rs.n_symbols() {
-            return RsFastLocate::Detected;
-        }
-        RsFastLocate::Correct {
-            symbol: pos,
-            value: s0,
-        }
-    }
-
     /// Decodes a channel word, correcting up to `t` symbol errors.
     ///
     /// A correction that sets bits beyond the partial top symbol's width is
@@ -487,62 +439,6 @@ mod tests {
                 let wide = rs.inner().syndromes(&rs.to_symbols(&corrupted));
                 let fast = rs.error_syndromes(&errors);
                 assert_eq!(&fast[..2 * t], wide.as_slice(), "s={s} t={t}");
-            }
-        }
-    }
-
-    #[test]
-    fn locate_single_matches_wide_decode() {
-        let rs = RsMemoryCode::new(8, 144, 1).unwrap();
-        let payload = Word::from(0xA5A5_5A5A_DEAD_BEEFu64) | (Word::from(0x42u64) << 100);
-        let cw = rs.encode(&payload);
-        let mut state = 0xFACEu64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 16
-        };
-        for trial in 0..500 {
-            let k = 1 + (trial % 3) as usize;
-            let mut errors: Vec<(usize, u16)> = Vec::new();
-            for _ in 0..k {
-                let sym = (next() % 18) as usize;
-                if errors.iter().any(|&(e, _)| e == sym) {
-                    continue;
-                }
-                let value = 1 + (next() % 255) as u16;
-                errors.push((sym, value));
-            }
-            let mut symbols = rs.to_symbols(&cw);
-            for &(sym, value) in &errors {
-                symbols[sym] ^= value;
-            }
-            let corrupted = rs.from_symbols(&symbols);
-            let synd = rs.error_syndromes(&errors);
-            let fast = rs.locate_single(synd[0], synd[1]);
-            match (fast, rs.decode(&corrupted)) {
-                (RsFastLocate::Clean, RsMemoryDecoded::Clean { .. }) => {}
-                (RsFastLocate::Detected, RsMemoryDecoded::Detected) => {}
-                (RsFastLocate::Correct { symbol, value }, wide) => {
-                    // The wide decoder applies the same correction, except
-                    // when the shortened-top-symbol check rejects it.
-                    match wide {
-                        RsMemoryDecoded::Corrected { errors: we, .. } => {
-                            assert_eq!(we, vec![(symbol, value)], "trial {trial}");
-                        }
-                        RsMemoryDecoded::Detected => {
-                            let fixed = symbols[symbol] ^ value;
-                            assert!(
-                                symbol == 17 && fixed >= 1 << rs.top_symbol_bits(),
-                                "trial {trial}: only the top-symbol range check \
-                                 may turn Correct into Detected"
-                            );
-                        }
-                        other => panic!("trial {trial}: {fast:?} vs {other:?}"),
-                    }
-                }
-                (fast, wide) => panic!("trial {trial}: fast {fast:?} vs wide {wide:?}"),
             }
         }
     }

@@ -245,7 +245,7 @@ impl RsCode {
         }
     }
 
-    fn locate_t1(&self, synd: &[u16]) -> Option<RsLocated> {
+    fn locate_t1(&self, synd: &[u16]) -> Option<RsCorrections> {
         let (s0, s1) = (synd[0], synd[1]);
         if s0 == 0 || s1 == 0 {
             // A true single error e at position j has S0 = e ≠ 0 and
@@ -256,7 +256,7 @@ impl RsCode {
         if pos >= self.n {
             return None;
         }
-        Some(RsLocated::one(pos, s0))
+        Some(RsCorrections::of(&[(pos, s0)]))
     }
 
     /// Erasure decoding: corrects up to `2t` symbol errors at *known*
@@ -405,13 +405,13 @@ impl RsCode {
     }
 
     /// [`Self::locate_errors`] without the allocation: the corrections come
-    /// back in a fixed-capacity [`RsLocated`] — the form the Monte-Carlo
+    /// back in a fixed-capacity [`RsCorrections`] — the form the Monte-Carlo
     /// hot loops consume.
     ///
     /// # Panics
     ///
     /// Panics if `synd.len() != 2t` or all syndromes are zero.
-    pub fn locate_errors_fixed(&self, synd: &[u16]) -> Option<RsLocated> {
+    pub fn locate_errors_fixed(&self, synd: &[u16]) -> Option<RsCorrections> {
         assert_eq!(synd.len(), 2 * self.t, "expected {} syndromes", 2 * self.t);
         assert!(
             synd.iter().any(|&s| s != 0),
@@ -662,7 +662,7 @@ impl RsCode {
         Some(out)
     }
 
-    fn locate_t2(&self, synd: &[u16]) -> Option<RsLocated> {
+    fn locate_t2(&self, synd: &[u16]) -> Option<RsCorrections> {
         let gf = &self.gf;
         let (s0, s1, s2, s3) = (synd[0], synd[1], synd[2], synd[3]);
         // ν = 2: solve [S0 S1; S1 S2]·[σ2 σ1]ᵀ = [S2 S3]ᵀ. The three 2×2
@@ -748,7 +748,7 @@ impl RsCode {
             if e2 == 0 {
                 return None;
             }
-            return Some(RsLocated::two(p1, e1, p2, e2));
+            return Some(RsCorrections::of(&[(p1, e1), (p2, e2)]));
         }
         // ν = 1: S_l = e·α^{l·pos} for all four syndromes.
         if s0 == 0 {
@@ -762,7 +762,7 @@ impl RsCode {
         if gf.mul(s1, ratio) != s2 || gf.mul(s2, ratio) != s3 {
             return None;
         }
-        Some(RsLocated::one(pos, s0))
+        Some(RsCorrections::of(&[(pos, s0)]))
     }
 }
 
@@ -792,9 +792,9 @@ impl CombinedContext {
     }
 }
 
-/// The correction list of a combined error-and-erasure decode, in
-/// fixed-capacity form (`ν ≤ 2t ≤ 4` erasure fills plus at most one
-/// located error — no allocation on the degraded hot path).
+/// A decoder's correction list in fixed-capacity form: up to `t ≤ 2`
+/// located errors, or `ν ≤ 2t ≤ 4` erasure fills plus at most one located
+/// error — no allocation on the Monte-Carlo and degraded hot paths.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RsCorrections {
     pairs: [(usize, u16); 5],
@@ -802,38 +802,15 @@ pub struct RsCorrections {
 }
 
 impl RsCorrections {
+    fn of(pairs: &[(usize, u16)]) -> Self {
+        let mut out = Self::default();
+        out.pairs[..pairs.len()].copy_from_slice(pairs);
+        out.len = pairs.len() as u8;
+        out
+    }
+
     /// The `(position, xor-magnitude)` corrections (erasure fills — zero
     /// magnitudes included — plus any located error).
-    pub fn corrections(&self) -> &[(usize, u16)] {
-        &self.pairs[..self.len as usize]
-    }
-}
-
-/// The corrections of a syndrome-domain error location, in fixed-capacity
-/// form (no allocation — the Monte-Carlo hot-loop variant of the
-/// `Vec`-returning [`RsCode::locate_errors`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RsLocated {
-    pairs: [(usize, u16); 2],
-    len: u8,
-}
-
-impl RsLocated {
-    fn one(pos: usize, val: u16) -> Self {
-        Self {
-            pairs: [(pos, val), (0, 0)],
-            len: 1,
-        }
-    }
-
-    fn two(p1: usize, v1: u16, p2: usize, v2: u16) -> Self {
-        Self {
-            pairs: [(p1, v1), (p2, v2)],
-            len: 2,
-        }
-    }
-
-    /// The located `(position, magnitude)` corrections.
     pub fn corrections(&self) -> &[(usize, u16)] {
         &self.pairs[..self.len as usize]
     }
