@@ -12,8 +12,8 @@
 //!   Monte-Carlo detection rate (parallel; bit-identical at any `T`).
 //! * `rsmsed [--t 1|2] [--symbol-bits S] [--device-bits D] [--trials N]
 //!   [--devices K] [--threads T]` — the Reed-Solomon comparator on the
-//!   144-bit channel, classified in the GF-syndrome domain for both `t`
-//!   values (no wide decode per trial).
+//!   144-bit channel (`D` must divide 144), classified in the GF-syndrome
+//!   domain for both `t` values (no wide decode per trial).
 //! * `lifetime [--dimms N] [--years Y] [--scrub-hours H] [--spares S]
 //!   [--seed X] [--threads T] [--estimator naive|is] [--bias F]
 //!   [--shards K] [--checkpoint-dir D] [--resume] [--inject SPEC]
@@ -307,9 +307,17 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
             if !(1..=16).contains(&device_bits) {
                 return Err(err("--device-bits must be in 1..=16"));
             }
+            // Devices must tile the channel: a remainder would be bits
+            // no device strike ever reaches.
+            const CHANNEL_BITS: u32 = 144;
+            if !CHANNEL_BITS.is_multiple_of(device_bits) {
+                return Err(err(format!(
+                    "--device-bits {device_bits} does not tile the {CHANNEL_BITS}-bit channel"
+                )));
+            }
             let trials: u64 = parse_or(&rest, "--trials", 10_000)?;
             let threads: usize = parse_or(&rest, "--threads", 0)?;
-            let code = muse_rs::RsMemoryCode::new(symbol_bits, 144, t)
+            let code = muse_rs::RsMemoryCode::new(symbol_bits, CHANNEL_BITS, t)
                 .map_err(|e| err(format!("bad RS geometry: {e}")))?;
             let devices = parse_devices(&rest, (code.n_bits() / device_bits) as usize)?;
             let stats = muse_faultsim::rs_msed(
@@ -421,13 +429,14 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 }
             };
             out.push_str(&format!(
-                "fleet: {} DIMMs x {} years ({:.0} machine-years), scrub every {}h, {} spares/DIMM, estimator {}\n\n{:<16} {:<21} {:>22} {:>22} {:>11} {:>9} {:>9}\n",
+                "fleet: {} DIMMs x {} years ({:.0} machine-years), scrub every {}h, {} spares/DIMM, estimator {}, epoch screen {}\n\n{:<16} {:<21} {:>22} {:>22} {:>11} {:>9} {:>9}\n",
                 config.dimms,
                 config.years,
                 config.machine_years(),
                 config.scrub_interval_hours,
                 config.spares_per_dimm,
                 est_label,
+                muse_faultsim::screen_kernel(),
                 "code",
                 "environment",
                 "DUE/m-yr [95% CI]",
@@ -1058,6 +1067,18 @@ mod tests {
     }
 
     #[test]
+    fn rsmsed_device_widths_must_tile_the_channel() {
+        // 144 = 28 x5 + 4 and 20 x7 + 4: the top 4 bits would never be
+        // struck.
+        for bits in [5, 7] {
+            let e = run_str(&format!("rsmsed --trials 10 --device-bits {bits}")).unwrap_err();
+            assert!(e.0.contains("does not tile the 144-bit channel"), "{}", e.0);
+        }
+        let out = run_str("rsmsed --trials 10 --device-bits 6").unwrap();
+        assert!(out.contains("of 10 2-device errors"), "{out}");
+    }
+
+    #[test]
     fn rsmsed_covers_both_t_values() {
         let out = run_str("rsmsed --trials 400").unwrap();
         assert!(out.contains("RS(144,128) t=1"), "{out}");
@@ -1087,6 +1108,8 @@ mod tests {
         assert_eq!(out.matches("field-ddr3").count(), 4);
         assert_eq!(out.matches("field-ddr4").count(), 4);
         assert!(out.contains("estimator naive"), "{out}");
+        let screen = format!("epoch screen {}", muse_faultsim::screen_kernel());
+        assert!(out.contains(&screen), "{out}");
         // Deterministic across thread counts.
         let serial = run_str("lifetime --dimms 24 --years 1 --scrub-hours 48 --threads 1").unwrap();
         assert_eq!(

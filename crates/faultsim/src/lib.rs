@@ -113,7 +113,7 @@ pub use retention::{
     simulate_retention_threaded, sweep_refresh_intervals, RetentionModel, RetentionStats,
     SweepPoint,
 };
-pub use rng::{Bounded32, CountCdf, Rng};
+pub use rng::{screen_kernel, Bounded32, CellStream, CountCdf, Rng};
 pub use rowhammer::{
     simulate_attacks, simulate_attacks_threaded, AttackStats, HashedLine, LineError, LineHasher,
     HASH_BITS, WORDS_PER_LINE,

@@ -336,8 +336,9 @@ pub enum RsDetectMode {
 ///
 /// # Panics
 ///
-/// Panics if `failing_devices` is 0 or exceeds the code's
-/// `device_bits`-wide device count.
+/// Panics if `device_bits`-wide devices do not tile the code's channel
+/// (as [`RsClassifier::new`] does), or if `failing_devices` is 0 or
+/// exceeds the code's `device_bits`-wide device count.
 pub fn rs_msed(
     code: &RsMemoryCode,
     device_bits: u32,

@@ -3,6 +3,99 @@
 //! An in-tree xoshiro256++ keeps every experiment bit-reproducible across
 //! library versions (DESIGN.md §3.5); `rand` remains available for
 //! non-experiment conveniences.
+//!
+//! # Step screens
+//!
+//! [`Rng::loud_steps`] answers, for up to 64 consecutive steps of one
+//! lane, "does any of this step's first draws clear its threshold?"
+//! without materializing a generator per step. The `(lane, step)` streams
+//! are counter-based (Salmon et al., "Parallel Random Numbers: As Easy as
+//! 1, 2, 3", SC 2011): step `s`'s state is a pure function of
+//! `(seed, lane, s)`, so eight consecutive steps are eight independent
+//! SIMD lanes. The screen has two kernels over the same arithmetic:
+//!
+//! * `avx512x8` — eight steps per 512-bit vector (AVX-512F for the
+//!   xoshiro256++ rotates and unsigned compares, AVX-512DQ for the 64-bit
+//!   SplitMix64 multiplies), picked per call when the CPU reports both
+//!   features;
+//! * `scalar` — one [`Rng::for_cell`]-style derivation per step, on every
+//!   other CPU and target, and the reference the tests hold the vector
+//!   kernel to.
+//!
+//! Both read the stream constants defined once below, with wrapping
+//! 64-bit arithmetic in both, so the two return the same mask bit for
+//! bit; [`screen_kernel`] names the one this process runs. The call into
+//! the `#[target_feature]` kernel, made only after the runtime feature
+//! check, is the module's one `unsafe` block.
+
+/// SplitMix64's increment (the 64-bit golden ratio): the counter stride
+/// of every stream derivation.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+/// The SplitMix64 finalizer: `z ^= z >> S0; z *= M0; z ^= z >> S1;
+/// z *= M1; z ^= z >> S2`.
+const MIX_S0: u32 = 30;
+const MIX_M0: u64 = 0xBF58_476D_1CE4_E5B9;
+const MIX_S1: u32 = 27;
+const MIX_M1: u64 = 0x94D0_49BB_1331_11EB;
+const MIX_S2: u32 = 31;
+/// Offsets of [`Rng::for_trial`]'s four state words from the mixed
+/// `(seed, trial)` base: one to four SplitMix64 increments.
+const TRIAL_OFFSETS: [u64; 4] = [
+    0x9E37_79B9_7F4A_7C15,
+    0x3C6E_F372_FE94_F82A,
+    0xDAA6_6D2C_7DDF_4B3F,
+    0x78DD_E6A5_FD29_A654,
+];
+/// Salt of [`Rng::for_cell`]'s lane axis.
+const CELL_SALT: u64 = 0xCE11_CE11_CE11_CE11;
+/// Domain salt of [`Rng::for_shard`].
+const SHARD_SALT: u64 = 0x5AAD_5AAD_5AAD_5AAD;
+/// Domain salt of [`Rng::for_bias`].
+const BIAS_SALT: u64 = 0xB1A5_B1A5_B1A5_B1A5;
+/// xoshiro256++: output rotation, `s1` shift, `s3` rotation.
+const XO_ROT: u32 = 23;
+const XO_SHL: u32 = 17;
+const XO_ROT_S3: u32 = 45;
+
+/// The SplitMix64 finalizer.
+#[inline(always)]
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> MIX_S0)).wrapping_mul(MIX_M0);
+    z = (z ^ (z >> MIX_S1)).wrapping_mul(MIX_M1);
+    z ^ (z >> MIX_S2)
+}
+
+/// The two-dimensional stream families a step screen reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CellStream {
+    /// [`Rng::for_cell`]`(seed, lane, step)`.
+    Cell,
+    /// [`Rng::for_bias`]`(seed, lane, step)`.
+    Bias,
+}
+
+impl CellStream {
+    /// The [`Rng::for_trial`] seed of `lane`'s steps: the lane axis
+    /// folded through its own finalizer into the (salted) seed.
+    #[inline]
+    fn lane_key(self, seed: u64, lane: u64) -> u64 {
+        let seed = match self {
+            CellStream::Cell => seed,
+            CellStream::Bias => seed ^ BIAS_SALT,
+        };
+        seed ^ mix(lane.wrapping_mul(GOLDEN) ^ CELL_SALT)
+    }
+}
+
+/// The step screen kernel [`Rng::loud_steps`] runs on this CPU:
+/// `"avx512x8"` (eight steps per AVX-512 vector) or `"scalar"`.
+pub fn screen_kernel() -> &'static str {
+    if x8::available() {
+        "avx512x8"
+    } else {
+        "scalar"
+    }
+}
 
 /// xoshiro256++ PRNG, seeded through SplitMix64.
 ///
@@ -27,11 +120,8 @@ impl Rng {
     pub fn seeded(seed: u64) -> Self {
         let mut sm = seed;
         let mut next = || {
-            sm = sm.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
+            sm = sm.wrapping_add(GOLDEN);
+            mix(sm)
         };
         Self {
             state: [next(), next(), next(), next()],
@@ -51,23 +141,13 @@ impl Rng {
     /// chains have no data dependency on each other, so they overlap in
     /// the pipeline — this constructor runs once per Monte-Carlo trial.
     pub fn for_trial(seed: u64, trial: u64) -> Self {
-        let mix = |mut z: u64| {
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        };
         // Domain-separate from `seeded`: without the extra finalizer,
         // trial 0's state would reproduce `seeded(seed)` exactly (the four
-        // offsets below are 1..4 SplitMix increments, the same expansion
+        // offsets are 1..4 SplitMix increments, the same expansion
         // `seeded` performs).
-        let base = mix(seed ^ trial.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let base = mix(seed ^ trial.wrapping_mul(GOLDEN));
         Self {
-            state: [
-                mix(base.wrapping_add(0x9E37_79B9_7F4A_7C15)),
-                mix(base.wrapping_add(0x3C6E_F372_FE94_F82A)),
-                mix(base.wrapping_add(0xDAA6_6D2C_7DDF_4B3F)),
-                mix(base.wrapping_add(0x78DD_E6A5_FD29_A654)),
-            ],
+            state: TRIAL_OFFSETS.map(|offset| mix(base.wrapping_add(offset))),
         }
     }
 
@@ -82,10 +162,7 @@ impl Rng {
     /// step derivation, so `for_cell(s, a, b)` and `for_cell(s, b, a)`
     /// differ, and lane 0 does not collapse onto [`Self::for_trial`].
     pub fn for_cell(seed: u64, lane: u64, step: u64) -> Self {
-        let mut z = lane.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xCE11_CE11_CE11_CE11;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        Self::for_trial(seed ^ z ^ (z >> 31), step)
+        Self::for_trial(CellStream::Cell.lane_key(seed, lane), step)
     }
 
     /// Counter-based *shard-supervision* stream derivation: the generator
@@ -100,7 +177,7 @@ impl Rng {
     /// sharing the fleet seed must not perturb tallies). The shard axis is
     /// therefore salted into its own domain before the 2-D derivation.
     pub fn for_shard(seed: u64, shard: u64, attempt: u64) -> Self {
-        Self::for_cell(seed ^ 0x5AAD_5AAD_5AAD_5AAD, shard, attempt)
+        Self::for_cell(seed ^ SHARD_SALT, shard, attempt)
     }
 
     /// Counter-based *importance-bias* stream derivation: the generator
@@ -117,7 +194,7 @@ impl Rng {
     /// bit-identically. The cell domain is therefore salted before the
     /// 2-D derivation.
     pub fn for_bias(seed: u64, lane: u64, step: u64) -> Self {
-        Self::for_cell(seed ^ 0xB1A5_B1A5_B1A5_B1A5, lane, step)
+        Self::for_trial(CellStream::Bias.lane_key(seed, lane), step)
     }
 
     /// Counter-based *block* stream derivation: the generator for trial
@@ -136,6 +213,38 @@ impl Rng {
         Self::for_trial(seed ^ 0xB10C_B10C_B10C_B10C, block)
     }
 
+    /// The loud mask of steps `first..first + n` (`n <= 64`) of `lane` on
+    /// `stream`: bit `i` is set when any of the first `thresholds.len()`
+    /// draws of step `first + i`'s generator is at or above its
+    /// threshold. Draw `j` is compared with `thresholds[j]`.
+    ///
+    /// The mask is a pure function of the streams — no generator is
+    /// handed out or advanced — so a caller screening steps with it and
+    /// re-deriving the loud ones draws exactly what a per-step walk
+    /// would. Runs the `avx512x8` kernel when the CPU has AVX-512F and
+    /// AVX-512DQ, the scalar loop otherwise (see [`screen_kernel`]); the
+    /// two agree bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n > 64`.
+    pub fn loud_steps(
+        stream: CellStream,
+        seed: u64,
+        lane: u64,
+        first: u64,
+        n: u64,
+        thresholds: &[u64],
+    ) -> u64 {
+        assert!(n <= 64, "a loud mask covers at most 64 steps, not {n}");
+        if n == 0 || thresholds.is_empty() {
+            return 0;
+        }
+        let key = stream.lane_key(seed, lane);
+        x8::loud_steps(key, first, n, thresholds)
+            .unwrap_or_else(|| loud_steps_scalar(key, first, n, thresholds))
+    }
+
     /// Fills `out` with consecutive [`Self::next_u64`] draws.
     ///
     /// The batched form keeps the four state words in registers across the
@@ -144,14 +253,14 @@ impl Rng {
     pub fn fill_u64s(&mut self, out: &mut [u64]) {
         let [mut s0, mut s1, mut s2, mut s3] = self.state;
         for slot in out.iter_mut() {
-            *slot = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
-            let t = s1 << 17;
+            *slot = s0.wrapping_add(s3).rotate_left(XO_ROT).wrapping_add(s0);
+            let t = s1 << XO_SHL;
             s2 ^= s0;
             s3 ^= s1;
             s1 ^= s2;
             s0 ^= s3;
             s2 ^= t;
-            s3 = s3.rotate_left(45);
+            s3 = s3.rotate_left(XO_ROT_S3);
         }
         self.state = [s0, s1, s2, s3];
     }
@@ -164,14 +273,14 @@ impl Rng {
         let mut chunks = out.chunks_exact_mut(2);
         let [mut s0, mut s1, mut s2, mut s3] = self.state;
         for pair in &mut chunks {
-            let raw = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
-            let t = s1 << 17;
+            let raw = s0.wrapping_add(s3).rotate_left(XO_ROT).wrapping_add(s0);
+            let t = s1 << XO_SHL;
             s2 ^= s0;
             s3 ^= s1;
             s1 ^= s2;
             s0 ^= s3;
             s2 ^= t;
-            s3 = s3.rotate_left(45);
+            s3 = s3.rotate_left(XO_ROT_S3);
             pair[0] = raw as u32;
             pair[1] = (raw >> 32) as u32;
         }
@@ -184,15 +293,15 @@ impl Rng {
     /// The next 64 uniformly random bits.
     pub fn next_u64(&mut self) -> u64 {
         let [s0, s1, s2, s3] = self.state;
-        let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
-        let t = s1 << 17;
+        let result = s0.wrapping_add(s3).rotate_left(XO_ROT).wrapping_add(s0);
+        let t = s1 << XO_SHL;
         let mut s = [s0, s1, s2, s3];
         s[2] ^= s[0];
         s[3] ^= s[1];
         s[1] ^= s[2];
         s[0] ^= s[3];
         s[2] ^= t;
-        s[3] = s[3].rotate_left(45);
+        s[3] = s[3].rotate_left(XO_ROT_S3);
         self.state = s;
         result
     }
@@ -250,6 +359,123 @@ impl Rng {
         }
         pool.truncate(k);
         pool
+    }
+}
+
+/// The scalar step screen: one [`Rng::for_trial`] derivation per step
+/// under the lane's key, compared draw by draw. No branch on the draws,
+/// so consecutive steps' derivations overlap in the pipeline.
+fn loud_steps_scalar(key: u64, first: u64, n: u64, thresholds: &[u64]) -> u64 {
+    let mut mask = 0u64;
+    for i in 0..n {
+        let mut rng = Rng::for_trial(key, first.wrapping_add(i));
+        let mut loud = false;
+        for &t in thresholds {
+            loud |= rng.next_u64() >= t;
+        }
+        mask |= (loud as u64) << i;
+    }
+    mask
+}
+
+/// The eight-lane AVX-512 step screen.
+#[cfg(target_arch = "x86_64")]
+mod x8 {
+    use super::{
+        GOLDEN, MIX_M0, MIX_M1, MIX_S0, MIX_S1, MIX_S2, TRIAL_OFFSETS, XO_ROT, XO_ROT_S3, XO_SHL,
+    };
+    use std::arch::x86_64::*;
+
+    /// Whether this CPU runs the kernel (the detection result is cached
+    /// by the standard library after the first call).
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512dq")
+    }
+
+    /// [`Rng::loud_steps`](super::Rng::loud_steps) on the lane key
+    /// `key`, or `None` when the CPU lacks the kernel's features.
+    pub(super) fn loud_steps(key: u64, first: u64, n: u64, thresholds: &[u64]) -> Option<u64> {
+        if !available() {
+            return None;
+        }
+        // SAFETY: `kernel` is compiled for AVX-512F and AVX-512DQ, and
+        // `available()` just confirmed that this CPU implements both. It
+        // touches memory only through the `thresholds` slice.
+        Some(unsafe { kernel(key, first, n, thresholds) })
+    }
+
+    /// A broadcast of one 64-bit value to every lane.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn splat(x: u64) -> __m512i {
+        _mm512_set1_epi64(x as i64)
+    }
+
+    /// `z ^ (z >> S)` on eight lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    fn xorshift<const S: u32>(z: __m512i) -> __m512i {
+        _mm512_xor_si512(z, _mm512_srli_epi64::<S>(z))
+    }
+
+    /// The SplitMix64 finalizer on eight lanes.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn mix(z: __m512i) -> __m512i {
+        let z = _mm512_mullo_epi64(xorshift::<MIX_S0>(z), splat(MIX_M0));
+        let z = _mm512_mullo_epi64(xorshift::<MIX_S1>(z), splat(MIX_M1));
+        xorshift::<MIX_S2>(z)
+    }
+
+    /// Eight consecutive steps per vector: lane `j` of chunk `c` carries
+    /// step `first + 8c + j` through `for_trial(key, step)` and its
+    /// xoshiro256++ draws. The spare lanes of a short last chunk are
+    /// computed and masked off.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn kernel(key: u64, first: u64, n: u64, thresholds: &[u64]) -> u64 {
+        let lane_offsets = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+        let mut mask = 0u64;
+        let mut chunk = 0;
+        while chunk < n {
+            let steps = _mm512_add_epi64(splat(first.wrapping_add(chunk)), lane_offsets);
+            let base = mix(_mm512_xor_si512(
+                splat(key),
+                _mm512_mullo_epi64(steps, splat(GOLDEN)),
+            ));
+            let [mut s0, mut s1, mut s2, mut s3] =
+                TRIAL_OFFSETS.map(|offset| mix(_mm512_add_epi64(base, splat(offset))));
+            let mut loud: __mmask8 = 0;
+            for &t in thresholds {
+                let draw = _mm512_add_epi64(
+                    _mm512_rol_epi64::<{ XO_ROT as i32 }>(_mm512_add_epi64(s0, s3)),
+                    s0,
+                );
+                loud |= _mm512_cmpge_epu64_mask(draw, splat(t));
+                let t = _mm512_slli_epi64::<XO_SHL>(s1);
+                s2 = _mm512_xor_si512(s2, s0);
+                s3 = _mm512_xor_si512(s3, s1);
+                s1 = _mm512_xor_si512(s1, s2);
+                s0 = _mm512_xor_si512(s0, s3);
+                s2 = _mm512_xor_si512(s2, t);
+                s3 = _mm512_rol_epi64::<{ XO_ROT_S3 as i32 }>(s3);
+            }
+            let valid = (n - chunk).min(8);
+            mask |= u64::from(loud & (0xFF >> (8 - valid))) << chunk;
+            chunk += 8;
+        }
+        mask
+    }
+}
+
+/// Targets without the AVX-512 kernel always run the scalar screen.
+#[cfg(not(target_arch = "x86_64"))]
+mod x8 {
+    pub(super) fn available() -> bool {
+        false
+    }
+
+    pub(super) fn loud_steps(_key: u64, _first: u64, _n: u64, _thresholds: &[u64]) -> Option<u64> {
+        None
     }
 }
 
@@ -701,5 +927,85 @@ mod tests {
             assert_ne!(x, c.next_u64());
             assert_ne!(x, d.next_u64());
         }
+    }
+
+    /// The step screen's reference: each step's generator built through
+    /// the public derivations and drawn with `next_u64`.
+    fn reference_mask(
+        stream: CellStream,
+        seed: u64,
+        lane: u64,
+        first: u64,
+        n: u64,
+        thresholds: &[u64],
+    ) -> u64 {
+        (0..n).fold(0, |mask, i| {
+            let mut rng = match stream {
+                CellStream::Cell => Rng::for_cell(seed, lane, first + i),
+                CellStream::Bias => Rng::for_bias(seed, lane, first + i),
+            };
+            let loud = thresholds.iter().any(|&t| rng.next_u64() >= t);
+            mask | (loud as u64) << i
+        })
+    }
+
+    #[test]
+    fn screen_kernels_match_the_stream_reference() {
+        let mut rng = Rng::seeded(0x5C4EE7);
+        let mut mixed = 0;
+        for case in 0..300 {
+            let seed = rng.next_u64();
+            let lane = rng.next_u64() >> rng.below(64);
+            let first = rng.below(1 << 32);
+            // 0 to 4 thresholds: the saturated edges, uniform values, and
+            // values near the top (mostly quiet steps, like the fleet's).
+            let thresholds: Vec<u64> = (0..case % 5)
+                .map(|_| match rng.below(4) {
+                    0 => [0, 1, u64::MAX][rng.below(3) as usize],
+                    1 => rng.next_u64(),
+                    _ => u64::MAX - (rng.next_u64() >> rng.below(64)),
+                })
+                .collect();
+            for stream in [CellStream::Cell, CellStream::Bias] {
+                for n in [1, 5, 7, 8, 9, 63, 64] {
+                    let want = reference_mask(stream, seed, lane, first, n, &thresholds);
+                    let what = format!(
+                        "{stream:?} seed {seed:#x} lane {lane} first {first} n {n} {thresholds:x?}"
+                    );
+                    let key = stream.lane_key(seed, lane);
+                    assert_eq!(
+                        loud_steps_scalar(key, first, n, &thresholds),
+                        want,
+                        "scalar: {what}"
+                    );
+                    if let Some(got) = x8::loud_steps(key, first, n, &thresholds) {
+                        assert_eq!(got, want, "avx512x8: {what}");
+                    }
+                    assert_eq!(
+                        Rng::loud_steps(stream, seed, lane, first, n, &thresholds),
+                        want,
+                        "dispatch: {what}"
+                    );
+                    if n == 64 && want != 0 && want != u64::MAX {
+                        mixed += 1;
+                    }
+                }
+            }
+        }
+        assert!(mixed > 50, "only {mixed} masks mixed loud and quiet steps");
+        println!(
+            "step screen kernels checked against the stream reference: {}",
+            if x8::available() {
+                "scalar and avx512x8"
+            } else {
+                "scalar only (this CPU lacks AVX-512F/DQ)"
+            }
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 steps")]
+    fn screens_cover_at_most_64_steps() {
+        Rng::loud_steps(CellStream::Cell, 1, 2, 3, 65, &[0]);
     }
 }

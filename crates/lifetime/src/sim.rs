@@ -45,15 +45,26 @@
 //! 64-bit loud mask. Quiet epochs then cost a few adds and a multiply;
 //! only loud ones run the full epoch step.
 //!
+//! The column pass is [`Rng::loud_steps`], once on the main stream and,
+//! under importance sampling, once on the bias stream. Epochs are the
+//! step axis of counter-based streams, so it screens eight consecutive
+//! epochs per AVX-512 vector when the CPU has AVX-512F and AVX-512DQ
+//! (checked at run time, per call) and falls back to a scalar loop
+//! everywhere else; [`muse_faultsim::screen_kernel`] names the kernel in
+//! use. Both kernels compute the same wrapping 64-bit arithmetic, so
+//! the mask — and everything downstream of it — is identical on every
+//! host.
+//!
 //! # Determinism
 //!
 //! Epoch `e` of DIMM `d` draws exclusively from
 //! [`Rng::for_cell`]`(seed, d, e)`; per-DIMM tallies merge in DIMM order.
 //! Results are bit-identical at any thread count
 //! (`tests/determinism.rs`). The quiet-epoch screen draws nothing that
-//! the epoch step would not — it reads the same arrival raws off its own
-//! copy of each epoch's streams — and a loud epoch re-derives its streams
-//! from scratch, so screening changes no draw.
+//! the epoch step would not — the mask is a pure function of the same
+//! arrival raws of each epoch's streams — and a loud epoch re-derives
+//! its streams from scratch, so screening (on either kernel) changes no
+//! draw.
 //!
 //! # Importance sampling
 //!
@@ -71,7 +82,7 @@
 //! stream sees the identical draw sequence as a naive run.
 
 use muse_core::{Classifier, Strike, WordRead};
-use muse_faultsim::{Bounded32, CountCdf, FailureMode, Rng, SimEngine};
+use muse_faultsim::{Bounded32, CellStream, CountCdf, FailureMode, Rng, SimEngine};
 
 use crate::classify::{FleetBackend, FleetContext};
 use crate::estimator::{boosted_chance, BiasedCount, Estimator};
@@ -174,28 +185,13 @@ impl Plan {
 
     /// The loud mask of epochs `first..first + n` (`n <= 64`) of `dimm`:
     /// bit `i` is set when epoch `first + i` draws a nonzero arrival
-    /// count on either stream. Draws exactly the arrival raws
-    /// [`epoch_step`] draws first, off freshly derived copies of the same
-    /// streams, and compares each with its sampler's zero threshold —
-    /// no branch on the draws, so consecutive epochs' stream derivations
-    /// overlap in the pipeline.
+    /// count on either stream. Screens exactly the arrival raws
+    /// [`epoch_step`] draws first — the main stream's four, then the
+    /// active bias extras — against their samplers' zero thresholds.
     fn loud_mask(&self, seed: u64, dimm: u64, first: u64, n: u64) -> u64 {
-        let zero_extra = self.bias.as_ref().map_or(&[][..], |b| &b.zero_extra);
-        let mut mask = 0u64;
-        for i in 0..n {
-            let epoch = first + i;
-            let mut rng = Rng::for_cell(seed, dimm, epoch);
-            let mut loud = false;
-            for &t in &self.zero_main {
-                loud |= rng.next_u64() >= t;
-            }
-            if !zero_extra.is_empty() {
-                let mut brng = Rng::for_bias(seed, dimm, epoch);
-                for &t in zero_extra {
-                    loud |= brng.next_u64() >= t;
-                }
-            }
-            mask |= (loud as u64) << i;
+        let mut mask = Rng::loud_steps(CellStream::Cell, seed, dimm, first, n, &self.zero_main);
+        if let Some(bp) = &self.bias {
+            mask |= Rng::loud_steps(CellStream::Bias, seed, dimm, first, n, &bp.zero_extra);
         }
         mask
     }
@@ -770,6 +766,39 @@ mod tests {
                 assert!(tally.erasure_reads > 0);
             }
         }
+    }
+
+    #[test]
+    fn screen_matches_at_every_chunk_shape() {
+        // Horizons whose last chunk is shorter than one 8-epoch vector,
+        // exactly one, one past it, and either side of a full 64-epoch
+        // chunk. A 1/1024-year scrub interval makes the epoch counts
+        // exact in binary floating point.
+        let (smoke_env, _) = smoke_setup();
+        let mut envs = all_environments();
+        envs.push(smoke_env);
+        let codes = scenario_codes();
+        let mut loud_runs = 0;
+        for epochs in (1..=9).chain([63, 64, 65]) {
+            for env in &envs {
+                for code in &codes {
+                    for estimator in ESTIMATORS {
+                        let config = FleetConfig {
+                            dimms: 4,
+                            years: epochs as f64 / 1024.0,
+                            scrub_interval_hours: HOURS_PER_YEAR / 1024.0,
+                            threads: 1,
+                            estimator,
+                            ..FleetConfig::default()
+                        };
+                        assert_eq!(config.epochs(), epochs);
+                        let tally = assert_screen_matches(code, env, &config);
+                        loud_runs += (tally.corrected_words > 0) as u32;
+                    }
+                }
+            }
+        }
+        assert!(loud_runs > 0, "no run drew a loud epoch");
     }
 
     #[test]

@@ -89,7 +89,18 @@ pub struct RsClassifier<'a> {
 impl<'a> RsClassifier<'a> {
     /// Builds the backend for `device_bits`-wide devices laid over the
     /// channel from bit 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `device_bits`-wide devices do not tile the code's
+    /// `n_bits`-bit channel exactly (a remainder would be bits no device
+    /// covers, so no strike could ever reach them).
     pub fn new(code: &'a RsMemoryCode, device_bits: u32) -> Self {
+        assert!(
+            device_bits > 0 && code.n_bits().is_multiple_of(device_bits),
+            "{device_bits}-bit devices do not tile the {}-bit channel",
+            code.n_bits()
+        );
         let symbol_bits = code.symbol_bits();
         Self {
             code,
@@ -336,6 +347,13 @@ mod tests {
                 assert_eq!(fast, wide, "s={symbol_bits} x{device_bits} trial {trial}");
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "5-bit devices do not tile the 144-bit channel")]
+    fn devices_must_tile_the_channel() {
+        let code = RsMemoryCode::new(8, 144, 1).unwrap();
+        let _ = RsClassifier::new(&code, 5);
     }
 
     #[test]

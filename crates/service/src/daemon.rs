@@ -17,7 +17,7 @@ use muse_lifetime::{
 use muse_telemetry::{parse_object, Counter, Gauge, JsonBuilder, Metrics, Tracer};
 
 use crate::cache::{CacheLookup, ResultCache};
-use crate::job::JobSpec;
+use crate::job::{triple_id, JobSpec};
 
 /// Schema tag of every result file in `done/`.
 pub const RESULT_JSON_SCHEMA: &str = "muse-result/v1";
@@ -597,14 +597,11 @@ fn run_job(
     };
     // Fence the file name against its contents: a record renamed onto
     // the wrong id would otherwise cache under a hash it doesn't have.
-    match spec.job_id() {
-        Ok(actual) if actual == id => {}
-        Ok(actual) => {
-            return fail(format!(
-                "job id mismatch: file {id}, spec hashes to {actual}"
-            ))
-        }
-        Err(e) => return fail(e),
+    let actual = triple_id(&code, &env, &fleet_config);
+    if actual != id {
+        return fail(format!(
+            "job id mismatch: file {id}, spec hashes to {actual}"
+        ));
     }
     let hash = u64::from_str_radix(id, 16).expect("job id is 16-hex by construction");
 

@@ -10,6 +10,8 @@
 use muse_lifetime::{
     all_environments, config_hash, smoke_setup, Environment, Estimator, FleetCode, FleetConfig,
 };
+use std::sync::OnceLock;
+
 use muse_rs::RsMemoryCode;
 use muse_telemetry::{parse_object, JsonBuilder};
 
@@ -171,29 +173,47 @@ impl JobSpec {
     /// Exactly those of [`Self::resolve`].
     pub fn job_id(&self) -> Result<String, String> {
         let (code, env, config) = self.resolve()?;
-        Ok(format!("{:016x}", config_hash(&code, &env, &config)))
+        Ok(triple_id(&code, &env, &config))
     }
 }
 
-fn resolve_code(name: &str) -> Result<FleetCode, String> {
+/// The job id of an already resolved triple (see [`JobSpec::job_id`]).
+pub(crate) fn triple_id(code: &FleetCode, env: &Environment, config: &FleetConfig) -> String {
+    format!("{:016x}", config_hash(code, env, config))
+}
+
+/// Builds one registry code.
+type BuildCode = fn() -> FleetCode;
+
+/// The code registry: every name a job may give, with its constructor.
+const CODES: [(&str, BuildCode); 8] = {
     use muse_core::presets;
-    Ok(match name {
-        "muse144_132" => FleetCode::muse(presets::muse_144_132()),
-        "muse80_69" => FleetCode::muse(presets::muse_80_69()),
-        "muse80_67" => FleetCode::muse(presets::muse_80_67()),
-        "muse80_70" => FleetCode::muse(presets::muse_80_70()),
-        "muse268_256" => FleetCode::muse(presets::muse_268_256()),
-        "muse144_128" => FleetCode::muse(presets::muse_144_128()),
-        "rs144_128_t1" => FleetCode::rs(
-            RsMemoryCode::new(8, 144, 1).map_err(|e| format!("rs geometry: {e:?}"))?,
-            4,
-        ),
-        "rs144_112_t2" => FleetCode::rs(
-            RsMemoryCode::new(8, 144, 2).map_err(|e| format!("rs geometry: {e:?}"))?,
-            4,
-        ),
-        other => return Err(format!("unknown code {other:?}")),
-    })
+    fn rs(t: usize) -> FleetCode {
+        let code = RsMemoryCode::new(8, 144, t).expect("8-bit symbols tile 144 bits");
+        FleetCode::rs(code, 4)
+    }
+    [
+        ("muse144_132", || FleetCode::muse(presets::muse_144_132())),
+        ("muse80_69", || FleetCode::muse(presets::muse_80_69())),
+        ("muse80_67", || FleetCode::muse(presets::muse_80_67())),
+        ("muse80_70", || FleetCode::muse(presets::muse_80_70())),
+        ("muse268_256", || FleetCode::muse(presets::muse_268_256())),
+        ("muse144_128", || FleetCode::muse(presets::muse_144_128())),
+        ("rs144_128_t1", || rs(1)),
+        ("rs144_112_t2", || rs(2)),
+    ]
+};
+
+/// The registry code `name`. Each code is built once per process, on
+/// first use (building a MUSE code's tables takes about a millisecond),
+/// and handed out as a clone.
+fn resolve_code(name: &str) -> Result<FleetCode, String> {
+    static BUILT: [OnceLock<FleetCode>; CODES.len()] = [const { OnceLock::new() }; CODES.len()];
+    let i = CODES
+        .iter()
+        .position(|&(known, _)| known == name)
+        .ok_or_else(|| format!("unknown code {name:?}"))?;
+    Ok(BUILT[i].get_or_init(CODES[i].1).clone())
 }
 
 fn resolve_env(name: &str) -> Result<Environment, String> {
