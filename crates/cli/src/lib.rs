@@ -1,67 +1,48 @@
 //! `muse-tool`: a command-line interface to the MUSE ECC library.
 //!
-//! Subcommands:
+//! Each subcommand is declared once, in usage syntax: its positional
+//! arguments and its flags, each a switch or taking a value. The parser
+//! and the usage text (`muse-tool help`) both read that declaration, so
+//! an unknown or repeated flag, a value flag without its value, or a
+//! wrong number of positional arguments is an error naming the
+//! subcommand and the flag.
 //!
-//! * `presets` — list the built-in codes.
-//! * `inspect <preset>` — parameters, ELC size, detection headroom.
-//! * `encode <preset> <hex-data> [--meta <hex>]` — produce a codeword.
-//! * `decode <preset> <hex-codeword>` — decode/correct a codeword.
-//! * `search --bits N [--symbol S] [--redundancy R] [--interleaved]
-//!   [--asym] [--single-bit] [--limit K]` — run Algorithm 1.
-//! * `msed <preset> [--trials N] [--devices K] [--threads T]` —
-//!   Monte-Carlo detection rate (parallel; bit-identical at any `T`).
-//! * `rsmsed [--t 1|2] [--symbol-bits S] [--device-bits D] [--trials N]
-//!   [--devices K] [--threads T]` — the Reed-Solomon comparator on the
-//!   144-bit channel (`D` must divide 144), classified in the GF-syndrome
-//!   domain for both `t` values (no wide decode per trial).
-//! * `lifetime [--dimms N] [--years Y] [--scrub-hours H] [--spares S]
-//!   [--seed X] [--threads T] [--estimator naive|is] [--bias F]
-//!   [--shards K] [--checkpoint-dir D] [--resume] [--inject SPEC]
-//!   [--trace FILE] [--metrics FILE] [--progress] [--smoke]` — the
-//!   fleet-lifetime scenario matrix: DUE/SDC/repair
+//! * `msed` and `rsmsed` estimate the Monte-Carlo detection rate of a
+//!   MUSE preset and of the Reed-Solomon comparator on the 144-bit
+//!   channel (whose devices must tile it), bit-identical at any
+//!   `--threads`; RS trials classify in the GF-syndrome domain.
+//! * `lifetime` runs the fleet-lifetime scenario matrix: DUE/SDC/repair
 //!   rates per machine-year for every code × environment (three
 //!   synthetic plus two field-calibrated rate sets), with erasure-mode
 //!   degraded operation (see the `muse-lifetime` crate). DUE/SDC
 //!   columns quote 95% confidence intervals; zero observed events print
-//!   the rule-of-three upper bound (`<x @95%`), never a bare zero.
-//!   `--estimator is` switches to importance sampling with
-//!   likelihood-ratio reweighting (`--bias` sets the rate-inflation
-//!   factor and implies `is`; default 16). With `--checkpoint-dir`
-//!   every cell runs through the crash-safe sharded supervisor
-//!   (checkpoints survive interruption; `--resume` continues
-//!   bit-identically); `--inject` drives the deterministic fault plan
-//!   (`kill=<p>,crash-after=<n>,corrupt=<gen>:<truncate|bitflip>,`
-//!   `delay=<ms>,fault-seed=<x>`); `--smoke` checks the pinned CI
-//!   tallies instead of printing the matrix. Observability (strictly
-//!   observational — tallies stay bit-identical): `--trace` streams
-//!   `muse-trace/v1` JSONL events, `--metrics` snapshots a Prometheus
-//!   textfile after every shard, `--progress` prints heartbeat lines
-//!   (shards done, machine-years, ETA, live 95% CI half-widths) to
-//!   stderr; any of the three routes cells through the sharded
-//!   supervisor. Shard retries and checkpoint-corruption fallbacks are
-//!   warned on stderr as they happen.
-//! * `submit` / `serve` / `status` / `result` / `smoke-check` — the
-//!   `muse-service` spool daemon (see that crate's docs for the spool
-//!   layout and drain semantics). `submit` enqueues lifetime-run jobs
-//!   (`--smoke` enqueues the four pinned smoke cells); `serve` runs the
-//!   daemon — `--once` drains the queue and exits, otherwise it polls
-//!   until SIGTERM/SIGINT trips a graceful drain (finish the shard,
-//!   checkpoint, re-queue, exit 0; a restart adopts the checkpoints and
-//!   resumes bit-identically). Repeated configurations are served from
-//!   the CRC-checked result cache without recomputing. `--watchdog-ms`
-//!   arms the per-shard watchdog; `--inject` accepts the lifetime fault
-//!   keys plus `hang=<p>`, `hang-ms=<n>` and the I/O chaos keys
-//!   (`enospc`, `short-write`, `fsync-fail`, `rename-fail`,
-//!   `corrupt-record`, `sink-fail`, `sink-block-ms`, `io-seed`).
-//!   `smoke-check` verifies finished smoke results against the pinned
-//!   tallies.
+//!   the rule-of-three upper bound (`<x @95%`), never a bare zero. Its
+//!   fleet flags are `submit`'s, read and checked by one function with
+//!   a job's rules: `--bias` implies importance sampling (`is`), and
+//!   `is` alone runs at bias 16. Checkpoints (`--checkpoint-dir`),
+//!   `--resume`, `--shards`, fault injection (`--inject`) and
+//!   observability (`--trace` JSONL events, a `--metrics` Prometheus
+//!   textfile, `--progress` heartbeats on stderr) route every cell
+//!   through the crash-safe sharded supervisor; tallies stay
+//!   bit-identical. `--smoke` checks the pinned CI tallies instead.
+//! * `submit` / `serve` / `status` / `result` / `smoke-check` drive the
+//!   `muse-service` spool daemon (see that crate's docs). `serve --once`
+//!   drains the queue and exits; otherwise SIGTERM/SIGINT trips a
+//!   graceful drain that a restart resumes bit-identically. `--inject`
+//!   takes comma-separated `key=value` pairs (see `parse_inject`); its
+//!   `sink-*` keys act on the `--trace` file. `lifetime` and `serve`
+//!   check that a `--metrics` file can be written before any work
+//!   starts.
 //!
 //! The command layer is a plain function from parsed arguments to a
 //! [`String`], so every path is unit-testable without spawning processes.
 
+use std::path::PathBuf;
+
 use muse_core::analysis::remainder_profile;
 use muse_core::{presets, CodeBuilder, Decoded, MuseCode, SearchOptions, Shuffle, Word};
 use muse_faultsim::{muse_msed, MsedConfig};
+use muse_service::JobSpec;
 
 /// Error surfaced to the CLI user.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -79,569 +60,681 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-muse-tool — residue codes for modern memories
+/// One subcommand, declared in usage syntax: `<name>` is a positional
+/// argument, `--flag` a switch, `--flag <value>` a flag taking a value,
+/// and `[…]` marks a flag optional. The parser and the usage text both
+/// read this declaration and nothing else.
+struct Command {
+    name: &'static str,
+    /// Declaration fragments: one usage line each.
+    syntax: &'static [&'static str],
+    run: fn(&Args) -> Result<String, CliError>,
+}
 
-USAGE:
-  muse-tool presets
-  muse-tool inspect <preset>
-  muse-tool encode <preset> <hex-data> [--meta <hex>]
-  muse-tool decode <preset> <hex-codeword>
-  muse-tool search --bits <n> [--symbol <s>] [--redundancy <r>]
-                   [--interleaved] [--asym] [--single-bit] [--limit <k>]
-  muse-tool msed <preset> [--trials <n>] [--devices <k>] [--threads <t>]
-  muse-tool rsmsed [--t <1|2>] [--symbol-bits <s>] [--device-bits <d>]
-                   [--trials <n>] [--devices <k>] [--threads <t>]
-  muse-tool lifetime [--dimms <n>] [--years <y>] [--scrub-hours <h>]
-                     [--spares <s>] [--seed <x>] [--threads <t>]
-                     [--estimator <naive|is>] [--bias <factor>]
-                     [--shards <k>] [--checkpoint-dir <dir>] [--resume]
-                     [--inject <spec>] [--trace <file>] [--metrics <file>]
-                     [--progress] [--smoke]
-  muse-tool submit [--root <dir>] (--smoke | [--code <name>] [--env <name>]
-                   [--dimms <n>] [--years <y>] [--scrub-hours <h>]
-                   [--spares <s>] [--seed <x>] [--estimator <naive|is>]
-                   [--bias <f>]) [--shards <k>] [--threads <t>]
-  muse-tool serve [--root <dir>] [--once] [--poll-ms <n>] [--watchdog-ms <n>]
-                  [--max-retries <n>] [--backoff-ms <n>]
-                  [--checkpoint-every <n>] [--inject <spec>]
-                  [--trace <file>] [--metrics <file>]
-  muse-tool status [--root <dir>]
-  muse-tool result <id> [--root <dir>]
-  muse-tool smoke-check [--root <dir>]
-  muse-tool verilog <preset> [--syndrome-only|--corrector]
-  muse-tool spec <preset>
+/// The fleet flags of `lifetime` and `submit` (read by [`fleet_spec`]).
+const FLEET: &[&str] = &[
+    "[--dimms <n>] [--years <y>] [--scrub-hours <h>] [--spares <s>]",
+    "[--seed <x>] [--estimator <naive|is>] [--bias <factor>]",
+    "[--shards <k>] [--threads <t>]",
+];
+/// The telemetry flags of `lifetime` and `serve`.
+const TELEMETRY: &str = "[--inject <spec>] [--trace <file>] [--metrics <file>]";
 
-PRESETS: muse144_132 muse80_69 muse80_67 muse80_70 muse268_256 muse144_128";
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    Command { name: "presets", syntax: &[], run: list_presets },
+    Command { name: "inspect", syntax: &["<preset>"], run: inspect },
+    Command { name: "encode", syntax: &["<preset> <hex-data> [--meta <hex>]"], run: encode },
+    Command { name: "decode", syntax: &["<preset> <hex-codeword>"], run: decode },
+    Command { name: "search", syntax: &["--bits <n> [--symbol <s>] [--redundancy <r>] [--interleaved]",
+        "[--asym] [--single-bit] [--limit <k>]"], run: search },
+    Command { name: "msed", syntax: &["<preset> [--trials <n>] [--devices <k>] [--threads <t>]"],
+        run: msed },
+    Command { name: "rsmsed", syntax: &["[--t <1|2>] [--symbol-bits <s>] [--device-bits <d>]",
+        "[--trials <n>] [--devices <k>] [--threads <t>]"], run: rsmsed },
+    Command { name: "lifetime", syntax: &[FLEET[0], FLEET[1], FLEET[2],
+        "[--checkpoint-dir <dir>] [--resume] [--progress] [--smoke]", TELEMETRY], run: lifetime },
+    Command { name: "submit", syntax: &["[--root <dir>] [--smoke] [--code <name>] [--env <name>]",
+        FLEET[0], FLEET[1], FLEET[2]], run: submit },
+    Command { name: "serve", syntax: &["[--root <dir>] [--once] [--poll-ms <n>] [--watchdog-ms <n>]",
+        "[--max-retries <n>] [--backoff-ms <n>] [--checkpoint-every <n>]", TELEMETRY], run: serve },
+    Command { name: "status", syntax: &["[--root <dir>]"], run: status },
+    Command { name: "result", syntax: &["<id> [--root <dir>]"], run: result },
+    Command { name: "smoke-check", syntax: &["[--root <dir>]"], run: smoke_check },
+    Command { name: "verilog", syntax: &["<preset> [--syndrome-only] [--corrector]"], run: verilog },
+    Command { name: "spec", syntax: &["<preset>"], run: spec },
+];
 
-/// Resolves a preset name.
-pub fn preset(name: &str) -> Result<MuseCode, CliError> {
-    match name {
-        "muse144_132" => Ok(presets::muse_144_132()),
-        "muse80_69" => Ok(presets::muse_80_69()),
-        "muse80_67" => Ok(presets::muse_80_67()),
-        "muse80_70" => Ok(presets::muse_80_70()),
-        "muse268_256" => Ok(presets::muse_268_256()),
-        "muse144_128" => Ok(presets::muse_144_128()),
-        other => Err(err(format!(
-            "unknown preset {other:?}; try `muse-tool presets`"
-        ))),
+/// A declared flag: its name, and what its value is (`n`, `file`, …;
+/// `None` for a switch).
+type Flag = (&'static str, Option<&'static str>);
+
+impl Command {
+    /// The declared positional argument names and flags. A `<value>`
+    /// right after a flag that leaves its `[` open (or has none) is that
+    /// flag's value.
+    fn syntax(&self) -> (Vec<&'static str>, Vec<Flag>) {
+        let (mut positional, mut flags) = (Vec::new(), Vec::new());
+        let mut open = false;
+        for word in self.syntax.iter().flat_map(|s| s.split_whitespace()) {
+            let bare = word.trim_matches(['[', ']', '<', '>']);
+            if bare.starts_with("--") {
+                flags.push((bare, None));
+                open = !word.ends_with(']');
+            } else if open {
+                flags.last_mut().expect("an open flag precedes").1 = Some(bare);
+                open = false;
+            } else {
+                positional.push(bare);
+            }
+        }
+        (positional, flags)
+    }
+
+    /// `muse-tool <name> <declaration>`, a fragment per line.
+    fn usage(&self) -> String {
+        let indent = format!("\n{}", " ".repeat("muse-tool  ".len() + self.name.len()));
+        let usage = format!("muse-tool {} {}", self.name, self.syntax.join(&indent));
+        usage.trim_end().to_string()
     }
 }
 
-/// Runs one parsed command line (without the program name).
+/// The usage text: every subcommand's declaration, then the preset
+/// names.
+pub fn usage() -> String {
+    let commands: Vec<String> = COMMANDS.iter().map(Command::usage).collect();
+    let presets: Vec<&str> = presets::ALL.iter().map(|p| p.0).collect();
+    format!(
+        "muse-tool — residue codes for modern memories\n\nUSAGE:\n  {}\n\nPRESETS: {}",
+        commands.join("\n").replace('\n', "\n  "),
+        presets.join(" ")
+    )
+}
+
+/// A command line parsed against its subcommand's declaration.
+struct Args<'a> {
+    command: &'static Command,
+    positional: Vec<&'a str>,
+    /// Each flag given, with its value if it takes one.
+    flags: Vec<(&'static str, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    /// Parses `tokens`, the arguments after the subcommand's name.
+    ///
+    /// # Errors
+    ///
+    /// An unknown or repeated flag, a value flag with no value (or with
+    /// a flag where its value should be), or a wrong number of
+    /// positional arguments.
+    fn parse(command: &'static Command, tokens: &'a [String]) -> Result<Self, CliError> {
+        let misuse = |what: String| {
+            let usage = command.usage();
+            err(format!("{}: {what}\nusage: {usage}", command.name))
+        };
+        let (positional, declared) = command.syntax();
+        let mut args = Self {
+            command,
+            positional: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut tokens = tokens.iter().map(String::as_str);
+        while let Some(token) = tokens.next() {
+            let Some(&(name, meta)) = declared.iter().find(|f| f.0 == token) else {
+                if token.starts_with("--") {
+                    return Err(misuse(format!("unknown flag {token}")));
+                }
+                args.positional.push(token);
+                continue;
+            };
+            if args.has(token) {
+                return Err(misuse(format!("{token} given twice")));
+            }
+            let value = meta.map(|meta| {
+                let value = tokens.next().filter(|v| !v.starts_with("--"));
+                value.ok_or_else(|| misuse(format!("{token} needs a value <{meta}>")))
+            });
+            args.flags.push((name, value.transpose()?));
+        }
+        if args.positional.len() != positional.len() {
+            return Err(misuse(format!(
+                "expected {} positional argument(s), got {:?}",
+                positional.len(),
+                args.positional
+            )));
+        }
+        Ok(args)
+    }
+
+    /// The given value of `flag` (`Some(None)` for a switch), or `None`.
+    fn lookup(&self, flag: &str) -> Option<Option<&'a str>> {
+        debug_assert!(
+            self.command.syntax().1.iter().any(|f| f.0 == flag),
+            "{} reads undeclared flag {flag}",
+            self.command.name
+        );
+        self.flags.iter().find(|f| f.0 == flag).map(|f| f.1)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.lookup(flag).is_some()
+    }
+
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.lookup(flag).flatten()
+    }
+
+    fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.value(flag).map(PathBuf::from)
+    }
+
+    fn get<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|_| err(format!("{} {flag}: cannot parse {v:?}", self.command.name)))
+        };
+        self.value(flag).map(parse).transpose()
+    }
+
+    fn get_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, CliError> {
+        Ok(self.get(flag)?.unwrap_or(default))
+    }
+}
+
+/// Runs one command line (without the program name).
 ///
 /// # Errors
 ///
 /// Returns a [`CliError`] with a user-facing message for any invalid
 /// invocation.
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let mut it = args.iter().map(String::as_str);
-    match it.next() {
-        None | Some("help" | "--help" | "-h") => Ok(USAGE.to_string()),
-        Some("presets") => Ok([
-            "muse144_132  DDR4 x4 ChipKill, m=4065, 4 spare bits over 2x64b",
-            "muse80_69    DDR5 x4 ChipKill, m=2005, 5 spare bits",
-            "muse80_67    DDR5 x8 retention (C8A), m=5621, 3 spare bits",
-            "muse80_70    hybrid C4A_U1B, m=821, 6 spare bits",
-            "muse268_256  PIM/HBM2, m=3621, 12 check bits",
-            "muse144_128  max-detection variant, m=65519",
-        ]
-        .join("\n")),
-        Some("inspect") => {
-            let code = preset(it.next().ok_or_else(|| err("inspect needs a preset"))?)?;
-            let profile = remainder_profile(&code);
-            Ok(format!(
-                "{name}\n  class        {class}\n  multiplier   {m}\n  n/k/r        {n}/{k}/{r} bits\n  devices      {devs} x{s}\n  spare bits   {spare}\n  ELC entries  {elc}\n  headroom     {head:.1}% of remainders unused",
-                name = code.name(),
-                class = code.class_name(),
-                m = code.multiplier(),
-                n = code.n_bits(),
-                k = code.k_bits(),
-                r = code.r_bits(),
-                devs = code.symbol_map().num_symbols(),
-                s = code.symbol_map().bits_of(0).len(),
-                spare = code.spare_bits(),
-                elc = code.elc().len(),
-                head = 100.0 * profile.headroom,
-            ))
-        }
-        Some("encode") => {
-            let code = preset(it.next().ok_or_else(|| err("encode needs a preset"))?)?;
-            let data = parse_hex(it.next().ok_or_else(|| err("encode needs hex data"))?)?;
-            let rest: Vec<&str> = it.collect();
-            let meta = match flag_value(&rest, "--meta")? {
-                Some(v) => parse_hex(v)?
-                    .to_u64()
-                    .ok_or_else(|| err("metadata too wide"))?,
-                None => 0,
-            };
-            let payload = if meta != 0 || code.spare_bits() > 0 && data.bit_len() <= 64 {
-                let d = data.to_u64().ok_or_else(|| {
-                    err("data wider than 64 bits; omit --meta and pass a full payload")
-                })?;
-                code.pack_metadata(d, meta)
-            } else {
-                data
-            };
-            if payload.bit_len() > code.k_bits() {
-                return Err(err(format!("payload exceeds {} bits", code.k_bits())));
-            }
-            Ok(format!("{:#x}", code.encode(&payload)))
-        }
-        Some("decode") => {
-            let code = preset(it.next().ok_or_else(|| err("decode needs a preset"))?)?;
-            let cw = parse_hex(
-                it.next()
-                    .ok_or_else(|| err("decode needs a hex codeword"))?,
-            )?;
-            if cw.bit_len() > code.n_bits() {
-                return Err(err(format!("codeword exceeds {} bits", code.n_bits())));
-            }
-            Ok(match code.decode(&cw) {
-                Decoded::Clean { payload } => format!("clean: payload {payload:#x}"),
-                Decoded::Corrected {
-                    payload,
-                    symbol,
-                    error,
-                } => {
-                    format!("corrected device {symbol} (error {error}): payload {payload:#x}")
-                }
-                Decoded::Detected => "UNCORRECTABLE: multi-device error detected".to_string(),
-            })
-        }
-        Some("search") => {
-            let rest: Vec<&str> = it.collect();
-            let bits: u32 = require_parsed(&rest, "--bits")?;
-            let symbol: u32 = parse_or(&rest, "--symbol", 4)?;
-            let redundancy: u32 = parse_or(&rest, "--redundancy", 12)?;
-            let limit: usize = parse_or(&rest, "--limit", 0)?;
-            let mut builder = CodeBuilder::new(bits)
-                .symbol_bits(symbol)
-                .redundancy_bits(redundancy)
-                .search_options(SearchOptions { threads: 0, limit });
-            if has_flag(&rest, "--interleaved") {
-                builder = builder.shuffle(Shuffle::Interleaved);
-            }
-            if has_flag(&rest, "--asym") {
-                builder = builder.direction(muse_core::Direction::OneToZero);
-            }
-            if has_flag(&rest, "--single-bit") {
-                builder = builder.with_single_bit_errors(muse_core::Direction::Bidirectional);
-            }
-            let map = builder.layout().map_err(|e| err(e.to_string()))?;
-            let model = builder.model();
-            let found = muse_core::find_multipliers(
-                &map,
-                &model,
-                redundancy,
-                SearchOptions { threads: 0, limit },
-            );
-            if found.is_empty() {
-                Ok(format!(
-                    "no valid {redundancy}-bit multiplier for {bits}b/{symbol}-bit {}",
-                    model.name(symbol)
-                ))
-            } else {
-                Ok(format!(
-                    "{} multiplier(s) for {bits}b/{symbol}-bit {}: {found:?}",
-                    found.len(),
-                    model.name(symbol)
-                ))
-            }
-        }
-        Some("verilog") => {
-            let code = preset(it.next().ok_or_else(|| err("verilog needs a preset"))?)?;
-            let rest: Vec<&str> = it.collect();
-            let name = code
-                .name()
-                .replace(['(', ')'], "_")
-                .replace(',', "_")
-                .to_lowercase();
-            if has_flag(&rest, "--syndrome-only") {
-                Ok(muse_hw::emit_remainder_module(&code, &format!("{name}rem")))
-            } else if has_flag(&rest, "--corrector") {
-                Ok(muse_hw::emit_corrector_module(
-                    &code,
-                    &format!("{name}corr"),
-                ))
-            } else {
-                Ok(muse_hw::emit_encoder_module(&code, &format!("{name}enc")))
-            }
-        }
-        Some("spec") => {
-            let code = preset(it.next().ok_or_else(|| err("spec needs a preset"))?)?;
-            Ok(code.to_spec_string())
-        }
-        Some("msed") => {
-            let code = preset(it.next().ok_or_else(|| err("msed needs a preset"))?)?;
-            let rest: Vec<&str> = it.collect();
-            let trials: u64 = parse_or(&rest, "--trials", 10_000)?;
-            let devices = parse_devices(&rest, code.symbol_map().num_symbols())?;
-            let threads: usize = parse_or(&rest, "--threads", 0)?;
-            let stats = muse_msed(
-                &code,
-                MsedConfig {
-                    trials,
-                    failing_devices: devices,
-                    threads,
-                    ..MsedConfig::default()
-                },
-            );
-            Ok(format!(
-                "{}: {:.2}% of {} {}-device errors detected ({} miscorrected, {} silent)",
-                code.name(),
-                stats.detection_rate(),
-                trials,
-                devices,
-                stats.miscorrected,
-                stats.silent
-            ))
-        }
-        Some("rsmsed") => {
-            let rest: Vec<&str> = it.collect();
-            let t: usize = parse_or(&rest, "--t", 1)?;
-            let symbol_bits: u32 = parse_or(&rest, "--symbol-bits", 8)?;
-            let device_bits: u32 = parse_or(&rest, "--device-bits", 4)?;
-            if !(1..=16).contains(&device_bits) {
-                return Err(err("--device-bits must be in 1..=16"));
-            }
-            // Devices must tile the channel: a remainder would be bits
-            // no device strike ever reaches.
-            const CHANNEL_BITS: u32 = 144;
-            if !CHANNEL_BITS.is_multiple_of(device_bits) {
-                return Err(err(format!(
-                    "--device-bits {device_bits} does not tile the {CHANNEL_BITS}-bit channel"
-                )));
-            }
-            let trials: u64 = parse_or(&rest, "--trials", 10_000)?;
-            let threads: usize = parse_or(&rest, "--threads", 0)?;
-            let code = muse_rs::RsMemoryCode::new(symbol_bits, CHANNEL_BITS, t)
-                .map_err(|e| err(format!("bad RS geometry: {e}")))?;
-            let devices = parse_devices(&rest, (code.n_bits() / device_bits) as usize)?;
-            let stats = muse_faultsim::rs_msed(
-                &code,
-                device_bits,
-                muse_faultsim::RsDetectMode::DeviceConfined,
-                MsedConfig {
-                    trials,
-                    failing_devices: devices,
-                    threads,
-                    ..MsedConfig::default()
-                },
-            );
-            Ok(format!(
-                "{} t={}: {:.2}% of {} {}-device errors detected \
-                 ({} corrected, {} miscorrected, {} silent)",
-                code.name(),
-                t,
-                stats.detection_rate(),
-                trials,
-                devices,
-                stats.corrected,
-                stats.miscorrected,
-                stats.silent
-            ))
-        }
-        Some("lifetime") => {
-            let rest: Vec<&str> = it.collect();
-            let smoke = has_flag(&rest, "--smoke");
-            let (smoke_env, smoke_config) = muse_lifetime::smoke_setup();
-            let mut config = if smoke {
-                smoke_config
-            } else {
-                muse_lifetime::FleetConfig {
-                    dimms: parse_or(&rest, "--dimms", 1024)?,
-                    years: parse_or(&rest, "--years", 5.0)?,
-                    scrub_interval_hours: parse_or(&rest, "--scrub-hours", 12.0)?,
-                    spares_per_dimm: parse_or(&rest, "--spares", 0)?,
-                    ..muse_lifetime::FleetConfig::default()
-                }
-            };
-            // Seed/threads stay overridable even under --smoke: threads
-            // never changes tallies, and a seed change is exactly what the
-            // config-hash fencing tests need to provoke.
-            config.seed = parse_or(&rest, "--seed", config.seed)?;
-            config.threads = parse_or(&rest, "--threads", config.threads)?;
-            config.estimator = parse_estimator(&rest)?;
-            let shards: u32 = parse_or(&rest, "--shards", 0)?;
-            let checkpoint_dir =
-                flag_value(&rest, "--checkpoint-dir")?.map(std::path::PathBuf::from);
-            let resume = has_flag(&rest, "--resume");
-            let (faults, crash_after) = match flag_value(&rest, "--inject")? {
-                Some(spec) => {
-                    let (plan, crash) = parse_inject(spec)?;
-                    (Some(plan), crash)
-                }
-                None => (None, None),
-            };
-            let envs = if smoke {
-                vec![smoke_env]
-            } else {
-                muse_lifetime::all_environments()
-            };
-            let trace = flag_value(&rest, "--trace")?.map(std::path::PathBuf::from);
-            let metrics = flag_value(&rest, "--metrics")?.map(std::path::PathBuf::from);
-            let progress = has_flag(&rest, "--progress");
-            // Any observability flag routes cells through the sharded
-            // supervisor — that is where the events live.
-            let sharded = checkpoint_dir.is_some()
-                || shards != 0
-                || faults.is_some()
-                || trace.is_some()
-                || metrics.is_some()
-                || progress;
-            let (reports, banners) = run_lifetime_cells(
-                &muse_lifetime::scenario_codes(),
-                &envs,
-                &config,
-                LifetimeRun {
-                    sharded,
-                    shards,
-                    checkpoint_dir,
-                    resume,
-                    faults,
-                    crash_after,
-                    trace,
-                    metrics,
-                    progress,
-                },
-            )?;
-            let mut out = String::new();
-            for banner in &banners {
-                out.push_str(banner);
-                out.push('\n');
-            }
-            if smoke {
-                muse_lifetime::verify_smoke(&reports)
-                    .map_err(|drift| err(format!("smoke pin mismatch: {drift}")))?;
-                out.push_str(&format!(
-                    "smoke tallies match the pins for all {} codes",
-                    reports.len()
-                ));
-                return Ok(out);
-            }
-            let est_label = match config.estimator {
-                muse_lifetime::Estimator::Naive => "naive".to_string(),
-                muse_lifetime::Estimator::Importance { bias } => {
-                    format!("is bias={bias}")
-                }
-            };
-            out.push_str(&format!(
-                "fleet: {} DIMMs x {} years ({:.0} machine-years), scrub every {}h, {} spares/DIMM, estimator {}, epoch screen {}\n\n{:<16} {:<21} {:>22} {:>22} {:>11} {:>9} {:>9}\n",
-                config.dimms,
-                config.years,
-                config.machine_years(),
-                config.scrub_interval_hours,
-                config.spares_per_dimm,
-                est_label,
-                muse_faultsim::screen_kernel(),
-                "code",
-                "environment",
-                "DUE/m-yr [95% CI]",
-                "SDC/m-yr [95% CI]",
-                "repairs/yr",
-                "degraded",
-                "era-reads",
-            ));
-            for r in &reports {
-                out.push_str(&format!(
-                    "{:<16} {:<21} {:>22} {:>22} {:>11.4} {:>8.2}% {:>9}\n",
-                    r.code,
-                    r.environment,
-                    r.due_estimate.render(),
-                    r.sdc_estimate.render(),
-                    r.repairs_per_machine_year,
-                    100.0 * r.degraded_fraction,
-                    r.tally.erasure_reads,
-                ));
-            }
-            out.push_str(
-                "\nDUE/SDC are per machine-year (word DUEs + data-loss events) with 95% \
-                 confidence intervals; `<x @95%` marks the rule-of-three upper bound when zero \
-                 events were observed; degraded = fraction of DIMM-epochs in erasure-mode \
-                 operation.\nDeterministic: tallies are bit-identical at any --threads value.",
-            );
-            Ok(out)
-        }
-        Some("submit") => {
-            let rest: Vec<&str> = it.collect();
-            let spool = open_spool(&rest)?;
-            let shards: u32 = parse_or(&rest, "--shards", 0)?;
-            let threads: usize = parse_or(&rest, "--threads", 0)?;
-            let default = muse_service::JobSpec::default();
-            let specs: Vec<muse_service::JobSpec> = if has_flag(&rest, "--smoke") {
-                smoke_specs(shards, threads)
-            } else {
-                vec![muse_service::JobSpec {
-                    code: flag_value(&rest, "--code")?.unwrap_or("muse144_132").into(),
-                    env: flag_value(&rest, "--env")?
-                        .unwrap_or("transient-dominant")
-                        .into(),
-                    smoke: false,
-                    dimms: parse_or(&rest, "--dimms", default.dimms)?,
-                    years: parse_or(&rest, "--years", default.years)?,
-                    scrub_hours: parse_or(&rest, "--scrub-hours", default.scrub_hours)?,
-                    spares: parse_or(&rest, "--spares", default.spares)?,
-                    seed: parse_or(&rest, "--seed", default.seed)?,
-                    estimator: flag_value(&rest, "--estimator")?.unwrap_or("naive").into(),
-                    bias: parse_or(&rest, "--bias", default.bias)?,
-                    shards,
-                    threads,
-                }]
-            };
-            let mut out = String::new();
-            for spec in &specs {
-                match spool.submit(spec).map_err(err)? {
-                    (id, true) => {
-                        out.push_str(&format!("submitted {id} ({} @ {})\n", spec.code, spec.env));
-                    }
-                    (id, false) => out.push_str(&format!(
-                        "duplicate {id} ({} @ {}) — already queued\n",
-                        spec.code, spec.env
-                    )),
-                }
-            }
-            Ok(out.trim_end().to_string())
-        }
-        Some("serve") => {
-            let rest: Vec<&str> = it.collect();
-            let drain = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-            #[cfg(unix)]
-            install_drain_handler(&drain);
-            let faults = match flag_value(&rest, "--inject")? {
-                Some(spec) => Some(parse_inject(spec)?.0),
-                None => None,
-            };
-            let config = muse_service::ServiceConfig {
-                root: std::path::PathBuf::from(
-                    flag_value(&rest, "--root")?.unwrap_or("muse-spool"),
-                ),
-                once: has_flag(&rest, "--once"),
-                poll_ms: parse_or(&rest, "--poll-ms", 200)?,
-                drain,
-                watchdog_ms: match flag_value(&rest, "--watchdog-ms")? {
-                    Some(v) => Some(
-                        v.parse()
-                            .map_err(|_| err(format!("--watchdog-ms: cannot parse {v:?}")))?,
-                    ),
-                    None => None,
-                },
-                max_retries: parse_or(&rest, "--max-retries", 4)?,
-                backoff_base_ms: parse_or(&rest, "--backoff-ms", 20)?,
-                checkpoint_every: parse_or(&rest, "--checkpoint-every", 1)?,
-                faults,
-            };
-            let trace = flag_value(&rest, "--trace")?.map(std::path::PathBuf::from);
-            let tracer = match &trace {
-                Some(path) => Some(
-                    muse_telemetry::Tracer::to_file(path, muse_telemetry::DEFAULT_CAPACITY)
-                        .map_err(|e| err(format!("--trace {}: {e}", path.display())))?,
-                ),
-                None => None,
-            };
-            let metrics_path = flag_value(&rest, "--metrics")?.map(std::path::PathBuf::from);
-            let registry = metrics_path.is_some().then(muse_telemetry::Metrics::new);
-            let telemetry = muse_service::ServiceTelemetry {
-                metrics: registry.as_ref(),
-                metrics_path,
-                tracer: tracer.as_ref(),
-                warn: Some(Box::new(|line: &str| eprintln!("{line}"))),
-            };
-            let report =
-                muse_service::serve(&config, &telemetry).map_err(|e| err(format!("serve: {e}")))?;
-            drop(telemetry);
-            if let Some(tracer) = tracer {
-                let summary = tracer.finish();
-                eprintln!(
-                    "trace: {} events written, {} dropped, {} sink errors",
-                    summary.written, summary.dropped, summary.io_errors
-                );
-            }
-            let summary = format!(
-                "serve: {} job(s) completed ({} from cache), {} failed, {} orphan(s) adopted{}",
-                report.jobs_completed,
-                report.cache_hits,
-                report.jobs_failed,
-                report.adopted,
-                if report.drained {
-                    "; drained cleanly — queue and checkpoints persisted, restart resumes"
-                } else {
-                    ""
-                },
-            );
-            if report.jobs_failed > 0 {
-                // Loud failure: chaos runs and CI must see a nonzero exit,
-                // with the per-job evidence preserved in failed/.
-                return Err(err(format!("{summary}\nsee failed/ for specs and errors")));
-            }
-            Ok(summary)
-        }
-        Some("status") => {
-            let rest: Vec<&str> = it.collect();
-            let spool = open_spool(&rest)?;
-            let s = spool.status().map_err(|e| err(format!("status: {e}")))?;
-            Ok(format!(
-                "queued: {}\nactive: {}\ndone: {}\nfailed: {}",
-                s.queued, s.active, s.done, s.failed
-            ))
-        }
-        Some("result") => {
-            let id = it.next().ok_or_else(|| err("result needs a job id"))?;
-            let rest: Vec<&str> = it.collect();
-            let spool = open_spool(&rest)?;
-            spool
-                .result_json(id)
-                .map(|json| json.trim_end().to_string())
-                .map_err(|e| err(format!("result {id}: {e} (is the job done?)")))
-        }
-        Some("smoke-check") => {
-            let rest: Vec<&str> = it.collect();
-            let spool = open_spool(&rest)?;
-            let pins = muse_lifetime::smoke_expected();
-            let mut checked = 0;
-            for spec in smoke_specs(0, 0) {
-                let id = spec.job_id().map_err(err)?;
-                let json = spool
-                    .result_json(&id)
-                    .map_err(|e| err(format!("smoke-check: job {id} ({}): {e}", spec.code)))?;
-                let result = muse_service::JobResult::from_json(&json).map_err(err)?;
-                let pin = pins
-                    .iter()
-                    .find(|p| p.code == result.code)
-                    .ok_or_else(|| err(format!("smoke-check: no pin for code {}", result.code)))?;
-                pin.check(&result.tally)
-                    .map_err(|drift| err(format!("smoke-check: tallies drifted: {drift}")))?;
-                checked += 1;
-            }
-            Ok(format!(
-                "service smoke results match the pins for all {checked} codes"
-            ))
-        }
-        Some(other) => Err(err(format!("unknown command {other:?}\n\n{USAGE}"))),
+    let Some((name, rest)) = args.split_first() else {
+        return Ok(usage());
+    };
+    if matches!(name.as_str(), "help" | "--help" | "-h") {
+        return Ok(usage());
     }
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| err(format!("unknown command {name:?}\n\n{}", usage())))?;
+    (command.run)(&Args::parse(command, rest)?)
+}
+
+/// Resolves a preset name.
+pub fn preset(name: &str) -> Result<MuseCode, CliError> {
+    let (_, build, _) = presets::ALL
+        .iter()
+        .find(|p| p.0 == name)
+        .ok_or_else(|| err(format!("unknown preset {name:?}; try `muse-tool presets`")))?;
+    Ok(build())
+}
+
+fn list_presets(_: &Args) -> Result<String, CliError> {
+    let lines: Vec<String> = presets::ALL
+        .iter()
+        .map(|(name, _, summary)| format!("{name:<12} {summary}"))
+        .collect();
+    Ok(lines.join("\n"))
+}
+
+fn inspect(a: &Args) -> Result<String, CliError> {
+    let code = preset(a.positional[0])?;
+    let profile = remainder_profile(&code);
+    Ok(format!(
+        "{name}\n  class        {class}\n  multiplier   {m}\n  n/k/r        {n}/{k}/{r} bits\n  devices      {devs} x{s}\n  spare bits   {spare}\n  ELC entries  {elc}\n  headroom     {head:.1}% of remainders unused",
+        name = code.name(),
+        class = code.class_name(),
+        m = code.multiplier(),
+        n = code.n_bits(),
+        k = code.k_bits(),
+        r = code.r_bits(),
+        devs = code.symbol_map().num_symbols(),
+        s = code.symbol_map().bits_of(0).len(),
+        spare = code.spare_bits(),
+        elc = code.elc().len(),
+        head = 100.0 * profile.headroom,
+    ))
+}
+
+fn encode(a: &Args) -> Result<String, CliError> {
+    let code = preset(a.positional[0])?;
+    let data = parse_hex(a.positional[1])?;
+    let meta = match a.value("--meta") {
+        Some(v) => parse_hex(v)?
+            .to_u64()
+            .ok_or_else(|| err("metadata too wide"))?,
+        None => 0,
+    };
+    let payload = if meta != 0 || code.spare_bits() > 0 && data.bit_len() <= 64 {
+        let d = data
+            .to_u64()
+            .ok_or_else(|| err("data wider than 64 bits; omit --meta and pass a full payload"))?;
+        code.pack_metadata(d, meta)
+    } else {
+        data
+    };
+    if payload.bit_len() > code.k_bits() {
+        return Err(err(format!("payload exceeds {} bits", code.k_bits())));
+    }
+    Ok(format!("{:#x}", code.encode(&payload)))
+}
+
+fn decode(a: &Args) -> Result<String, CliError> {
+    let code = preset(a.positional[0])?;
+    let cw = parse_hex(a.positional[1])?;
+    if cw.bit_len() > code.n_bits() {
+        return Err(err(format!("codeword exceeds {} bits", code.n_bits())));
+    }
+    Ok(match code.decode(&cw) {
+        Decoded::Clean { payload } => format!("clean: payload {payload:#x}"),
+        Decoded::Corrected {
+            payload,
+            symbol,
+            error,
+        } => {
+            format!("corrected device {symbol} (error {error}): payload {payload:#x}")
+        }
+        Decoded::Detected => "UNCORRECTABLE: multi-device error detected".to_string(),
+    })
+}
+
+fn search(a: &Args) -> Result<String, CliError> {
+    let bits: u32 = a
+        .get("--bits")?
+        .ok_or_else(|| err("search: --bits is required"))?;
+    let symbol: u32 = a.get_or("--symbol", 4)?;
+    let redundancy: u32 = a.get_or("--redundancy", 12)?;
+    let limit: usize = a.get_or("--limit", 0)?;
+    let mut builder = CodeBuilder::new(bits)
+        .symbol_bits(symbol)
+        .redundancy_bits(redundancy)
+        .search_options(SearchOptions { threads: 0, limit });
+    if a.has("--interleaved") {
+        builder = builder.shuffle(Shuffle::Interleaved);
+    }
+    if a.has("--asym") {
+        builder = builder.direction(muse_core::Direction::OneToZero);
+    }
+    if a.has("--single-bit") {
+        builder = builder.with_single_bit_errors(muse_core::Direction::Bidirectional);
+    }
+    let map = builder.layout().map_err(|e| err(e.to_string()))?;
+    let model = builder.model();
+    let found = muse_core::find_multipliers(
+        &map,
+        &model,
+        redundancy,
+        SearchOptions { threads: 0, limit },
+    );
+    if found.is_empty() {
+        Ok(format!(
+            "no valid {redundancy}-bit multiplier for {bits}b/{symbol}-bit {}",
+            model.name(symbol)
+        ))
+    } else {
+        Ok(format!(
+            "{} multiplier(s) for {bits}b/{symbol}-bit {}: {found:?}",
+            found.len(),
+            model.name(symbol)
+        ))
+    }
+}
+
+fn verilog(a: &Args) -> Result<String, CliError> {
+    let code = preset(a.positional[0])?;
+    let name = code
+        .name()
+        .replace(['(', ')'], "_")
+        .replace(',', "_")
+        .to_lowercase();
+    if a.has("--syndrome-only") {
+        Ok(muse_hw::emit_remainder_module(&code, &format!("{name}rem")))
+    } else if a.has("--corrector") {
+        Ok(muse_hw::emit_corrector_module(
+            &code,
+            &format!("{name}corr"),
+        ))
+    } else {
+        Ok(muse_hw::emit_encoder_module(&code, &format!("{name}enc")))
+    }
+}
+
+fn spec(a: &Args) -> Result<String, CliError> {
+    Ok(preset(a.positional[0])?.to_spec_string())
+}
+
+fn msed(a: &Args) -> Result<String, CliError> {
+    let code = preset(a.positional[0])?;
+    let config = msed_config(a, code.symbol_map().num_symbols())?;
+    let stats = muse_msed(&code, config);
+    Ok(format!(
+        "{}: {:.2}% of {} {}-device errors detected ({} miscorrected, {} silent)",
+        code.name(),
+        stats.detection_rate(),
+        config.trials,
+        config.failing_devices,
+        stats.miscorrected,
+        stats.silent
+    ))
+}
+
+fn rsmsed(a: &Args) -> Result<String, CliError> {
+    let t: usize = a.get_or("--t", 1)?;
+    let symbol_bits: u32 = a.get_or("--symbol-bits", 8)?;
+    let device_bits: u32 = a.get_or("--device-bits", 4)?;
+    if !(1..=16).contains(&device_bits) {
+        return Err(err("--device-bits must be in 1..=16"));
+    }
+    // Devices must tile the channel: a remainder would be bits
+    // no device strike ever reaches.
+    const CHANNEL_BITS: u32 = 144;
+    if !CHANNEL_BITS.is_multiple_of(device_bits) {
+        return Err(err(format!(
+            "--device-bits {device_bits} does not tile the {CHANNEL_BITS}-bit channel"
+        )));
+    }
+    let code = muse_rs::RsMemoryCode::new(symbol_bits, CHANNEL_BITS, t)
+        .map_err(|e| err(format!("bad RS geometry: {e}")))?;
+    let config = msed_config(a, (code.n_bits() / device_bits) as usize)?;
+    let mode = muse_faultsim::RsDetectMode::DeviceConfined;
+    let stats = muse_faultsim::rs_msed(&code, device_bits, mode, config);
+    Ok(format!(
+        "{} t={}: {:.2}% of {} {}-device errors detected \
+         ({} corrected, {} miscorrected, {} silent)",
+        code.name(),
+        t,
+        stats.detection_rate(),
+        config.trials,
+        config.failing_devices,
+        stats.corrected,
+        stats.miscorrected,
+        stats.silent
+    ))
+}
+
+/// Reads the Monte-Carlo flags `msed` and `rsmsed` share: `--trials`,
+/// `--threads`, and `--devices` (default 2), how many of the code's
+/// `count` devices fail at once.
+fn msed_config(a: &Args, count: usize) -> Result<MsedConfig, CliError> {
+    let devices = a.get_or("--devices", 2)?;
+    if !(1..=count).contains(&devices) {
+        return Err(err(format!(
+            "--devices must be in 1..={count} (the code has {count} devices)"
+        )));
+    }
+    Ok(MsedConfig {
+        trials: a.get_or("--trials", 10_000)?,
+        failing_devices: devices,
+        threads: a.get_or("--threads", 0)?,
+        ..MsedConfig::default()
+    })
+}
+
+/// Reads the fleet flags `lifetime` and `submit` share into a job spec,
+/// taking what is not given from `base`. The estimator follows
+/// [`muse_lifetime::Estimator::select`]; the other values are checked
+/// where the spec resolves ([`JobSpec::fleet_config`]), as for any job.
+fn fleet_spec(a: &Args, base: JobSpec) -> Result<JobSpec, CliError> {
+    let estimator = muse_lifetime::Estimator::select(a.value("--estimator"), a.get("--bias")?)
+        .map_err(|e| err(format!("{}: {e}", a.command.name)))?;
+    Ok(JobSpec {
+        dimms: a.get_or("--dimms", base.dimms)?,
+        years: a.get_or("--years", base.years)?,
+        scrub_hours: a.get_or("--scrub-hours", base.scrub_hours)?,
+        spares: a.get_or("--spares", base.spares)?,
+        seed: a.get_or("--seed", base.seed)?,
+        estimator: estimator.name().to_string(),
+        bias: estimator.bias(),
+        shards: a.get_or("--shards", base.shards)?,
+        threads: a.get_or("--threads", base.threads)?,
+        ..base
+    })
+}
+
+fn lifetime(a: &Args) -> Result<String, CliError> {
+    let smoke = a.has("--smoke");
+    let (smoke_env, smoke_config) = muse_lifetime::smoke_setup();
+    let mut base = JobSpec::default();
+    if smoke {
+        base.seed = smoke_config.seed;
+    }
+    let fleet = fleet_spec(a, base)?;
+    let checked = fleet
+        .fleet_config()
+        .map_err(|e| err(format!("lifetime: {e}")))?;
+    let (envs, config) = if smoke {
+        // Seed/threads stay overridable even under --smoke: threads
+        // never changes tallies, and a seed change is exactly what the
+        // config-hash fencing tests need to provoke.
+        let config = muse_lifetime::FleetConfig {
+            seed: checked.seed,
+            threads: checked.threads,
+            estimator: checked.estimator,
+            ..smoke_config
+        };
+        (vec![smoke_env], config)
+    } else {
+        (muse_lifetime::all_environments(), checked)
+    };
+    let (reports, banners) = run_lifetime_cells(a, &envs, &config, fleet.shards)?;
+    let mut out: String = banners.iter().map(|b| format!("{b}\n")).collect();
+    if smoke {
+        muse_lifetime::verify_smoke(&reports)
+            .map_err(|drift| err(format!("smoke pin mismatch: {drift}")))?;
+        out.push_str(&format!(
+            "smoke tallies match the pins for all {} codes",
+            reports.len()
+        ));
+    } else {
+        out.push_str(&render_matrix(&config, &reports));
+    }
+    Ok(out)
+}
+
+/// The `lifetime` table: a header naming the fleet, one row per cell,
+/// and the legend.
+fn render_matrix(
+    config: &muse_lifetime::FleetConfig,
+    reports: &[muse_lifetime::LifetimeReport],
+) -> String {
+    let est_label = match config.estimator {
+        muse_lifetime::Estimator::Naive => "naive".to_string(),
+        muse_lifetime::Estimator::Importance { bias } => {
+            format!("is bias={bias}")
+        }
+    };
+    let mut out = format!(
+        "fleet: {} DIMMs x {} years ({:.0} machine-years), scrub every {}h, {} spares/DIMM, estimator {}, epoch screen {}\n\n{:<16} {:<21} {:>22} {:>22} {:>11} {:>9} {:>9}\n",
+        config.dimms,
+        config.years,
+        config.machine_years(),
+        config.scrub_interval_hours,
+        config.spares_per_dimm,
+        est_label,
+        muse_faultsim::screen_kernel(),
+        "code",
+        "environment",
+        "DUE/m-yr [95% CI]",
+        "SDC/m-yr [95% CI]",
+        "repairs/yr",
+        "degraded",
+        "era-reads",
+    );
+    for r in reports {
+        out.push_str(&format!(
+            "{:<16} {:<21} {:>22} {:>22} {:>11.4} {:>8.2}% {:>9}\n",
+            r.code,
+            r.environment,
+            r.due_estimate.render(),
+            r.sdc_estimate.render(),
+            r.repairs_per_machine_year,
+            100.0 * r.degraded_fraction,
+            r.tally.erasure_reads,
+        ));
+    }
+    out.push_str(
+        "\nDUE/SDC are per machine-year (word DUEs + data-loss events) with 95% \
+         confidence intervals; `<x @95%` marks the rule-of-three upper bound when zero \
+         events were observed; degraded = fraction of DIMM-epochs in erasure-mode \
+         operation.\nDeterministic: tallies are bit-identical at any --threads value.",
+    );
+    out
+}
+
+fn submit(a: &Args) -> Result<String, CliError> {
+    let mut spec = fleet_spec(a, JobSpec::default())?;
+    let specs = if a.has("--smoke") {
+        smoke_specs(spec.shards, spec.threads)
+    } else {
+        if let Some(code) = a.value("--code") {
+            spec.code = code.to_string();
+        }
+        if let Some(env) = a.value("--env") {
+            spec.env = env.to_string();
+        }
+        vec![spec]
+    };
+    let spool = open_spool(a)?;
+    let mut out = String::new();
+    for spec in &specs {
+        match spool.submit(spec).map_err(err)? {
+            (id, true) => {
+                out.push_str(&format!("submitted {id} ({} @ {})\n", spec.code, spec.env));
+            }
+            (id, false) => out.push_str(&format!(
+                "duplicate {id} ({} @ {}) — already queued\n",
+                spec.code, spec.env
+            )),
+        }
+    }
+    Ok(out.trim_end().to_string())
+}
+
+fn serve(a: &Args) -> Result<String, CliError> {
+    let (faults, crash_after) = a.value("--inject").map(parse_inject).transpose()?.unzip();
+    if crash_after.flatten().is_some() {
+        return Err(err(
+            "serve --inject: crash-after stops a lifetime run; use kill=<p>",
+        ));
+    }
+    let d = muse_service::ServiceConfig::default();
+    let config = muse_service::ServiceConfig {
+        root: spool_root(a),
+        once: a.has("--once"),
+        poll_ms: a.get_or("--poll-ms", d.poll_ms)?,
+        watchdog_ms: a.get("--watchdog-ms")?,
+        max_retries: a.get_or("--max-retries", d.max_retries)?,
+        backoff_base_ms: a.get_or("--backoff-ms", d.backoff_base_ms)?,
+        checkpoint_every: a.get_or("--checkpoint-every", d.checkpoint_every)?,
+        faults,
+        ..d
+    };
+    let telemetry = open_telemetry(a, config.faults.as_ref())?;
+    #[cfg(unix)]
+    install_drain_handler(&config.drain);
+    let registry = telemetry
+        .metrics
+        .as_ref()
+        .map(|_| muse_telemetry::Metrics::new());
+    let service_telemetry = muse_service::ServiceTelemetry {
+        metrics: registry.as_ref(),
+        metrics_path: telemetry.metrics.clone(),
+        tracer: telemetry.tracer.as_ref().map(|(tracer, _)| tracer),
+        warn: Some(Box::new(|line: &str| eprintln!("{line}"))),
+    };
+    let report =
+        muse_service::serve(&config, &service_telemetry).map_err(|e| err(format!("serve: {e}")))?;
+    drop(service_telemetry);
+    // The service wrote the metrics file after every job.
+    for banner in telemetry.finish(None)? {
+        eprintln!("{banner}");
+    }
+    let summary = format!(
+        "serve: {} job(s) completed ({} from cache), {} failed, {} orphan(s) adopted{}",
+        report.jobs_completed,
+        report.cache_hits,
+        report.jobs_failed,
+        report.adopted,
+        if report.drained {
+            "; drained cleanly — queue and checkpoints persisted, restart resumes"
+        } else {
+            ""
+        },
+    );
+    if report.jobs_failed > 0 {
+        // Loud failure: chaos runs and CI must see a nonzero exit,
+        // with the per-job evidence preserved in failed/.
+        return Err(err(format!("{summary}\nsee failed/ for specs and errors")));
+    }
+    Ok(summary)
+}
+
+fn status(a: &Args) -> Result<String, CliError> {
+    let s = open_spool(a)?
+        .status()
+        .map_err(|e| err(format!("status: {e}")))?;
+    Ok(format!(
+        "queued: {}\nactive: {}\ndone: {}\nfailed: {}",
+        s.queued, s.active, s.done, s.failed
+    ))
+}
+
+fn result(a: &Args) -> Result<String, CliError> {
+    let id = a.positional[0];
+    open_spool(a)?
+        .result_json(id)
+        .map(|json| json.trim_end().to_string())
+        .map_err(|e| err(format!("result {id}: {e} (is the job done?)")))
+}
+
+fn smoke_check(a: &Args) -> Result<String, CliError> {
+    let spool = open_spool(a)?;
+    let pins = muse_lifetime::smoke_expected();
+    let mut checked = 0;
+    for spec in smoke_specs(0, 0) {
+        let id = spec.job_id().map_err(err)?;
+        let json = spool
+            .result_json(&id)
+            .map_err(|e| err(format!("smoke-check: job {id} ({}): {e}", spec.code)))?;
+        let result = muse_service::JobResult::from_json(&json).map_err(err)?;
+        let pin = pins
+            .iter()
+            .find(|p| p.code == result.code)
+            .ok_or_else(|| err(format!("smoke-check: no pin for code {}", result.code)))?;
+        pin.check(&result.tally)
+            .map_err(|drift| err(format!("smoke-check: tallies drifted: {drift}")))?;
+        checked += 1;
+    }
+    Ok(format!(
+        "service smoke results match the pins for all {checked} codes"
+    ))
 }
 
 /// The four pinned smoke cells, in scenario order: what `submit --smoke`
 /// enqueues and `smoke-check` verifies.
-fn smoke_specs(shards: u32, threads: usize) -> Vec<muse_service::JobSpec> {
+fn smoke_specs(shards: u32, threads: usize) -> Vec<JobSpec> {
     ["muse144_132", "muse80_69", "rs144_128_t1", "rs144_112_t2"]
         .into_iter()
-        .map(|code| muse_service::JobSpec {
+        .map(|code| JobSpec {
             code: code.to_string(),
             env: "smoke".to_string(),
             smoke: true,
             shards,
             threads,
-            ..muse_service::JobSpec::default()
+            ..JobSpec::default()
         })
         .collect()
 }
 
-/// Opens the spool at `--root` (default `muse-spool`).
-fn open_spool(rest: &[&str]) -> Result<muse_service::Spool, CliError> {
-    let root = std::path::PathBuf::from(flag_value(rest, "--root")?.unwrap_or("muse-spool"));
+/// The spool root: `--root`, default `muse-spool`.
+fn spool_root(a: &Args) -> PathBuf {
+    a.path("--root")
+        .unwrap_or_else(|| muse_service::ServiceConfig::default().root)
+}
+
+fn open_spool(a: &Args) -> Result<muse_service::Spool, CliError> {
+    let root = spool_root(a);
     muse_service::Spool::open(&root).map_err(|e| err(format!("spool {}: {e}", root.display())))
 }
 
@@ -676,22 +769,72 @@ fn install_drain_handler(drain: &std::sync::Arc<std::sync::atomic::AtomicBool>) 
         });
 }
 
-/// How the `lifetime` subcommand should execute its matrix cells.
-struct LifetimeRun {
-    /// Route cells through the sharded supervisor (any of the sharding
-    /// flags present) instead of the plain simulator.
-    sharded: bool,
-    shards: u32,
-    checkpoint_dir: Option<std::path::PathBuf>,
-    resume: bool,
-    faults: Option<muse_lifetime::FaultPlan>,
-    crash_after: Option<u64>,
-    /// Stream `muse-trace/v1` JSONL events to this file.
-    trace: Option<std::path::PathBuf>,
-    /// Snapshot a Prometheus textfile here after every shard.
-    metrics: Option<std::path::PathBuf>,
-    /// Print heartbeat progress lines to stderr.
-    progress: bool,
+/// The `--trace` writer and the `--metrics` path of `lifetime` and
+/// `serve`.
+struct Telemetry {
+    tracer: Option<(muse_telemetry::Tracer, PathBuf)>,
+    metrics: Option<PathBuf>,
+}
+
+impl Telemetry {
+    /// Closes the trace and writes `registry` to the metrics file,
+    /// returning a banner for each.
+    fn finish(self, registry: Option<&muse_telemetry::Metrics>) -> Result<Vec<String>, CliError> {
+        let mut banners = Vec::new();
+        if let Some((tracer, path)) = self.tracer {
+            let summary = tracer.finish();
+            banners.push(format!(
+                "trace: {} events written, {} dropped, {} sink errors ({})",
+                summary.written,
+                summary.dropped,
+                summary.io_errors,
+                path.display(),
+            ));
+        }
+        if let (Some(registry), Some(path)) = (registry, &self.metrics) {
+            registry
+                .write_textfile(path)
+                .map_err(|e| err(format!("--metrics {}: {e}", path.display())))?;
+            banners.push(format!(
+                "metrics: Prometheus textfile at {}",
+                path.display()
+            ));
+        }
+        Ok(banners)
+    }
+}
+
+/// Opens `--trace` and checks that `--metrics` can be written, before
+/// any work starts. The trace file's sink carries the `sink-*` faults of
+/// `faults`' I/O plan, if it has one.
+fn open_telemetry(
+    a: &Args,
+    faults: Option<&muse_lifetime::FaultPlan>,
+) -> Result<Telemetry, CliError> {
+    let metrics = a.path("--metrics");
+    if let Some(path) = &metrics {
+        if !muse_lifetime::telemetry::parent_exists(path) {
+            return Err(err(format!(
+                "--metrics {}: its directory does not exist",
+                path.display()
+            )));
+        }
+    }
+    let tracer = match a.path("--trace") {
+        Some(path) => {
+            let file = std::fs::File::create(&path)
+                .map_err(|e| err(format!("--trace {}: {e}", path.display())))?;
+            let sink: Box<dyn std::io::Write + Send> = Box::new(file);
+            let sink = match faults.and_then(|plan| plan.io) {
+                Some(io) => io.wrap_sink(sink),
+                None => sink,
+            };
+            let tracer = muse_telemetry::Tracer::new(sink, muse_telemetry::DEFAULT_CAPACITY);
+            Some((tracer, path))
+        }
+        None => None,
+    };
+    Ok(Telemetry { tracer, metrics })
 }
 
 /// One checkpoint prefix per matrix cell, so every cell's generations
@@ -709,50 +852,57 @@ fn cell_prefix(code: &muse_lifetime::FleetCode, env: &muse_lifetime::Environment
         .collect()
 }
 
-/// Runs every `codes × envs` cell, through the crash-safe sharded
-/// supervisor when requested, returning the reports plus any resume
-/// banners. An injected crash (`crash-after=<n>`) surfaces as an error so
-/// the process exits nonzero with the checkpoint safely on disk.
-/// Telemetry sinks (trace writer, metrics registry) are shared across
-/// all cells: one JSONL stream and one Prometheus textfile cover the
-/// whole matrix.
+/// Runs every scenario code × `envs` cell, through the crash-safe
+/// sharded supervisor when a `lifetime` flag asks for it, returning the
+/// reports plus any resume and telemetry banners. An injected crash
+/// (`crash-after=<n>`) surfaces as an error so the process exits nonzero
+/// with the checkpoint safely on disk. Telemetry sinks (trace writer,
+/// metrics registry) are shared across all cells: one JSONL stream and
+/// one Prometheus textfile cover the whole matrix.
 fn run_lifetime_cells(
-    codes: &[muse_lifetime::FleetCode],
+    a: &Args,
     envs: &[muse_lifetime::Environment],
     config: &muse_lifetime::FleetConfig,
-    run: LifetimeRun,
+    shards: u32,
 ) -> Result<(Vec<muse_lifetime::LifetimeReport>, Vec<String>), CliError> {
-    let mut reports = Vec::with_capacity(codes.len() * envs.len());
-    let mut banners = Vec::new();
-    let tracer = match &run.trace {
-        Some(path) => Some(
-            muse_telemetry::Tracer::to_file(path, muse_telemetry::DEFAULT_CAPACITY)
-                .map_err(|e| err(format!("--trace {}: {e}", path.display())))?,
-        ),
-        None => None,
+    let (faults, crash_after) = a.value("--inject").map(parse_inject).transpose()?.unzip();
+    let telemetry = open_telemetry(a, faults.as_ref())?;
+    let progress = a.has("--progress");
+    let runner = muse_lifetime::RunnerConfig {
+        shards,
+        checkpoint_dir: a.path("--checkpoint-dir"),
+        resume: a.has("--resume"),
+        stop_after_shards: crash_after.flatten(),
+        ..muse_lifetime::RunnerConfig::default()
     };
-    let registry = (run.metrics.is_some() || run.progress).then(muse_telemetry::Metrics::new);
-    for code in codes {
+    // Any observability flag routes cells through the sharded
+    // supervisor — that is where the events live.
+    let sharded = runner.checkpoint_dir.is_some()
+        || shards != 0
+        || faults.is_some()
+        || telemetry.tracer.is_some()
+        || telemetry.metrics.is_some()
+        || progress;
+    let registry = (telemetry.metrics.is_some() || progress).then(muse_telemetry::Metrics::new);
+    let mut reports = Vec::new();
+    let mut banners = Vec::new();
+    for code in &muse_lifetime::scenario_codes() {
         for env in envs {
-            if !run.sharded {
+            if !sharded {
                 reports.push(muse_lifetime::simulate_fleet(code, env, config));
                 continue;
             }
             let runner = muse_lifetime::RunnerConfig {
-                shards: run.shards,
-                checkpoint_dir: run.checkpoint_dir.clone(),
                 checkpoint_prefix: cell_prefix(code, env),
-                resume: run.resume,
-                stop_after_shards: run.crash_after,
-                ..muse_lifetime::RunnerConfig::default()
+                ..runner.clone()
             };
-            let telemetry = muse_lifetime::FleetTelemetry {
-                tracer: tracer.as_ref(),
+            let cell_telemetry = muse_lifetime::FleetTelemetry {
+                tracer: telemetry.tracer.as_ref().map(|(tracer, _)| tracer),
                 metrics: registry.as_ref(),
-                metrics_path: run.metrics.clone(),
+                metrics_path: telemetry.metrics.clone(),
                 label: muse_lifetime::cell_label(&code.name(), env.name),
                 warn: Some(Box::new(|line: &str| eprintln!("{line}"))),
-                heartbeat: run.progress.then(|| {
+                heartbeat: progress.then(|| {
                     let f: Box<muse_lifetime::telemetry::HeartbeatFn<'_>> =
                         Box::new(|snap: &muse_telemetry::ProgressSnapshot| {
                             eprintln!("{}", snap.render());
@@ -765,12 +915,11 @@ fn run_lifetime_cells(
                 env,
                 config,
                 &runner,
-                run.faults.as_ref(),
-                &telemetry,
+                faults.as_ref(),
+                &cell_telemetry,
             )
             .map_err(|e| err(e.to_string()))?;
-            let stats = outcome.stats();
-            if let Some(info) = &stats.resume {
+            if let Some(info) = &outcome.stats().resume {
                 banners.push(format!(
                     "resume: {} x {} — generation {}, {}/{} shards done, {:.1} machine-years \
                      covered{}",
@@ -802,25 +951,7 @@ fn run_lifetime_cells(
             }
         }
     }
-    if let Some(tracer) = tracer {
-        let path = run.trace.as_ref().expect("tracer implies --trace path");
-        let summary = tracer.finish();
-        banners.push(format!(
-            "trace: {} events written, {} dropped ({})",
-            summary.written,
-            summary.dropped,
-            path.display(),
-        ));
-    }
-    if let (Some(registry), Some(path)) = (&registry, &run.metrics) {
-        registry
-            .write_textfile(path)
-            .map_err(|e| err(format!("--metrics {}: {e}", path.display())))?;
-        banners.push(format!(
-            "metrics: Prometheus textfile at {}",
-            path.display()
-        ));
-    }
+    banners.extend(telemetry.finish(registry.as_ref())?);
     Ok((reports, banners))
 }
 
@@ -832,20 +963,27 @@ fn run_lifetime_cells(
 /// `rename-fail`/`corrupt-record`/`sink-fail` (probabilities),
 /// `sink-block-ms=<ms>`, and `io-seed=<seed>`.
 fn parse_inject(spec: &str) -> Result<(muse_lifetime::FaultPlan, Option<u64>), CliError> {
+    fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, CliError> {
+        value
+            .parse()
+            .map_err(|_| err(format!("--inject {key}: cannot parse {value}")))
+    }
+    fn io(plan: &mut muse_lifetime::FaultPlan) -> &mut muse_lifetime::IoFaultPlan {
+        plan.io.get_or_insert_with(Default::default)
+    }
     let mut plan = muse_lifetime::FaultPlan::default();
     let mut crash_after = None;
     for part in spec.split(',') {
         let (key, value) = part
             .split_once('=')
             .ok_or_else(|| err(format!("--inject: {part:?} is not key=value")))?;
-        let bad = |what: &str| err(format!("--inject {key}: cannot parse {what}"));
         match key {
-            "kill" => plan.kill_prob = value.parse().map_err(|_| bad(value))?,
-            "crash-after" => crash_after = Some(value.parse().map_err(|_| bad(value))?),
-            "delay" => plan.delay_ms_max = value.parse().map_err(|_| bad(value))?,
-            "fault-seed" => plan.seed = value.parse().map_err(|_| bad(value))?,
-            "hang" => plan.hang_prob = value.parse().map_err(|_| bad(value))?,
-            "hang-ms" => plan.hang_ms = value.parse().map_err(|_| bad(value))?,
+            "kill" => plan.kill_prob = num(key, value)?,
+            "crash-after" => crash_after = Some(num(key, value)?),
+            "delay" => plan.delay_ms_max = num(key, value)?,
+            "fault-seed" => plan.seed = num(key, value)?,
+            "hang" => plan.hang_prob = num(key, value)?,
+            "hang-ms" => plan.hang_ms = num(key, value)?,
             "corrupt" => {
                 let (generation, kind) = value
                     .split_once(':')
@@ -855,34 +993,16 @@ fn parse_inject(spec: &str) -> Result<(muse_lifetime::FaultPlan, Option<u64>), C
                     "bitflip" => muse_lifetime::Corruption::BitFlip,
                     other => return Err(err(format!("--inject corrupt: unknown kind {other:?}"))),
                 };
-                plan.corrupt_generation =
-                    Some((generation.parse().map_err(|_| bad(generation))?, kind));
+                plan.corrupt_generation = Some((num(key, generation)?, kind));
             }
-            "enospc" | "short-write" | "fsync-fail" | "rename-fail" | "corrupt-record"
-            | "sink-fail" => {
-                let p: f64 = value.parse().map_err(|_| bad(value))?;
-                let io = plan
-                    .io
-                    .get_or_insert_with(muse_lifetime::IoFaultPlan::default);
-                match key {
-                    "enospc" => io.enospc_prob = p,
-                    "short-write" => io.short_write_prob = p,
-                    "fsync-fail" => io.fsync_fail_prob = p,
-                    "rename-fail" => io.rename_fail_prob = p,
-                    "corrupt-record" => io.corrupt_record_prob = p,
-                    _ => io.sink_fail_prob = p,
-                }
-            }
-            "sink-block-ms" => {
-                plan.io
-                    .get_or_insert_with(muse_lifetime::IoFaultPlan::default)
-                    .sink_block_ms = value.parse().map_err(|_| bad(value))?;
-            }
-            "io-seed" => {
-                plan.io
-                    .get_or_insert_with(muse_lifetime::IoFaultPlan::default)
-                    .seed = value.parse().map_err(|_| bad(value))?;
-            }
+            "enospc" => io(&mut plan).enospc_prob = num(key, value)?,
+            "short-write" => io(&mut plan).short_write_prob = num(key, value)?,
+            "fsync-fail" => io(&mut plan).fsync_fail_prob = num(key, value)?,
+            "rename-fail" => io(&mut plan).rename_fail_prob = num(key, value)?,
+            "corrupt-record" => io(&mut plan).corrupt_record_prob = num(key, value)?,
+            "sink-fail" => io(&mut plan).sink_fail_prob = num(key, value)?,
+            "sink-block-ms" => io(&mut plan).sink_block_ms = num(key, value)?,
+            "io-seed" => io(&mut plan).seed = num(key, value)?,
             other => {
                 return Err(err(format!(
                     "--inject: unknown key {other:?} (kill, crash-after, corrupt, delay, \
@@ -901,78 +1021,6 @@ fn parse_hex(s: &str) -> Result<Word, CliError> {
         .or_else(|| s.strip_prefix("0X"))
         .unwrap_or(s);
     Word::from_str_radix(trimmed, 16).map_err(|e| err(format!("bad hex {s:?}: {e}")))
-}
-
-fn flag_value<'a>(rest: &[&'a str], flag: &str) -> Result<Option<&'a str>, CliError> {
-    match rest.iter().position(|&a| a == flag) {
-        None => Ok(None),
-        Some(i) => rest
-            .get(i + 1)
-            .copied()
-            .map(Some)
-            .ok_or_else(|| err(format!("{flag} needs a value"))),
-    }
-}
-
-fn has_flag(rest: &[&str], flag: &str) -> bool {
-    rest.contains(&flag)
-}
-
-fn require_parsed<T: std::str::FromStr>(rest: &[&str], flag: &str) -> Result<T, CliError> {
-    let v = flag_value(rest, flag)?.ok_or_else(|| err(format!("{flag} is required")))?;
-    v.parse()
-        .map_err(|_| err(format!("{flag}: cannot parse {v:?}")))
-}
-
-fn parse_or<T: std::str::FromStr>(rest: &[&str], flag: &str, default: T) -> Result<T, CliError> {
-    match flag_value(rest, flag)? {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| err(format!("{flag}: cannot parse {v:?}"))),
-    }
-}
-
-/// `--devices <k>` (default 2): how many of the code's `count` devices
-/// fail at once in an MSED experiment.
-fn parse_devices(rest: &[&str], count: usize) -> Result<usize, CliError> {
-    let devices = parse_or(rest, "--devices", 2)?;
-    if !(1..=count).contains(&devices) {
-        return Err(err(format!(
-            "--devices must be in 1..={count} (the code has {count} devices)"
-        )));
-    }
-    Ok(devices)
-}
-
-/// `--estimator naive|is` plus `--bias <factor>`; `--bias` implies `is`,
-/// and `is` without `--bias` defaults to a 16x rate inflation.
-fn parse_estimator(rest: &[&str]) -> Result<muse_lifetime::Estimator, CliError> {
-    let bias: Option<f64> = match flag_value(rest, "--bias")? {
-        None => None,
-        Some(v) => Some(
-            v.parse()
-                .map_err(|_| err(format!("--bias: cannot parse {v:?}")))?,
-        ),
-    };
-    match (flag_value(rest, "--estimator")?, bias) {
-        (None, None) | (Some("naive"), None) => Ok(muse_lifetime::Estimator::Naive),
-        (Some("naive"), Some(_)) => Err(err(
-            "--bias only applies to importance sampling (--estimator is)",
-        )),
-        (Some("is"), bias) | (None, bias @ Some(_)) => {
-            let factor = bias.unwrap_or(16.0);
-            if !factor.is_finite() || factor < 1.0 {
-                return Err(err(format!(
-                    "--bias: factor must be finite and >= 1, got {factor}"
-                )));
-            }
-            Ok(muse_lifetime::Estimator::importance(factor))
-        }
-        (Some(other), _) => Err(err(format!(
-            "--estimator: unknown estimator {other:?} (expected naive or is)"
-        ))),
-    }
 }
 
 #[cfg(test)]
@@ -1352,5 +1400,147 @@ mod tests {
         // Oversized inputs rejected.
         let too_wide = format!("decode muse80_69 0x{}", "f".repeat(30));
         assert!(run_str(&too_wide).is_err());
+    }
+
+    /// A fresh directory under the system temp dir, unique to `tag`.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("muse-cli-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A valid invocation of `command` without `skip`: a filler for each
+    /// positional argument, the required flags, `--root` on `root`, and
+    /// `--once` so a `serve` that parsed could not poll forever.
+    fn base_line(command: &Command, skip: &str, root: &str) -> String {
+        let (positional, flags) = command.syntax();
+        let mut line = vec![command.name.to_string()];
+        for p in positional {
+            let filler = match p {
+                "preset" => "muse80_69",
+                "id" => "0",
+                _ => "0x1",
+            };
+            line.push(filler.to_string());
+        }
+        for &(name, _) in flags.iter().filter(|f| f.0 != skip) {
+            match name {
+                "--root" => line.push(format!("--root {root}")),
+                "--once" => line.push("--once".to_string()),
+                "--bits" => line.push("--bits 80".to_string()),
+                _ => {}
+            }
+        }
+        line.join(" ")
+    }
+
+    #[test]
+    fn every_subcommand_rejects_malformed_flags_naming_them() {
+        let root = scratch_dir("malformed");
+        let root_str = root.display().to_string();
+        let rejects = |line: &str, needle: &str| {
+            let e = run_str(line).expect_err(line);
+            let name = line.split(' ').next().unwrap();
+            assert!(e.0.contains(needle), "{line}: {e}");
+            assert!(e.0.starts_with(name), "{line}: {e}");
+        };
+        for command in COMMANDS {
+            let base = base_line(command, "", &root_str);
+            rejects(&format!("{base} --bogus"), "--bogus");
+            rejects(&format!("{base} extra"), "\"extra\"");
+            let (positional, flags) = command.syntax();
+            for (name, value) in flags {
+                let base = base_line(command, name, &root_str);
+                let given = match value {
+                    Some(_) => format!("{name} 1"),
+                    None => name.to_string(),
+                };
+                rejects(&format!("{base} {given} {given}"), name);
+                let Some(meta) = value else { continue };
+                rejects(&format!("{base} {name}"), name);
+                rejects(&format!("{base} {name} --bogus"), name);
+                if !matches!(meta, "dir" | "file") {
+                    let line = format!("{base} {name} zzz");
+                    assert!(run_str(&line).is_err(), "{line}");
+                }
+            }
+            if let Some(first) = positional.first() {
+                rejects(command.name, first);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn mistyped_and_invalid_fleet_flags_fail_before_running() {
+        for line in [
+            "msed muse80_69 --trails 500",
+            "msed muse80_69 --trials 500 --trials 7",
+            "rsmsed --trials 10 --threds 1",
+            "lifetime --years -1",
+            "lifetime --years nan",
+            "lifetime --scrub-hours 0",
+            "lifetime --dimms 0",
+        ] {
+            assert!(run_str(line).is_err(), "{line}");
+        }
+        // `submit` queues what `lifetime` would run with the same flags.
+        let root = scratch_dir("submit-estimator");
+        let submit = |flags: &str| run_str(&format!("submit --root {} {flags}", root.display()));
+        let serve = format!(
+            "serve --root {} --once --inject crash-after=1",
+            root.display()
+        );
+        assert!(run_str(&serve).unwrap_err().0.contains("crash-after"));
+        assert!(submit("--estimator is --bias 0.5").is_err());
+        assert!(submit("--estimator naive --bias 4").is_err());
+        for (flags, bias) in [("--bias 8", 8.0), ("--estimator is", 16.0)] {
+            let out = submit(flags).unwrap();
+            let id = out.split(' ').nth(1).unwrap();
+            let job = std::fs::read_to_string(root.join(format!("queue/{id}.job"))).unwrap();
+            let (_, _, config) = JobSpec::from_json(&job).unwrap().resolve().unwrap();
+            let want = muse_lifetime::Estimator::importance(bias);
+            assert_eq!(config.estimator, want, "{flags}: {job}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn lifetime_trace_sink_faults_reach_the_trace_file() {
+        let dir = scratch_dir("sink-fail");
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("trace.jsonl");
+        let out = run_str(&format!(
+            "lifetime --smoke --trace {} --inject sink-fail=1",
+            trace.display()
+        ))
+        .unwrap();
+        assert!(
+            out.contains("smoke tallies match the pins for all 4 codes"),
+            "{out}"
+        );
+        assert!(out.contains("trace: 0 events written"), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn metrics_paths_are_checked_before_any_work() {
+        let dir = scratch_dir("metrics-first");
+        let ckpt = dir.join("ckpt");
+        let bad = "--metrics /nonexistent-dir/m.prom";
+        let e = run_str(&format!(
+            "lifetime --smoke --checkpoint-dir {} {bad}",
+            ckpt.display()
+        ))
+        .unwrap_err();
+        assert!(e.0.contains("/nonexistent-dir/m.prom"), "{e}");
+        assert!(!ckpt.exists(), "a shard ran before --metrics was checked");
+        let root = format!("--root {}", dir.join("spool").display());
+        run_str(&format!("submit {root} --smoke")).unwrap();
+        let e = run_str(&format!("serve {root} --once {bad}")).unwrap_err();
+        assert!(e.0.contains("/nonexistent-dir/m.prom"), "{e}");
+        let status = run_str(&format!("status {root}")).unwrap();
+        assert!(status.contains("queued: 4"), "a job ran: {status}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

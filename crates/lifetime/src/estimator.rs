@@ -78,17 +78,54 @@ pub enum Estimator {
 }
 
 impl Estimator {
+    /// Rate-inflation factor of an importance-sampling run that names no
+    /// bias.
+    pub const DEFAULT_BIAS: f64 = 16.0;
+
     /// The importance-sampling estimator at `bias`.
     ///
     /// # Panics
     ///
     /// Panics unless `bias` is finite and `>= 1`.
     pub fn importance(bias: f64) -> Self {
-        assert!(
-            bias.is_finite() && bias >= 1.0,
-            "bias factor {bias} must be finite and >= 1"
-        );
-        Self::Importance { bias }
+        Self::try_importance(bias).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The importance-sampling estimator at `bias`.
+    ///
+    /// # Errors
+    ///
+    /// Unless `bias` is finite and `>= 1`.
+    pub fn try_importance(bias: f64) -> Result<Self, String> {
+        if bias.is_finite() && bias >= 1.0 {
+            Ok(Self::Importance { bias })
+        } else {
+            Err(format!("bias factor {bias} must be finite and >= 1"))
+        }
+    }
+
+    /// The estimator an optional name (`naive`, or `is`/`importance`)
+    /// and an optional bias select: a bias implies importance sampling,
+    /// importance sampling without one runs at [`Self::DEFAULT_BIAS`],
+    /// and `naive` takes no bias.
+    ///
+    /// # Errors
+    ///
+    /// An unknown name, a bias given with `naive`, or an invalid bias
+    /// (see [`Self::try_importance`]).
+    pub fn select(name: Option<&str>, bias: Option<f64>) -> Result<Self, String> {
+        match (name, bias) {
+            (None | Some("naive"), None) => Ok(Self::Naive),
+            (Some("naive"), Some(_)) => {
+                Err("a bias only applies to importance sampling (estimator is)".to_string())
+            }
+            (None | Some("is" | "importance"), bias) => {
+                Self::try_importance(bias.unwrap_or(Self::DEFAULT_BIAS))
+            }
+            (Some(other), _) => Err(format!(
+                "unknown estimator {other:?} (expected naive or is)"
+            )),
+        }
     }
 
     /// The rate-inflation factor (1.0 for the naive estimator).

@@ -58,6 +58,21 @@ pub fn muse_144_128() -> MuseCode {
     build(SymbolMap::sequential(144, 4), bidirectional(), 65519)
 }
 
+/// A preset: the name `muse-tool` and lifetime job specs call it by,
+/// its constructor, and a one-line summary.
+pub type Preset = (&'static str, fn() -> MuseCode, &'static str);
+
+/// Every preset: the one table of preset names.
+#[rustfmt::skip]
+pub const ALL: [Preset; 6] = [
+    ("muse144_132", muse_144_132, "DDR4 x4 ChipKill, m=4065, 4 spare bits over 2x64b"),
+    ("muse80_69", muse_80_69, "DDR5 x4 ChipKill, m=2005, 5 spare bits"),
+    ("muse80_67", muse_80_67, "DDR5 x8 retention (C8A), m=5621, 3 spare bits"),
+    ("muse80_70", muse_80_70, "hybrid C4A_U1B, m=821, 6 spare bits"),
+    ("muse268_256", muse_268_256, "PIM/HBM2, m=3621, 12 check bits"),
+    ("muse144_128", muse_144_128, "max-detection variant, m=65519"),
+];
+
 /// All Table I presets in paper order.
 pub fn table1() -> Vec<MuseCode> {
     vec![muse_144_132(), muse_80_69(), muse_80_67(), muse_80_70()]

@@ -12,6 +12,7 @@ use muse_lifetime::{
 };
 use std::sync::OnceLock;
 
+use muse_core::presets;
 use muse_rs::RsMemoryCode;
 use muse_telemetry::{parse_object, JsonBuilder};
 
@@ -22,9 +23,8 @@ pub const JOB_SCHEMA: &str = "muse-job/v1";
 /// `muse-job/v1` JSON object (one line).
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    /// Code registry name: `muse144_132`, `muse80_69`, `muse80_67`,
-    /// `muse80_70`, `muse268_256`, `muse144_128`, `rs144_128_t1`,
-    /// `rs144_112_t2`.
+    /// Code registry name: a [`muse_core::presets::ALL`] name, or
+    /// `rs144_128_t1` / `rs144_112_t2`.
     pub code: String,
     /// Environment name (see
     /// [`all_environments`]), or `smoke`.
@@ -42,7 +42,7 @@ pub struct JobSpec {
     pub spares: u32,
     /// PRNG seed.
     pub seed: u64,
-    /// Estimator: `naive` or `importance`.
+    /// Estimator: `naive`, or `is`/`importance`.
     pub estimator: String,
     /// Importance-sampling bias (ignored for `naive`).
     pub bias: f64,
@@ -127,8 +127,8 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Unknown code/environment/estimator names, or invalid parameter
-    /// combinations (zero DIMMs, non-positive horizon).
+    /// Unknown code/environment names, or those of
+    /// [`Self::fleet_config`].
     pub fn resolve(&self) -> Result<(FleetCode, Environment, FleetConfig), String> {
         let code = resolve_code(&self.code)?;
         if self.smoke {
@@ -138,20 +138,32 @@ impl JobSpec {
             let (env, config) = smoke_setup();
             return Ok((code, env, config));
         }
-        let env = resolve_env(&self.env)?;
+        Ok((code, resolve_env(&self.env)?, self.fleet_config()?))
+    }
+
+    /// The fleet configuration of a non-smoke job: its numeric fields
+    /// and estimator, checked.
+    ///
+    /// # Errors
+    ///
+    /// An unknown estimator, an invalid importance-sampling bias, zero
+    /// DIMMs, or a horizon or scrub interval that is not finite and
+    /// positive.
+    pub fn fleet_config(&self) -> Result<FleetConfig, String> {
         let estimator = match self.estimator.as_str() {
+            // A naive job's bias is ignored.
             "naive" => Estimator::Naive,
-            "importance" | "is" => Estimator::importance(self.bias),
-            other => return Err(format!("unknown estimator {other:?} (naive|importance)")),
+            name => Estimator::select(Some(name), Some(self.bias))?,
         };
         if self.dimms == 0 {
             return Err("dimms must be positive".to_string());
         }
-        let positive = |x: f64| x > 0.0 && x.is_finite();
-        if !positive(self.years) || !positive(self.scrub_hours) {
-            return Err("years and scrub_hours must be positive".to_string());
+        for (name, x) in [("years", self.years), ("scrub_hours", self.scrub_hours)] {
+            if !(x > 0.0 && x.is_finite()) {
+                return Err(format!("{name} must be finite and positive, got {x}"));
+            }
         }
-        let config = FleetConfig {
+        Ok(FleetConfig {
             dimms: self.dimms,
             years: self.years,
             scrub_interval_hours: self.scrub_hours,
@@ -160,8 +172,7 @@ impl JobSpec {
             threads: self.threads,
             estimator,
             ..FleetConfig::default()
-        };
-        Ok((code, env, config))
+        })
     }
 
     /// The job id: the 16-hex [`config_hash`] of the resolved triple.
@@ -182,38 +193,29 @@ pub(crate) fn triple_id(code: &FleetCode, env: &Environment, config: &FleetConfi
     format!("{:016x}", config_hash(code, env, config))
 }
 
-/// Builds one registry code.
-type BuildCode = fn() -> FleetCode;
-
-/// The code registry: every name a job may give, with its constructor.
-const CODES: [(&str, BuildCode); 8] = {
-    use muse_core::presets;
-    fn rs(t: usize) -> FleetCode {
-        let code = RsMemoryCode::new(8, 144, t).expect("8-bit symbols tile 144 bits");
-        FleetCode::rs(code, 4)
-    }
-    [
-        ("muse144_132", || FleetCode::muse(presets::muse_144_132())),
-        ("muse80_69", || FleetCode::muse(presets::muse_80_69())),
-        ("muse80_67", || FleetCode::muse(presets::muse_80_67())),
-        ("muse80_70", || FleetCode::muse(presets::muse_80_70())),
-        ("muse268_256", || FleetCode::muse(presets::muse_268_256())),
-        ("muse144_128", || FleetCode::muse(presets::muse_144_128())),
-        ("rs144_128_t1", || rs(1)),
-        ("rs144_112_t2", || rs(2)),
-    ]
-};
-
-/// The registry code `name`. Each code is built once per process, on
-/// first use (building a MUSE code's tables takes about a millisecond),
-/// and handed out as a clone.
+/// The registry code `name`: a [`presets::ALL`] MUSE code, or an RS
+/// comparator (8-bit symbols over the 144-bit channel, x4 devices). Each
+/// code is built once per process, on first use (building a MUSE code's
+/// tables takes about a millisecond), and handed out as a clone.
 fn resolve_code(name: &str) -> Result<FleetCode, String> {
-    static BUILT: [OnceLock<FleetCode>; CODES.len()] = [const { OnceLock::new() }; CODES.len()];
-    let i = CODES
-        .iter()
-        .position(|&(known, _)| known == name)
+    const RS: [(&str, usize); 2] = [("rs144_128_t1", 1), ("rs144_112_t2", 2)];
+    const N: usize = presets::ALL.len() + RS.len();
+    static BUILT: [OnceLock<FleetCode>; N] = [const { OnceLock::new() }; N];
+    let mut names = presets::ALL.iter().map(|p| p.0).chain(RS.map(|r| r.0));
+    let i = names
+        .position(|known| known == name)
         .ok_or_else(|| format!("unknown code {name:?}"))?;
-    Ok(BUILT[i].get_or_init(CODES[i].1).clone())
+    let build = || match presets::ALL.get(i) {
+        Some(preset) => FleetCode::muse((preset.1)()),
+        None => {
+            let t = RS[i - presets::ALL.len()].1;
+            FleetCode::rs(
+                RsMemoryCode::new(8, 144, t).expect("8-bit symbols tile 144 bits"),
+                4,
+            )
+        }
+    };
+    Ok(BUILT[i].get_or_init(build).clone())
 }
 
 fn resolve_env(name: &str) -> Result<Environment, String> {
@@ -292,5 +294,79 @@ mod tests {
         assert_eq!(env.name, want_env.name);
         assert_eq!(config.dimms, want_config.dimms);
         assert_eq!(config.seed, want_config.seed);
+    }
+
+    #[test]
+    fn job_ids_are_pinned() {
+        // A job id names its spool files and its cache record: a change
+        // here orphans every queued job and cached result.
+        let smoke = |code: &str| JobSpec {
+            code: code.into(),
+            env: "smoke".into(),
+            smoke: true,
+            ..JobSpec::default()
+        };
+        let benchmark = |estimator: &str, bias: f64| JobSpec {
+            code: "muse80_69".into(),
+            env: "chipkill-heavy".into(),
+            dimms: 512,
+            years: 5.0,
+            estimator: estimator.into(),
+            bias,
+            threads: 2,
+            ..JobSpec::default()
+        };
+        for (spec, id) in [
+            (JobSpec::default(), "85a543241759f100"),
+            (smoke("muse144_132"), "33a450892007a709"),
+            (smoke("muse80_69"), "bf6b07cd38802a0c"),
+            (smoke("rs144_128_t1"), "f656449bbf4f2ef5"),
+            (smoke("rs144_112_t2"), "1158d05bb670244e"),
+            (benchmark("naive", 1.0), "4ee27f0075c32d2b"),
+            (benchmark("importance", 16.0), "9249c5f9bdf8f04e"),
+        ] {
+            assert_eq!(spec.job_id().unwrap(), id, "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn invalid_fleet_parameters_are_errors() {
+        let valid = JobSpec::default();
+        for bad in [
+            JobSpec {
+                estimator: "is".into(),
+                bias: 0.5,
+                ..valid.clone()
+            },
+            JobSpec {
+                estimator: "importance".into(),
+                bias: f64::NAN,
+                ..valid.clone()
+            },
+            JobSpec {
+                dimms: 0,
+                ..valid.clone()
+            },
+            JobSpec {
+                years: -1.0,
+                ..valid.clone()
+            },
+            JobSpec {
+                years: f64::INFINITY,
+                ..valid.clone()
+            },
+            JobSpec {
+                scrub_hours: 0.0,
+                ..valid.clone()
+            },
+        ] {
+            assert!(bad.resolve().is_err(), "{bad:?}");
+        }
+        // A naive job's bias is ignored.
+        let naive = JobSpec {
+            bias: 0.5,
+            ..valid.clone()
+        };
+        assert_eq!(naive.job_id().unwrap(), valid.job_id().unwrap());
     }
 }

@@ -165,3 +165,39 @@ fn completed_jobs_clean_up_their_checkpoints_and_serve_from_cache() {
     assert!(result.cache_hit);
     assert_eq!(result.shards_run, 0, "cache hits must not recompute");
 }
+
+#[test]
+fn jobs_with_an_invalid_bias_fail_without_taking_the_daemon_down() {
+    let h = Harness::new("poisoned");
+    let (good, _) = h.spool.submit(&small_spec(11)).unwrap();
+    // `submit` refuses these specs, so they are written straight into the
+    // queue, as a hand-edited or older job file would be.
+    let poisoned = [("00000000000000b1", 0.5), ("00000000000000b2", -2.0)];
+    for (id, bias) in poisoned {
+        let spec = JobSpec {
+            estimator: "is".to_string(),
+            bias,
+            ..small_spec(11)
+        };
+        assert!(h.spool.submit(&spec).is_err(), "bias {bias}");
+        std::fs::write(
+            h.spool.queue_dir().join(format!("{id}.job")),
+            spec.to_json(),
+        )
+        .unwrap();
+    }
+    let report = h.serve_once();
+    assert_eq!(
+        (report.jobs_completed, report.jobs_failed),
+        (1, 2),
+        "{report:?}"
+    );
+    for (id, _) in poisoned {
+        let error =
+            std::fs::read_to_string(h.spool.failed_dir().join(format!("{id}.err"))).unwrap();
+        assert!(error.contains("bias"), "{error}");
+    }
+    let status = h.spool.status().unwrap();
+    assert_eq!((status.active, status.failed, status.done), (0, 2, 1));
+    assert!(h.spool.result_json(&good).is_ok());
+}

@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Number of log2 buckets in a [`Histogram`]: bucket `i` counts
 /// observations with `value < 2^i`, plus an overflow bucket.
@@ -136,12 +136,6 @@ impl Metrics {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The process-wide shared registry.
-    pub fn global() -> &'static Metrics {
-        static GLOBAL: OnceLock<Metrics> = OnceLock::new();
-        GLOBAL.get_or_init(Metrics::new)
     }
 
     /// Returns the counter named `name`, registering it (with `help`) on

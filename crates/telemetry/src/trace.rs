@@ -11,7 +11,6 @@
 
 use crate::json::{parse_object, JsonBuilder, JsonError, JsonObject};
 use std::io::Write;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -408,13 +407,6 @@ impl Tracer {
             shared,
             writer: Some(writer),
         }
-    }
-
-    /// Creates a tracer appending to the file at `path` (created if
-    /// missing, truncated if present).
-    pub fn to_file(path: &Path, capacity: usize) -> std::io::Result<Self> {
-        let file = std::fs::File::create(path)?;
-        Ok(Self::new(Box::new(file), capacity))
     }
 
     /// Emits an event without waiting on the sink.
