@@ -24,7 +24,9 @@
 //!   observability (`--trace` JSONL events, a `--metrics` Prometheus
 //!   textfile, `--progress` heartbeats on stderr) route every cell
 //!   through the crash-safe sharded supervisor; tallies stay
-//!   bit-identical. `--smoke` checks the pinned CI tallies instead.
+//!   bit-identical. `--smoke` checks the pinned CI tallies instead; it
+//!   keeps `--seed`, `--estimator`/`--bias`, `--shards` and `--threads`,
+//!   and refuses the fleet flags the pinned smoke fleet would ignore.
 //! * `submit` / `serve` / `status` / `result` / `smoke-check` drive the
 //!   `muse-service` spool daemon (see that crate's docs). `serve --once`
 //!   drains the queue and exits; otherwise SIGTERM/SIGINT trips a
@@ -492,7 +494,23 @@ fn fleet_spec(a: &Args, base: JobSpec) -> Result<JobSpec, CliError> {
     })
 }
 
+/// Under `--smoke`, refuses each flag of `ignored`: the smoke cells are
+/// pinned, so such a flag would change nothing the run prints.
+fn refuse_under_smoke(a: &Args, ignored: &[&str]) -> Result<(), CliError> {
+    if !a.has("--smoke") {
+        return Ok(());
+    }
+    match ignored.iter().find(|&&flag| a.has(flag)) {
+        Some(flag) => Err(err(format!(
+            "{} --smoke: {flag} does not apply to the pinned smoke cells",
+            a.command.name
+        ))),
+        None => Ok(()),
+    }
+}
+
 fn lifetime(a: &Args) -> Result<String, CliError> {
+    refuse_under_smoke(a, &["--dimms", "--years", "--scrub-hours", "--spares"])?;
     let smoke = a.has("--smoke");
     let (smoke_env, smoke_config) = muse_lifetime::smoke_setup();
     let mut base = JobSpec::default();
@@ -583,6 +601,20 @@ fn render_matrix(
 }
 
 fn submit(a: &Args) -> Result<String, CliError> {
+    refuse_under_smoke(
+        a,
+        &[
+            "--code",
+            "--env",
+            "--dimms",
+            "--years",
+            "--scrub-hours",
+            "--spares",
+            "--seed",
+            "--estimator",
+            "--bias",
+        ],
+    )?;
     let mut spec = fleet_spec(a, JobSpec::default())?;
     let specs = if a.has("--smoke") {
         smoke_specs(spec.shards, spec.threads)
@@ -1481,6 +1513,8 @@ mod tests {
             "lifetime --years nan",
             "lifetime --scrub-hours 0",
             "lifetime --dimms 0",
+            // 8.8e9 epochs, past the per-job DIMM-epoch budget.
+            "lifetime --dimms 1 --years 1 --scrub-hours 0.000001",
         ] {
             assert!(run_str(line).is_err(), "{line}");
         }
@@ -1502,6 +1536,46 @@ mod tests {
             let want = muse_lifetime::Estimator::importance(bias);
             assert_eq!(config.estimator, want, "{flags}: {job}");
         }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Asserts that `line` fails with an error naming `command --smoke`
+    /// and `flag`.
+    fn refused_under_smoke(line: &str, command: &str, flag: &str) {
+        let e = run_str(line).unwrap_err().0;
+        assert!(
+            e.contains(&format!("{command} --smoke: {flag} ")),
+            "{line}: {e}"
+        );
+    }
+
+    #[test]
+    fn lifetime_smoke_refuses_the_fleet_flags_it_ignores() {
+        for flag in ["--dimms 5", "--years 3", "--scrub-hours 24", "--spares 1"] {
+            let line = format!("lifetime --smoke {flag}");
+            refused_under_smoke(&line, "lifetime", flag.split(' ').next().unwrap());
+        }
+    }
+
+    #[test]
+    fn submit_smoke_refuses_the_fleet_flags_it_ignores() {
+        let root = scratch_dir("submit-smoke-flags");
+        for flag in [
+            "--code muse80_69",
+            "--env chipkill-heavy",
+            "--dimms 5",
+            "--years 3",
+            "--scrub-hours 24",
+            "--spares 1",
+            "--seed 7",
+            "--estimator is",
+            "--bias 4",
+        ] {
+            let line = format!("submit --root {} --smoke {flag}", root.display());
+            refused_under_smoke(&line, "submit", flag.split(' ').next().unwrap());
+        }
+        let queued = std::fs::read_dir(root.join("queue")).map_or(0, |d| d.count());
+        assert_eq!(queued, 0, "a refused submit queued a job");
         let _ = std::fs::remove_dir_all(&root);
     }
 

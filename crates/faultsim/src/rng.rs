@@ -17,16 +17,21 @@
 //! * `avx512x8` — eight steps per 512-bit vector (AVX-512F for the
 //!   xoshiro256++ rotates and unsigned compares, AVX-512DQ for the 64-bit
 //!   SplitMix64 multiplies), picked per call when the CPU reports both
-//!   features;
+//!   features. Each loop iteration keeps four independent vectors (32
+//!   steps) in flight, so their chains of five SplitMix64 finalizers
+//!   overlap in the pipeline instead of each waiting out the last one's
+//!   latency, and each lane's `step·GOLDEN` counter advances by a vector
+//!   add;
 //! * `scalar` — one [`Rng::for_cell`]-style derivation per step, on every
 //!   other CPU and target, and the reference the tests hold the vector
 //!   kernel to.
 //!
 //! Both read the stream constants defined once below, with wrapping
 //! 64-bit arithmetic in both, so the two return the same mask bit for
-//! bit; [`screen_kernel`] names the one this process runs. The call into
-//! the `#[target_feature]` kernel, made only after the runtime feature
-//! check, is the module's one `unsafe` block.
+//! bit, and every host gets the same mask; [`screen_kernel`] names the
+//! one this process runs. The call into the `#[target_feature]` kernel,
+//! made only after the runtime feature check, is the module's one
+//! `unsafe` block.
 
 /// SplitMix64's increment (the 64-bit golden ratio): the counter stride
 /// of every stream derivation.
@@ -427,41 +432,60 @@ mod x8 {
         xorshift::<MIX_S2>(z)
     }
 
-    /// Eight consecutive steps per vector: lane `j` of chunk `c` carries
-    /// step `first + 8c + j` through `for_trial(key, step)` and its
-    /// xoshiro256++ draws. The spare lanes of a short last chunk are
-    /// computed and masked off.
+    /// Steps per vector.
+    const LANES: u64 = 8;
+    /// Independent vectors per loop iteration: their finalizer chains
+    /// overlap in the pipeline instead of running back to back.
+    const IN_FLIGHT: usize = 4;
+
+    /// Eight consecutive steps per vector, four vectors per iteration:
+    /// lane `j` of vector `v` in the chunk starting at `c` carries step
+    /// `first + c + 8v + j` through `for_trial(key, step)` and its
+    /// xoshiro256++ draws. Each lane's `step·GOLDEN` is carried as a
+    /// running sum. The spare lanes of a short last chunk are computed
+    /// and masked off.
     #[target_feature(enable = "avx512f,avx512dq")]
     fn kernel(key: u64, first: u64, n: u64, thresholds: &[u64]) -> u64 {
-        let lane_offsets = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
+        let key = splat(key);
+        let stride = splat(GOLDEN.wrapping_mul(LANES));
+        let mut counter = _mm512_add_epi64(
+            splat(first.wrapping_mul(GOLDEN)),
+            _mm512_mullo_epi64(_mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7), splat(GOLDEN)),
+        );
         let mut mask = 0u64;
         let mut chunk = 0;
         while chunk < n {
-            let steps = _mm512_add_epi64(splat(first.wrapping_add(chunk)), lane_offsets);
-            let base = mix(_mm512_xor_si512(
-                splat(key),
-                _mm512_mullo_epi64(steps, splat(GOLDEN)),
-            ));
-            let [mut s0, mut s1, mut s2, mut s3] =
-                TRIAL_OFFSETS.map(|offset| mix(_mm512_add_epi64(base, splat(offset))));
-            let mut loud: __mmask8 = 0;
-            for &t in thresholds {
-                let draw = _mm512_add_epi64(
-                    _mm512_rol_epi64::<{ XO_ROT as i32 }>(_mm512_add_epi64(s0, s3)),
-                    s0,
-                );
-                loud |= _mm512_cmpge_epu64_mask(draw, splat(t));
-                let t = _mm512_slli_epi64::<XO_SHL>(s1);
-                s2 = _mm512_xor_si512(s2, s0);
-                s3 = _mm512_xor_si512(s3, s1);
-                s1 = _mm512_xor_si512(s1, s2);
-                s0 = _mm512_xor_si512(s0, s3);
-                s2 = _mm512_xor_si512(s2, t);
-                s3 = _mm512_rol_epi64::<{ XO_ROT_S3 as i32 }>(s3);
+            let mut states = [[_mm512_setzero_si512(); 4]; IN_FLIGHT];
+            for state in &mut states {
+                let base = mix(_mm512_xor_si512(key, counter));
+                *state = TRIAL_OFFSETS.map(|offset| mix(_mm512_add_epi64(base, splat(offset))));
+                counter = _mm512_add_epi64(counter, stride);
             }
-            let valid = (n - chunk).min(8);
-            mask |= u64::from(loud & (0xFF >> (8 - valid))) << chunk;
-            chunk += 8;
+            let mut loud: [__mmask8; IN_FLIGHT] = [0; IN_FLIGHT];
+            for &t in thresholds {
+                let t = splat(t);
+                for ([s0, s1, s2, s3], loud) in states.iter_mut().zip(&mut loud) {
+                    let draw = _mm512_add_epi64(
+                        _mm512_rol_epi64::<{ XO_ROT as i32 }>(_mm512_add_epi64(*s0, *s3)),
+                        *s0,
+                    );
+                    *loud |= _mm512_cmpge_epu64_mask(draw, t);
+                    let t = _mm512_slli_epi64::<XO_SHL>(*s1);
+                    *s2 = _mm512_xor_si512(*s2, *s0);
+                    *s3 = _mm512_xor_si512(*s3, *s1);
+                    *s1 = _mm512_xor_si512(*s1, *s2);
+                    *s0 = _mm512_xor_si512(*s0, *s3);
+                    *s2 = _mm512_xor_si512(*s2, t);
+                    *s3 = _mm512_rol_epi64::<{ XO_ROT_S3 as i32 }>(*s3);
+                }
+            }
+            let bits = loud
+                .iter()
+                .rev()
+                .fold(0, |bits, &l| bits << LANES | u64::from(l));
+            let valid = (n - chunk).min(LANES * IN_FLIGHT as u64);
+            mask |= (bits & u64::MAX >> (64 - valid)) << chunk;
+            chunk += LANES * IN_FLIGHT as u64;
         }
         mask
     }
@@ -967,7 +991,9 @@ mod tests {
                 })
                 .collect();
             for stream in [CellStream::Cell, CellStream::Bias] {
-                for n in [1, 5, 7, 8, 9, 63, 64] {
+                for n in [
+                    1, 5, 7, 8, 9, 15, 16, 17, 24, 31, 32, 33, 40, 48, 56, 63, 64,
+                ] {
                     let want = reference_mask(stream, seed, lane, first, n, &thresholds);
                     let what = format!(
                         "{stream:?} seed {seed:#x} lane {lane} first {first} n {n} {thresholds:x?}"

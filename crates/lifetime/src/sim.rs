@@ -42,18 +42,22 @@
 //! up to 64 epochs first: a branch-free column pass draws only the
 //! arrival raws of every epoch in the chunk and compares each with its
 //! sampler's zero threshold ([`CountCdf::zero_threshold`]), yielding a
-//! 64-bit loud mask. Quiet epochs then cost a few adds and a multiply;
-//! only loud ones run the full epoch step.
+//! 64-bit loud mask. The walk then takes the mask as runs: a run of `q`
+//! quiet epochs adds `q` to the epoch tallies in one step (and to the
+//! degraded tally if the erased set is not empty), and under importance
+//! sampling multiplies the all-zero ratio into the weight `q` times,
+//! once per epoch in epoch order, so the weight rounds exactly as an
+//! epoch-by-epoch walk would. Only loud epochs run the full epoch step.
 //!
 //! The column pass is [`Rng::loud_steps`], once on the main stream and,
 //! under importance sampling, once on the bias stream. Epochs are the
 //! step axis of counter-based streams, so it screens eight consecutive
-//! epochs per AVX-512 vector when the CPU has AVX-512F and AVX-512DQ
-//! (checked at run time, per call) and falls back to a scalar loop
-//! everywhere else; [`muse_faultsim::screen_kernel`] names the kernel in
-//! use. Both kernels compute the same wrapping 64-bit arithmetic, so
-//! the mask — and everything downstream of it — is identical on every
-//! host.
+//! epochs per AVX-512 vector, four vectors at a time, when the CPU has
+//! AVX-512F and AVX-512DQ (checked at run time, per call) and falls back
+//! to a scalar loop everywhere else; [`muse_faultsim::screen_kernel`]
+//! names the kernel in use. Both kernels compute the same wrapping
+//! 64-bit arithmetic, so the mask — and everything downstream of it —
+//! is identical on every host.
 //!
 //! # Determinism
 //!
@@ -353,7 +357,7 @@ fn run_range_with(
 
 /// The fleet walk: screens each chunk of up to 64 epochs with
 /// [`Plan::loud_mask`], runs [`epoch_step`] on the loud epochs only, and
-/// does a quiet epoch's bookkeeping inline.
+/// does the bookkeeping of each run of quiet epochs in bulk.
 fn screened_walk(
     plan: &Plan,
     config: &FleetConfig,
@@ -368,20 +372,53 @@ fn screened_walk(
     while first < plan.epochs {
         let n = (plan.epochs - first).min(64);
         let loud = plan.loud_mask(config.seed, dimm, first, n);
-        for i in 0..n {
-            if loud >> i & 1 != 0 {
-                step(plan, config, dimm, first + i, ws, state, backend, tally);
-            } else {
-                // Four zero counts: `epoch_step` would count the epoch
-                // and multiply in the all-zero likelihood ratio, nothing
-                // else.
-                count_epoch(state, tally);
-                if let Some(lr0) = lr0 {
+        for (quiet, loud) in QuietRuns::new(loud, n) {
+            // Four zero counts: `epoch_step` would count each epoch and
+            // multiply in the all-zero likelihood ratio, nothing else.
+            // One multiply per epoch, in epoch order, keeps the weight
+            // bit-identical.
+            count_epochs(state, tally, quiet);
+            if let Some(lr0) = lr0 {
+                for _ in 0..quiet {
                     ws.w *= lr0;
                 }
             }
+            if let Some(i) = loud {
+                step(plan, config, dimm, first + i, ws, state, backend, tally);
+            }
         }
         first += n;
+    }
+}
+
+/// The runs of a chunk's loud mask, in epoch order: each item is
+/// `(quiet, loud)`, a run of `quiet` quiet epochs followed by the loud
+/// epoch at chunk offset `loud`, or by the chunk's end (`None`). Only
+/// the mask's low `n` bits are read.
+struct QuietRuns {
+    mask: u64,
+    n: u64,
+    next: u64,
+}
+
+impl QuietRuns {
+    fn new(mask: u64, n: u64) -> Self {
+        debug_assert!(n <= 64);
+        Self { mask, n, next: 0 }
+    }
+}
+
+impl Iterator for QuietRuns {
+    type Item = (u64, Option<u64>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.next >= self.n {
+            return None;
+        }
+        let quiet = u64::from((self.mask >> self.next).trailing_zeros()).min(self.n - self.next);
+        let at = self.next + quiet;
+        self.next = at + 1;
+        Some((quiet, (at < self.n).then_some(at)))
     }
 }
 
@@ -417,12 +454,13 @@ fn step(
     );
 }
 
-/// Counts one epoch (and whether it ran degraded); returns the latter.
-fn count_epoch(state: &DimmState, tally: &mut LifetimeTally) -> bool {
-    tally.epochs += 1;
+/// Counts `epochs` epochs (and whether they ran degraded); returns the
+/// latter.
+fn count_epochs(state: &DimmState, tally: &mut LifetimeTally, epochs: u64) -> bool {
+    tally.epochs += epochs;
     let degraded = !state.erased.is_empty();
     if degraded {
-        tally.degraded_epochs += 1;
+        tally.degraded_epochs += epochs;
     }
     degraded
 }
@@ -456,7 +494,7 @@ fn epoch_step(
     backend: &mut FleetBackend<'_>,
     tally: &mut LifetimeTally,
 ) {
-    let degraded = count_epoch(state, tally);
+    let degraded = count_epochs(state, tally, 1);
     let boost = plan.bias.as_ref().map(|b| b.factor);
 
     // 1. Arrival counts: one raw draw each, through the exact binomial
@@ -733,6 +771,36 @@ mod tests {
                     };
                     assert_ne!(config.epochs() % 64, 0, "want a partial last chunk");
                     assert_screen_matches(&code, &env, &config);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quiet_runs_split_the_mask_like_the_per_bit_loop() {
+        let alternating = 0x5555_5555_5555_5555u64;
+        let masks = [0, u64::MAX, 1 << 63, 1, alternating, !alternating];
+        for mask in masks {
+            for n in (0..=9).chain([31, 32, 33, 62, 63, 64]) {
+                // Loud bits at and past `n` lie outside the chunk.
+                for mask in [
+                    mask,
+                    mask | 1 << n.min(63),
+                    mask | !(u64::MAX >> (64 - n.max(1))),
+                ] {
+                    let per_bit: Vec<bool> = (0..n).map(|i| mask >> i & 1 != 0).collect();
+                    let runs: Vec<_> = QuietRuns::new(mask, n).collect();
+                    let mut split = Vec::new();
+                    for &(quiet, loud) in &runs {
+                        split.extend((0..quiet).map(|_| false));
+                        if let Some(i) = loud {
+                            assert_eq!(i, split.len() as u64, "mask {mask:#x} n {n}");
+                            split.push(true);
+                        }
+                    }
+                    assert_eq!(split, per_bit, "mask {mask:#x} n {n}");
+                    // Only the chunk's last run may end without a loud epoch.
+                    assert!(runs.iter().rev().skip(1).all(|r| r.1.is_some()), "{runs:?}");
                 }
             }
         }

@@ -19,6 +19,14 @@ use muse_telemetry::{parse_object, JsonBuilder};
 /// Schema tag of every job file.
 pub const JOB_SCHEMA: &str = "muse-job/v1";
 
+/// The most DIMM-epochs (`dimms × epochs`) one job may simulate: 2^32.
+/// It admits a million DIMMs over five years at the default 12-hour
+/// scrub (3.65e9), and refuses a horizon or scrub interval whose epoch
+/// count would keep a `lifetime` run or a service worker busy for
+/// minutes to hours (one DIMM over a year at a one-microsecond scrub is
+/// 8.8e9).
+pub const MAX_DIMM_EPOCHS: u64 = 1 << 32;
+
 /// One lifetime-run job, as submitted. Serialized as a flat
 /// `muse-job/v1` JSON object (one line).
 #[derive(Debug, Clone, PartialEq)]
@@ -147,8 +155,8 @@ impl JobSpec {
     /// # Errors
     ///
     /// An unknown estimator, an invalid importance-sampling bias, zero
-    /// DIMMs, or a horizon or scrub interval that is not finite and
-    /// positive.
+    /// DIMMs, a horizon or scrub interval that is not finite and
+    /// positive, or more than [`MAX_DIMM_EPOCHS`] DIMM-epochs.
     pub fn fleet_config(&self) -> Result<FleetConfig, String> {
         let estimator = match self.estimator.as_str() {
             // A naive job's bias is ignored.
@@ -163,7 +171,7 @@ impl JobSpec {
                 return Err(format!("{name} must be finite and positive, got {x}"));
             }
         }
-        Ok(FleetConfig {
+        let config = FleetConfig {
             dimms: self.dimms,
             years: self.years,
             scrub_interval_hours: self.scrub_hours,
@@ -172,7 +180,17 @@ impl JobSpec {
             threads: self.threads,
             estimator,
             ..FleetConfig::default()
-        })
+        };
+        // An epoch count past `u64::MAX` saturates, and so fails here too.
+        let epochs = config.epochs();
+        match config.dimms.checked_mul(epochs) {
+            Some(total) if total <= MAX_DIMM_EPOCHS => Ok(config),
+            _ => Err(format!(
+                "{} dimms x {epochs} epochs ({} years at a {}-hour scrub) exceeds the budget \
+                 of {MAX_DIMM_EPOCHS} DIMM-epochs per job",
+                self.dimms, self.years, self.scrub_hours
+            )),
+        }
     }
 
     /// The job id: the 16-hex [`config_hash`] of the resolved triple.
@@ -359,9 +377,37 @@ mod tests {
                 scrub_hours: 0.0,
                 ..valid.clone()
             },
+            // 8.8e9 epochs; then a product past the budget, then one
+            // past `u64::MAX`, then an epoch count that saturates.
+            JobSpec {
+                dimms: 1,
+                years: 1.0,
+                scrub_hours: 1e-6,
+                ..valid.clone()
+            },
+            JobSpec {
+                dimms: MAX_DIMM_EPOCHS / valid.fleet_config().unwrap().epochs() + 1,
+                ..valid.clone()
+            },
+            JobSpec {
+                dimms: u64::MAX,
+                ..valid.clone()
+            },
+            JobSpec {
+                dimms: 1,
+                years: 1e300,
+                ..valid.clone()
+            },
         ] {
             assert!(bad.resolve().is_err(), "{bad:?}");
         }
+        // The budget itself is allowed.
+        let epochs = valid.fleet_config().unwrap().epochs();
+        let at_budget = JobSpec {
+            dimms: MAX_DIMM_EPOCHS / epochs,
+            ..valid.clone()
+        };
+        assert!(at_budget.resolve().is_ok());
         // A naive job's bias is ignored.
         let naive = JobSpec {
             bias: 0.5,

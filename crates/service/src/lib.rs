@@ -63,4 +63,4 @@ pub use cache::{CacheLookup, ResultCache};
 pub use daemon::{
     serve, JobResult, ServiceConfig, ServiceReport, ServiceTelemetry, Spool, SpoolStatus,
 };
-pub use job::{JobSpec, JOB_SCHEMA};
+pub use job::{JobSpec, JOB_SCHEMA, MAX_DIMM_EPOCHS};

@@ -7,6 +7,7 @@ use std::sync::{Arc, Mutex};
 use muse_lifetime::simulate_fleet;
 use muse_service::{
     serve, JobResult, JobSpec, ServiceConfig, ServiceReport, ServiceTelemetry, Spool,
+    MAX_DIMM_EPOCHS,
 };
 
 fn small_spec(seed: u64) -> JobSpec {
@@ -200,4 +201,39 @@ fn jobs_with_an_invalid_bias_fail_without_taking_the_daemon_down() {
     let status = h.spool.status().unwrap();
     assert_eq!((status.active, status.failed, status.done), (0, 2, 1));
     assert!(h.spool.result_json(&good).is_ok());
+}
+
+#[test]
+fn jobs_over_the_horizon_budget_fail_without_running() {
+    // `lifetime --dimms 1 --years 1 --scrub-hours 0.000001`: 8.8e9
+    // epochs, which would keep a worker busy for minutes.
+    let h = Harness::new("over-budget");
+    let spec = JobSpec {
+        dimms: 1,
+        years: 1.0,
+        scrub_hours: 0.000001,
+        ..small_spec(12)
+    };
+    let refused = h.spool.submit(&spec).unwrap_err();
+    assert!(
+        refused.contains("1 dimms x 8766000000 epochs")
+            && refused.contains(&MAX_DIMM_EPOCHS.to_string()),
+        "{refused}"
+    );
+    // Written straight into the queue, as a hand-edited job file would
+    // be, it fails at once and leaves the daemon serving.
+    let id = "00000000000000e9";
+    std::fs::write(
+        h.spool.queue_dir().join(format!("{id}.job")),
+        spec.to_json(),
+    )
+    .unwrap();
+    let report = h.serve_once();
+    assert_eq!(
+        (report.jobs_completed, report.jobs_failed),
+        (0, 1),
+        "{report:?}"
+    );
+    let error = std::fs::read_to_string(h.spool.failed_dir().join(format!("{id}.err"))).unwrap();
+    assert!(error.contains("exceeds the budget"), "{error}");
 }
