@@ -1,4 +1,4 @@
-//! Ablation studies for the design choices DESIGN.md calls out:
+//! Ablation studies for the paper's design choices:
 //!
 //! 1. Zero-partial-product elimination in the constant multipliers (§V-B).
 //! 2. Lemire two-multiplier modulo vs the naive divide-multiply-subtract.

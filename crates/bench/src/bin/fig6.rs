@@ -1,13 +1,10 @@
 //! Figure 6: normalized slowdown of SPEC-shaped workloads when ECC
 //! encode/correct latencies are added to the memory interface.
 
-use muse_bench::{figure6, gmean, mean, print_table};
+use muse_bench::{count_arg, figure6, gmean, mean, print_table};
 
 fn main() {
-    let mem_ops = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(150_000);
+    let mem_ops = count_arg(150_000);
     let rows = figure6(mem_ops);
 
     let table: Vec<Vec<String>> = rows

@@ -3,13 +3,10 @@
 //! (disjoint tags, no cache), MT with a 32-entry metadata cache — compared
 //! on slowdown, DRAM power, and DRAM traffic, normalized to MUSE.
 
-use muse_bench::{figure7, mean, print_table};
+use muse_bench::{count_arg, figure7, mean, print_table};
 
 fn main() {
-    let mem_ops = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(150_000);
+    let mem_ops = count_arg(150_000);
     let (rows, table6) = figure7(mem_ops);
 
     let table: Vec<Vec<String>> = rows

@@ -16,7 +16,7 @@ fn main() {
             ("rank MUSE", Stack::RankOnly, Some(&code)),
             ("stacked", Stack::Stacked, Some(&code)),
         ] {
-            let stats = simulate_stack(stack, rank, cell_p, words, 0x0D1E);
+            let stats = simulate_stack(stack, rank, cell_p, words, 0x0D1E, 0);
             rows.push(vec![
                 format!("{cell_p:.0e}"),
                 name.to_string(),

@@ -1,28 +1,16 @@
 //! Runs every experiment binary in sequence (the full reproduction pass).
 //!
-//! `cargo run --release -p muse-bench --bin repro_all`
+//! `cargo build --release -p muse-bench --bins && ./target/release/repro_all`
+//! (it launches the binaries from its own directory, so build them all).
 
 use std::process::Command;
+
+use muse_bench::ARTIFACT_BINARIES;
 
 fn main() {
     let exe = std::env::current_exe().expect("own path");
     let dir = exe.parent().expect("bin dir");
-    let bins = [
-        "table1",
-        "appendix_search",
-        "fig1b",
-        "table3",
-        "table4",
-        "table5",
-        "fig6",
-        "fig7",
-        "pim",
-        "rowhammer",
-        "fit",
-        "ablation",
-        "ondie",
-    ];
-    for bin in bins {
+    for bin in ARTIFACT_BINARIES {
         println!("\n######## {bin} ########");
         let status = Command::new(dir.join(bin))
             .status()

@@ -1,21 +1,18 @@
 //! Section VI-A: Rowhammer resistance from 40-bit line hashes stored in the
 //! MUSE(80,69) spare bits.
 
-use muse_bench::print_table;
+use muse_bench::{count_arg, print_table};
 use muse_core::presets;
 use muse_faultsim::{simulate_attacks, LineHasher};
 
 fn main() {
-    let trials: u64 = std::env::args()
-        .nth(1)
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(5_000);
+    let trials = count_arg(5_000);
     let code = presets::muse_80_69();
     let hasher = LineHasher::new(0x0123_4567_89AB_CDEF, 0xFEDC_BA98_7654_3210);
 
     let mut rows = Vec::new();
     for flips in [1usize, 2, 4, 8, 16, 32, 64] {
-        let stats = simulate_attacks(&code, &hasher, flips, trials, 0xBEEF);
+        let stats = simulate_attacks(&code, &hasher, flips, trials, 0xBEEF, 0);
         rows.push(vec![
             flips.to_string(),
             stats.blocked_by_ecc.to_string(),

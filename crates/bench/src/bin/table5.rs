@@ -84,6 +84,9 @@ fn main() {
         ],
         &rows,
     );
-    println!("\nNote: analytical 15nm-class model (DESIGN.md §3.2); relative MUSE-vs-RS");
+    println!(
+        "\nNote: analytical 15nm-class cell model in place of the paper's synthesis flow; \
+         relative MUSE-vs-RS"
+    );
     println!("costs are the meaningful comparison, absolute numbers are estimates.");
 }

@@ -19,7 +19,7 @@
 //! | `fit` | extension — FIT-rate projection over field failure modes |
 //! | `ablation` | extension — design-choice ablations |
 //! | `ondie` | extension — on-die SEC × rank MUSE co-design |
-//! | `repro_all` | Everything above in sequence |
+//! | `repro_all` | Everything above in sequence ([`ARTIFACT_BINARIES`]) |
 //!
 //! `bench_lifetime` writes the fleet-lifetime rate snapshot described
 //! below. Speed is not measured here: `perfbench/` (declared in
@@ -172,3 +172,86 @@ pub mod format;
 
 pub use experiments::*;
 pub use format::{bar, print_table};
+
+/// The artifact binaries `repro_all` runs, in its order: one per paper
+/// table, figure or extension study. Every binary in `src/bin/` is here
+/// except `repro_all` itself and `bench_lifetime`, which writes
+/// `BENCH_lifetime.json` instead.
+pub const ARTIFACT_BINARIES: [&str; 13] = [
+    "table1",
+    "appendix_search",
+    "fig1b",
+    "table3",
+    "table4",
+    "table5",
+    "fig6",
+    "fig7",
+    "pim",
+    "rowhammer",
+    "fit",
+    "ablation",
+    "ondie",
+];
+
+/// Reads an artifact binary's one optional argument: a positive count
+/// (memory operations or trials), or `default` when there is none.
+///
+/// A malformed or zero count, or a second argument, prints the error and
+/// a usage line to stderr and exits with status 1 before any work runs.
+pub fn count_arg(default: u64) -> u64 {
+    let mut args = std::env::args();
+    let exe = args.next().unwrap_or_default();
+    parse_count(args, default).unwrap_or_else(|err| {
+        let name = std::path::Path::new(&exe)
+            .file_stem()
+            .map_or(exe.clone(), |s| s.to_string_lossy().into_owned());
+        eprintln!("{name}: {err}");
+        eprintln!("usage: {name} [COUNT]  (COUNT a positive integer, default {default})");
+        std::process::exit(1);
+    })
+}
+
+fn parse_count(mut args: impl Iterator<Item = String>, default: u64) -> Result<u64, String> {
+    let Some(arg) = args.next() else {
+        return Ok(default);
+    };
+    if let Some(extra) = args.next() {
+        return Err(format!("unexpected second argument `{extra}`"));
+    }
+    match arg.parse::<u64>() {
+        Ok(0) => Err("the count must be positive, got 0".into()),
+        Ok(count) => Ok(count),
+        Err(_) => Err(format!("`{arg}` is not a count")),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn artifact_binaries_are_every_bin_but_repro_all_and_bench_lifetime() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+        let mut stems: Vec<String> = std::fs::read_dir(dir)
+            .expect("src/bin")
+            .map(|entry| entry.expect("dir entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+            .map(|path| path.file_stem().unwrap().to_string_lossy().into_owned())
+            .filter(|stem| stem != "repro_all" && stem != "bench_lifetime")
+            .collect();
+        stems.sort();
+        let mut listed: Vec<String> = ARTIFACT_BINARIES.iter().map(|s| s.to_string()).collect();
+        listed.sort();
+        assert_eq!(listed, stems);
+    }
+
+    #[test]
+    fn count_argument_is_one_positive_integer() {
+        let parse = |args: &[&str]| parse_count(args.iter().map(|a| a.to_string()), 7);
+        assert_eq!(parse(&[]), Ok(7));
+        assert_eq!(parse(&["500"]), Ok(500));
+        for bad in [&["0"][..], &["abc"], &["-3"], &["1.5"], &[""], &["1", "2"]] {
+            assert!(parse(bad).is_err(), "{bad:?} accepted");
+        }
+    }
+}

@@ -1,5 +1,5 @@
 //! Internal content-space trial machinery shared by the kernel-accelerated
-//! simulators (`msed`, `retention`, `fit`, `ondie`).
+//! simulators (`msed`, `fit`).
 //!
 //! A trial lives entirely in the *content/error-value domain*: instead of
 //! sampling a wide codeword and corrupting it, a trial samples only what it

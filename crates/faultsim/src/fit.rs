@@ -87,14 +87,9 @@ impl Tally for ModeTally {
 
 /// Monte-Carlo per-mode outcome measurement for a MUSE code.
 ///
-/// Trials run in residue space on the [`SimEngine`] (one worker per CPU);
-/// results are bit-identical at any thread count.
-pub fn measure_mode(code: &MuseCode, mode: FailureMode, trials: u64, seed: u64) -> ModeOutcome {
-    measure_mode_threaded(code, mode, trials, seed, 0)
-}
-
-/// [`measure_mode`] with an explicit worker count (0 ⇒ all CPUs).
-pub fn measure_mode_threaded(
+/// Trials run in residue space on the [`SimEngine`] with `threads` workers
+/// (0 ⇒ one per CPU); results are bit-identical at any thread count.
+pub fn measure_mode(
     code: &MuseCode,
     mode: FailureMode,
     trials: u64,
@@ -174,7 +169,7 @@ pub fn project_fit(code: &MuseCode, devices: u32, trials: u64, seed: u64) -> Fit
     let mut due_fit = 0.0;
     let mut sdc_fit = 0.0;
     for mode in FailureMode::all() {
-        let outcome = measure_mode(code, mode, trials, seed ^ mode as u64);
+        let outcome = measure_mode(code, mode, trials, seed ^ mode as u64, 0);
         let rate = mode.fit_per_device() * devices as f64;
         due_fit += rate * outcome.p_due;
         sdc_fit += rate * outcome.p_sdc;
@@ -200,7 +195,7 @@ mod tests {
             FailureMode::SingleDeviceMultiBit,
             FailureMode::WholeDevice,
         ] {
-            let o = measure_mode(&code, mode, 400, 11);
+            let o = measure_mode(&code, mode, 400, 11, 0);
             assert_eq!(o.p_correct, 1.0, "{mode:?}");
             assert_eq!(o.p_due + o.p_sdc, 0.0, "{mode:?}");
         }
@@ -209,7 +204,7 @@ mod tests {
     #[test]
     fn two_device_mode_splits_due_and_sdc() {
         let code = presets::muse_144_132();
-        let o = measure_mode(&code, FailureMode::TwoDevices, 2_000, 13);
+        let o = measure_mode(&code, FailureMode::TwoDevices, 2_000, 13, 0);
         assert_eq!(o.p_correct, 0.0, "two-device errors never restore data");
         assert!(o.p_due > 0.8, "most are detected: {}", o.p_due);
         assert!(o.p_sdc < 0.2);

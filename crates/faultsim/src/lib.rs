@@ -46,11 +46,12 @@
 //!   in MUSE spare bits vs blind bit-flip attacks. SipHash runs over the
 //!   real line bytes (legitimately content-dependent); the ECC step of the
 //!   8 codewords per line runs on the residue kernel.
-//! * [`simulate_retention`] — the Section III-C asymmetric (1→0)
-//!   retention-error model and refresh-interval sweeps.
 //! * [`simulate_stack`] — on-die SEC × rank-level MUSE co-design.
-//! * [`simulate_scrubbing`] — patrol-scrub interval studies.
 //! * [`measure_mode`] / [`project_fit`] — field FIT-rate projection.
+//!
+//! Each simulator feeds an artifact of the reproduction pass
+//! (`muse-bench`'s `repro_all`). Scrub-bounded fault overlaps are modelled
+//! by the fleet simulator in `muse-lifetime`.
 //!
 //! # Examples
 //!
@@ -80,10 +81,8 @@ mod fit;
 mod lanes;
 mod msed;
 mod ondie;
-mod retention;
 mod rng;
 mod rowhammer;
-mod scrub;
 
 pub use engine::{pull_units, trials_completed, SimEngine, Tally};
 
@@ -103,22 +102,10 @@ pub(crate) fn require_kernel<'a>(
         )
     })
 }
-pub use fit::{
-    measure_mode, measure_mode_threaded, project_fit, FailureMode, FitProjection, ModeOutcome,
-};
+pub use fit::{measure_mode, project_fit, FailureMode, FitProjection, ModeOutcome};
 pub use msed::{muse_msed, random_payload, rs_msed, MsedConfig, MsedStats, Outcome, RsDetectMode};
-pub use ondie::{simulate_stack, simulate_stack_threaded, OndieStats, Stack};
-pub use retention::{
-    analytic_uncorrectable_probability, relative_refresh_power, simulate_retention,
-    simulate_retention_threaded, sweep_refresh_intervals, RetentionModel, RetentionStats,
-    SweepPoint,
-};
+pub use ondie::{simulate_stack, OndieStats, Stack};
 pub use rng::{screen_kernel, Bounded32, CellStream, CountCdf, Rng};
 pub use rowhammer::{
-    simulate_attacks, simulate_attacks_threaded, AttackStats, HashedLine, LineError, LineHasher,
-    HASH_BITS, WORDS_PER_LINE,
-};
-pub use scrub::{
-    analytic_overlap_probability, simulate_scrubbing, simulate_scrubbing_threaded, ScrubConfig,
-    ScrubStats,
+    simulate_attacks, AttackStats, HashedLine, LineError, LineHasher, HASH_BITS, WORDS_PER_LINE,
 };

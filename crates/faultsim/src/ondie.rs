@@ -188,24 +188,13 @@ impl OndieModel {
 /// independent on-die word; faults hit the full on-die word, and the
 /// rank-visible bits inherit whatever the on-die decode leaves behind.
 ///
-/// Words run batched on the [`SimEngine`]; results are bit-identical at any
-/// thread count.
+/// Words run batched on the [`SimEngine`] with `threads` workers (0 ⇒ one
+/// per CPU); results are bit-identical at any thread count.
 ///
 /// # Panics
 ///
 /// Panics if `rank_code` is needed by the stack but `None` was passed.
 pub fn simulate_stack(
-    stack: Stack,
-    rank_code: Option<&MuseCode>,
-    cell_p: f64,
-    words: u64,
-    seed: u64,
-) -> OndieStats {
-    simulate_stack_threaded(stack, rank_code, cell_p, words, seed, 0)
-}
-
-/// [`simulate_stack`] with an explicit worker count (0 ⇒ all CPUs).
-pub fn simulate_stack_threaded(
     stack: Stack,
     rank_code: Option<&MuseCode>,
     cell_p: f64,
@@ -397,15 +386,15 @@ mod tests {
 
     #[test]
     fn no_protection_corrupts_silently() {
-        let stats = simulate_stack(Stack::None, None, P, 1_500, 1);
+        let stats = simulate_stack(Stack::None, None, P, 1_500, 1, 0);
         assert!(stats.sdc > 0, "raw words must corrupt");
         assert_eq!(stats.due, 0, "nothing detects");
     }
 
     #[test]
     fn ondie_alone_reduces_but_does_not_eliminate_sdc() {
-        let none = simulate_stack(Stack::None, None, P, 1_500, 2);
-        let ondie = simulate_stack(Stack::OnDieOnly, None, P, 1_500, 2);
+        let none = simulate_stack(Stack::None, None, P, 1_500, 2, 0);
+        let ondie = simulate_stack(Stack::OnDieOnly, None, P, 1_500, 2, 0);
         assert!(
             ondie.sdc < none.sdc,
             "on-die SEC heals most single-cell faults"
@@ -416,8 +405,8 @@ mod tests {
     #[test]
     fn stacked_beats_everything() {
         let code = presets::muse_144_132();
-        let rank = simulate_stack(Stack::RankOnly, Some(&code), P, 1_000, 3);
-        let stacked = simulate_stack(Stack::Stacked, Some(&code), P, 1_000, 3);
+        let rank = simulate_stack(Stack::RankOnly, Some(&code), P, 1_000, 3, 0);
+        let stacked = simulate_stack(Stack::Stacked, Some(&code), P, 1_000, 3, 0);
         assert!(stacked.sdc <= rank.sdc);
         assert!(
             stacked.due <= rank.due,
@@ -433,7 +422,7 @@ mod tests {
         // residuals in *two* devices exceed ChipKill and become DUEs, so
         // the fault rate here keeps multi-device coincidences rare.)
         let code = presets::muse_144_132();
-        let stacked = simulate_stack(Stack::Stacked, Some(&code), 1e-3, 1_200, 4);
+        let stacked = simulate_stack(Stack::Stacked, Some(&code), 1e-3, 1_200, 4, 0);
         let intact_rate = stacked.intact as f64 / stacked.total() as f64;
         assert!(intact_rate > 0.9, "stack survives: {stacked:?}");
         assert!(
@@ -449,7 +438,7 @@ mod tests {
         // kernel is a caller error, not a silent slow path.
         let mut code = presets::muse_144_132();
         code.disable_syndrome_kernel();
-        let _ = simulate_stack(Stack::RankOnly, Some(&code), 1e-3, 10, 1);
+        let _ = simulate_stack(Stack::RankOnly, Some(&code), 1e-3, 10, 1, 0);
     }
 
     #[test]
@@ -462,7 +451,7 @@ mod tests {
             Stack::Stacked,
         ] {
             let rank = matches!(stack, Stack::RankOnly | Stack::Stacked).then_some(&code);
-            let stats = simulate_stack(stack, rank, 0.0, 100, 5);
+            let stats = simulate_stack(stack, rank, 0.0, 100, 5, 0);
             assert_eq!(stats.intact, 100, "{stack:?}");
         }
     }
@@ -523,7 +512,7 @@ mod tests {
     #[test]
     fn fast_path_consistent_with_wide_reference() {
         let code = presets::muse_144_132();
-        let fast = simulate_stack(Stack::Stacked, Some(&code), 2e-3, 2_000, 7);
+        let fast = simulate_stack(Stack::Stacked, Some(&code), 2e-3, 2_000, 7, 0);
         let ondie = SecDed::hamming_sec(136, 128).expect("DDR5 on-die geometry");
         let wide = simulate_stack_wide(
             Stack::Stacked,

@@ -1,8 +1,8 @@
 //! Deterministic PRNG for the Monte-Carlo experiments.
 //!
-//! An in-tree xoshiro256++ keeps every experiment bit-reproducible across
-//! library versions (DESIGN.md §3.5); `rand` remains available for
-//! non-experiment conveniences.
+//! An in-tree xoshiro256++ keeps every experiment bit-reproducible: no
+//! external crate's version bump can change a stream, and so a pinned
+//! tally.
 //!
 //! # Step screens
 //!

@@ -216,20 +216,8 @@ impl Tally for AttackStats {
 /// bits across a hashed line (the attacker cannot target the hash slices
 /// separately — they live inside the same codewords).
 ///
-/// Episodes run batched on the [`SimEngine`] (one worker per CPU); results
-/// are bit-identical at any thread count — see
-/// [`simulate_attacks_threaded`].
-pub fn simulate_attacks(
-    code: &MuseCode,
-    hasher: &LineHasher,
-    flips: usize,
-    trials: u64,
-    seed: u64,
-) -> AttackStats {
-    simulate_attacks_threaded(code, hasher, flips, trials, seed, 0)
-}
-
-/// [`simulate_attacks`] with an explicit worker count (0 ⇒ all CPUs).
+/// Episodes run batched on the [`SimEngine`] with `threads` workers (0 ⇒
+/// one per CPU); results are bit-identical at any thread count.
 ///
 /// The line hash is content-dependent (SipHash over the real data bytes),
 /// so the data words are genuinely materialized — but the ECC step runs in
@@ -245,7 +233,7 @@ pub fn simulate_attacks(
 ///
 /// Panics if the code has fewer than 5 spare bits per word or carries no
 /// syndrome kernel.
-pub fn simulate_attacks_threaded(
+pub fn simulate_attacks(
     code: &MuseCode,
     hasher: &LineHasher,
     flips: usize,
@@ -480,7 +468,7 @@ mod tests {
         let code = presets::muse_80_69();
         let hasher = LineHasher::new(0xFA57, 0x31DE);
         for (flips, seed) in [(1usize, 7u64), (4, 8), (9, 9), (23, 10)] {
-            let fast = simulate_attacks(&code, &hasher, flips, 300, seed);
+            let fast = simulate_attacks(&code, &hasher, flips, 300, seed, 0);
             let wide = simulate_attacks_wide(&code, &hasher, flips, 300, seed, 0);
             assert_eq!(
                 (
@@ -506,7 +494,7 @@ mod tests {
         let code = presets::muse_80_69();
         let hasher = LineHasher::new(0x5117, 0x1d3a);
         for flips in [3usize, 8, 17] {
-            let stats = simulate_attacks(&code, &hasher, flips, 400, 99);
+            let stats = simulate_attacks(&code, &hasher, flips, 400, 99, 0);
             assert_eq!(stats.successful, 0, "flips={flips}");
             assert_eq!(stats.total(), 400);
             assert!(stats.blocked_by_ecc + stats.blocked_by_hash > 0);

@@ -6,9 +6,8 @@
 
 use muse_core::presets;
 use muse_faultsim::{
-    measure_mode_threaded, muse_msed, rs_msed, simulate_attacks_threaded,
-    simulate_retention_threaded, simulate_scrubbing_threaded, simulate_stack_threaded, FailureMode,
-    LineHasher, MsedConfig, RetentionModel, RsDetectMode, ScrubConfig, Stack,
+    measure_mode, muse_msed, rs_msed, simulate_attacks, simulate_stack, FailureMode, LineHasher,
+    MsedConfig, RsDetectMode, Stack,
 };
 use muse_rs::RsMemoryCode;
 
@@ -101,32 +100,10 @@ fn rs_msed_identical_across_thread_counts() {
 }
 
 #[test]
-fn retention_identical_across_thread_counts() {
-    let code = presets::muse_80_67();
-    let model = RetentionModel {
-        weak_fraction: 2e-3,
-        ..RetentionModel::default()
-    };
-    let run = |threads| simulate_retention_threaded(&code, &model, 2048.0, 3_000, 7, threads);
-    let serial = run(1);
-    assert!(serial.corrected > 0, "exercise the correction path");
-    for threads in [2, 4] {
-        let parallel = run(threads);
-        assert_eq!(
-            (serial.clean, serial.corrected, serial.uncorrectable),
-            (parallel.clean, parallel.corrected, parallel.uncorrectable),
-            "threads={threads}"
-        );
-        assert_eq!(serial.miscorrected, parallel.miscorrected);
-        assert_eq!(serial.silent_corruptions, parallel.silent_corruptions);
-    }
-}
-
-#[test]
 fn rowhammer_identical_across_thread_counts() {
     let code = presets::muse_80_69();
     let hasher = LineHasher::new(0x5117, 0x1d3a);
-    let run = |threads| simulate_attacks_threaded(&code, &hasher, 8, 1_500, 99, threads);
+    let run = |threads| simulate_attacks(&code, &hasher, 8, 1_500, 99, threads);
     let serial = run(1);
     assert_eq!(serial.total(), 1_500);
     for threads in [3, 4] {
@@ -144,8 +121,7 @@ fn rowhammer_identical_across_thread_counts() {
 #[test]
 fn ondie_identical_across_thread_counts() {
     let code = presets::muse_144_132();
-    let run =
-        |threads| simulate_stack_threaded(Stack::Stacked, Some(&code), 2e-3, 3_000, 5, threads);
+    let run = |threads| simulate_stack(Stack::Stacked, Some(&code), 2e-3, 3_000, 5, threads);
     let serial = run(1);
     assert_eq!(serial.total(), 3_000);
     assert!(serial.due + serial.sdc > 0, "exercise failure paths");
@@ -158,8 +134,8 @@ fn ondie_identical_across_thread_counts() {
         );
     }
     // The rank-less fast path too.
-    let serial = simulate_stack_threaded(Stack::OnDieOnly, None, 2e-3, 2_000, 6, 1);
-    let parallel = simulate_stack_threaded(Stack::OnDieOnly, None, 2e-3, 2_000, 6, 4);
+    let serial = simulate_stack(Stack::OnDieOnly, None, 2e-3, 2_000, 6, 1);
+    let parallel = simulate_stack(Stack::OnDieOnly, None, 2e-3, 2_000, 6, 4);
     assert_eq!(
         (serial.intact, serial.due, serial.sdc),
         (parallel.intact, parallel.due, parallel.sdc)
@@ -167,31 +143,9 @@ fn ondie_identical_across_thread_counts() {
 }
 
 #[test]
-fn scrub_identical_across_thread_counts() {
-    let code = presets::muse_80_69();
-    let config = ScrubConfig {
-        device_fit: 2e6,
-        words: 3_000,
-        horizon_hours: 10_000.0,
-        ..ScrubConfig::default()
-    };
-    let run = |threads| simulate_scrubbing_threaded(&code, &config, threads);
-    let serial = run(1);
-    assert!(serial.scrubbed_faults > 0 && serial.overlap_failures > 0);
-    for threads in [2, 4] {
-        let parallel = run(threads);
-        assert_eq!(
-            (serial.overlap_failures, serial.scrubbed_faults),
-            (parallel.overlap_failures, parallel.scrubbed_faults),
-            "threads={threads}"
-        );
-    }
-}
-
-#[test]
 fn fit_identical_across_thread_counts() {
     let code = presets::muse_144_132();
-    let run = |threads| measure_mode_threaded(&code, FailureMode::TwoDevices, 3_000, 17, threads);
+    let run = |threads| measure_mode(&code, FailureMode::TwoDevices, 3_000, 17, threads);
     let serial = run(1);
     for threads in [2, 4] {
         let parallel = run(threads);

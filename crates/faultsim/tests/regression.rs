@@ -14,9 +14,8 @@
 
 use muse_core::{presets, MuseCode};
 use muse_faultsim::{
-    measure_mode_threaded, muse_msed, rs_msed, simulate_retention_threaded,
-    simulate_stack_threaded, FailureMode, MsedConfig, MsedStats, RetentionModel, Rng, RsDetectMode,
-    Stack,
+    measure_mode, muse_msed, rs_msed, simulate_stack, FailureMode, MsedConfig, MsedStats, Rng,
+    RsDetectMode, Stack,
 };
 use muse_rs::RsMemoryCode;
 
@@ -286,36 +285,16 @@ fn rs_msed_tally_pins() {
     }
 }
 
-// The three content-space simulators outside MSED, pinned exactly: each
+// The two content-space simulators outside MSED, pinned exactly: each
 // draws symbol contents lazily mid-injection, so these tallies pin the
 // order of every content and check-value draw, not only the decoder.
-
-#[test]
-fn retention_tally_pin_muse_80_67() {
-    let model = RetentionModel {
-        weak_fraction: 2e-3,
-        ..RetentionModel::default()
-    };
-    let s = simulate_retention_threaded(&presets::muse_80_67(), &model, 2048.0, 3_000, 7, 2);
-    assert_eq!(
-        (
-            s.clean,
-            s.corrected,
-            s.uncorrectable,
-            s.miscorrected,
-            s.silent_corruptions
-        ),
-        (2_784, 211, 3, 2, 0),
-        "pinned retention tally changed"
-    );
-}
 
 #[test]
 fn fit_tally_pins_muse_80_67() {
     let code = presets::muse_80_67();
     let trials = 3_000u64;
     let counts = |mode| {
-        let o = measure_mode_threaded(&code, mode, trials, 17, 2);
+        let o = measure_mode(&code, mode, trials, 17, 2);
         let n = |p: f64| (p * trials as f64).round() as u64;
         (n(o.p_correct), n(o.p_due), n(o.p_sdc))
     };
@@ -343,7 +322,7 @@ fn fit_tally_pins_muse_80_67() {
 
 #[test]
 fn ondie_tally_pin_muse_144_132() {
-    let s = simulate_stack_threaded(
+    let s = simulate_stack(
         Stack::Stacked,
         Some(&presets::muse_144_132()),
         2e-3,

@@ -1,6 +1,6 @@
 //! Analytical VLSI cost model for MUSE and Reed-Solomon ECC circuits
-//! (the paper's Table V, substituted for Synopsys DC + NanGate 15 nm —
-//! see DESIGN.md §3.2).
+//! (the paper's Table V): an analytical 15 nm-class cell model in place of
+//! the paper's Synopsys DC + NanGate 15 nm synthesis flow.
 //!
 //! The model builds the exact circuit structures Section V describes —
 //! Radix-4 Booth constant multipliers with zero-partial-product

@@ -1,7 +1,7 @@
 //! Technology parameters: a 15 nm-class standard-cell library model.
 //!
 //! Substitute for the NanGate OpenCell 15 nm library + Synopsys DC flow the
-//! paper uses (DESIGN.md §3.2). Delay/area/power constants are calibrated so
+//! paper uses, a commercial flow. Delay/area/power constants are calibrated so
 //! the modelled circuits land in the same regime as Table V; relative
 //! comparisons (MUSE vs Reed-Solomon) are the meaningful output.
 

@@ -1,6 +1,7 @@
 //! Memory-hierarchy timing and power simulator with ECC and memory-tagging
 //! hooks — the substitute for the paper's gem5 + SPEC 2017 evaluation
-//! (Figures 6 & 7, Table VI; see DESIGN.md §3.1).
+//! (Figures 6 & 7, Table VI): a timing model driven by synthetic
+//! SPEC-shaped workloads, since SPEC is proprietary.
 //!
 //! Components:
 //!

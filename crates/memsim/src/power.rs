@@ -4,7 +4,8 @@
 //! per-operation activate/read/write energies divided by wall-clock time.
 //! Constants are shaped after DDR4 datasheet currents scaled to the paper's
 //! 32 GB configuration, landing total power in the ~6.5 W regime of
-//! Table VI (DESIGN.md §3.3).
+//! Table VI: a datasheet-shaped estimate in place of the paper's gem5 power
+//! figures.
 
 use crate::DramStats;
 

@@ -1,6 +1,6 @@
 //! The full-system timing model: in-order 1-IPC CPU, three-level cache
 //! hierarchy, DRAM, ECC interface latency, and memory-tagging metadata
-//! traffic (the gem5 substitute — DESIGN.md §3.1).
+//! traffic (the gem5 substitute: a timing model in place of gem5's CPU).
 
 use std::cell::Cell;
 

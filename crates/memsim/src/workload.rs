@@ -1,4 +1,4 @@
-//! SPEC-CPU2017-shaped synthetic workloads (DESIGN.md §3.1).
+//! SPEC-CPU2017-shaped synthetic workloads, in place of the SPEC binaries.
 //!
 //! The paper drives gem5 with the 22 SPEC CPU2017 rate benchmarks. SPEC is
 //! proprietary, so each benchmark is replaced by a synthetic access

@@ -52,7 +52,7 @@ fn main() {
         "flips", "ECC blocked", "hash blocked", "harmless", "SUCCESSFUL"
     );
     for flips in [2usize, 6, 12, 24, 48] {
-        let stats = simulate_attacks(&code, &hasher, flips, 3_000, 0x40_4040);
+        let stats = simulate_attacks(&code, &hasher, flips, 3_000, 0x40_4040, 0);
         println!(
             "{flips:>6} {:>12} {:>12} {:>10} {:>12}",
             stats.blocked_by_ecc, stats.blocked_by_hash, stats.harmless, stats.successful

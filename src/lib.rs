@@ -28,9 +28,9 @@
 //! assert_eq!(code.unpack_metadata(&recovered), (0xFEED_F00D, 0b1011));
 //! ```
 //!
-//! See `README.md` for the workspace tour, `DESIGN.md` for the system
-//! inventory and substitutions, and `EXPERIMENTS.md` for paper-vs-measured
-//! results.
+//! See `README.md` for the workspace tour ("Crate atlas", which also names
+//! each crate's stand-in for the paper's tools) and for the binary that
+//! regenerates each paper artifact ("Paper → binary map").
 
 pub use muse_core as core;
 pub use muse_faultsim as faultsim;

@@ -92,9 +92,9 @@ fn hsiao_and_muse_compose_in_the_ondie_stack() {
     // and the stack dominates each alone at a moderate fault rate.
     let code = presets::muse_144_132();
     let p = 1.5e-3;
-    let none = simulate_stack(Stack::None, None, p, 600, 42);
-    let ondie = simulate_stack(Stack::OnDieOnly, None, p, 600, 42);
-    let stacked = simulate_stack(Stack::Stacked, Some(&code), p, 600, 42);
+    let none = simulate_stack(Stack::None, None, p, 600, 42, 0);
+    let ondie = simulate_stack(Stack::OnDieOnly, None, p, 600, 42, 0);
+    let stacked = simulate_stack(Stack::Stacked, Some(&code), p, 600, 42, 0);
     assert!(ondie.sdc < none.sdc);
     assert!(stacked.sdc <= ondie.sdc);
     assert!(stacked.intact >= ondie.intact.min(none.intact));
