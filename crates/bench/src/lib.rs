@@ -94,7 +94,7 @@
 //! | `resume_adopted` | `generation`, `shards_done`, `total_shards`, `fell_back` |
 //! | `shard_start` | `shard`, `dimm_lo`, `dimm_hi` |
 //! | `shard_end` | `shard`, `wall_ms`, `dimms` |
-//! | `shard_retry` | `shard`, `attempt`, `backoff_ms`, `error` |
+//! | `shard_retry` | `shard`, `attempt`, `error` |
 //! | `checkpoint_written` | `generation`, `shards_done`, `write_ms` |
 //! | `weight_cap_saturated` | `channel`, `requested_bias`, `cap` |
 //! | `heartbeat` | `shards_done`, `total_shards`, `machine_years`, `due_ci_half`, `sdc_ci_half` |
@@ -140,8 +140,8 @@
 //! Every transition is an atomic rename; there is no other state.
 //!
 //! **Lifecycle**: `submit` (enqueue; prints `submitted <id>` or
-//! `duplicate <id>`), `serve [--once]` (claim → run sharded with
-//! watchdog + retries → cache + `done/`), `status`, `result <id>`,
+//! `duplicate <id>`), `serve [--once]` (claim → run sharded, retrying
+//! killed shard attempts → cache + `done/`), `status`, `result <id>`,
 //! `smoke-check` (asserts the four pinned smoke tallies from `done/`).
 //!
 //! **Drain**: SIGTERM/SIGINT sets a flag the runner checks at every
@@ -158,9 +158,9 @@
 //! job recomputes.
 //!
 //! **Chaos**: `serve --inject
-//! kill=p,hang=p,hang-ms=n,enospc=p,short-write=p,fsync-fail=p,`
-//! `rename-fail=p,corrupt-record=p,sink-fail=p,sink-block-ms=n,delay=n`
-//! drives the deterministic fault plans (`FaultPlan` + `IoFaultPlan`) —
+//! kill=p,delay=n,enospc=p,short-write=p,fsync-fail=p,rename-fail=p,`
+//! `corrupt-record=p,sink-fail=p,sink-block-ms=n` (probabilities `p`
+//! in `[0, 1]`, each key at most once) drives the deterministic fault plans (`FaultPlan` + `IoFaultPlan`) —
 //! the same seams `crates/service/tests/chaos.rs` uses to prove every
 //! fault class either completes bit-identically or fails loudly with
 //! resumable state. The CI `service-smoke` job runs the full drill:

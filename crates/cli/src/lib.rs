@@ -98,8 +98,8 @@ const COMMANDS: &[Command] = &[
         "[--checkpoint-dir <dir>] [--resume] [--progress] [--smoke]", TELEMETRY], run: lifetime },
     Command { name: "submit", syntax: &["[--root <dir>] [--smoke] [--code <name>] [--env <name>]",
         FLEET[0], FLEET[1], FLEET[2]], run: submit },
-    Command { name: "serve", syntax: &["[--root <dir>] [--once] [--poll-ms <n>] [--watchdog-ms <n>]",
-        "[--max-retries <n>] [--backoff-ms <n>] [--checkpoint-every <n>]", TELEMETRY], run: serve },
+    Command { name: "serve", syntax: &["[--root <dir>] [--once] [--poll-ms <n>] [--max-retries <n>]",
+        TELEMETRY], run: serve },
     Command { name: "status", syntax: &["[--root <dir>]"], run: status },
     Command { name: "result", syntax: &["<id> [--root <dir>]"], run: result },
     Command { name: "smoke-check", syntax: &["[--root <dir>]"], run: smoke_check },
@@ -655,10 +655,7 @@ fn serve(a: &Args) -> Result<String, CliError> {
         root: spool_root(a),
         once: a.has("--once"),
         poll_ms: a.get_or("--poll-ms", d.poll_ms)?,
-        watchdog_ms: a.get("--watchdog-ms")?,
         max_retries: a.get_or("--max-retries", d.max_retries)?,
-        backoff_base_ms: a.get_or("--backoff-ms", d.backoff_base_ms)?,
-        checkpoint_every: a.get_or("--checkpoint-every", d.checkpoint_every)?,
         faults,
         ..d
     };
@@ -987,35 +984,49 @@ fn run_lifetime_cells(
     Ok((reports, banners))
 }
 
-/// Parses an `--inject` spec: comma-separated `key=value` pairs from
-/// `kill=<prob>`, `crash-after=<shards>`,
+/// Parses an `--inject` spec: comma-separated `key=value` pairs, each
+/// key at most once, from `kill=<prob>`, `crash-after=<shards>`,
 /// `corrupt=<generation>:<truncate|bitflip>`, `delay=<ms>`,
-/// `fault-seed=<seed>`, the watchdog keys `hang=<prob>` / `hang-ms=<ms>`,
-/// and the I/O chaos keys `enospc`/`short-write`/`fsync-fail`/
-/// `rename-fail`/`corrupt-record`/`sink-fail` (probabilities),
-/// `sink-block-ms=<ms>`, and `io-seed=<seed>`.
+/// `fault-seed=<seed>`, and the I/O chaos keys `enospc`/`short-write`/
+/// `fsync-fail`/`rename-fail`/`corrupt-record`/`sink-fail`
+/// (probabilities), `sink-block-ms=<ms>`, and `io-seed=<seed>`. A
+/// probability must be a finite number in `[0, 1]`.
 fn parse_inject(spec: &str) -> Result<(muse_lifetime::FaultPlan, Option<u64>), CliError> {
     fn num<T: std::str::FromStr>(key: &str, value: &str) -> Result<T, CliError> {
         value
             .parse()
             .map_err(|_| err(format!("--inject {key}: cannot parse {value}")))
     }
+    fn prob(key: &str, value: &str) -> Result<f64, CliError> {
+        let p = num(key, value)?;
+        // Rejects NaN and the infinities too.
+        if (0.0..=1.0).contains(&p) {
+            Ok(p)
+        } else {
+            Err(err(format!(
+                "--inject {key}: {value} is not a probability in [0, 1]"
+            )))
+        }
+    }
     fn io(plan: &mut muse_lifetime::FaultPlan) -> &mut muse_lifetime::IoFaultPlan {
         plan.io.get_or_insert_with(Default::default)
     }
     let mut plan = muse_lifetime::FaultPlan::default();
     let mut crash_after = None;
+    let mut seen = Vec::new();
     for part in spec.split(',') {
         let (key, value) = part
             .split_once('=')
             .ok_or_else(|| err(format!("--inject: {part:?} is not key=value")))?;
+        if seen.contains(&key) {
+            return Err(err(format!("--inject: {key} given twice")));
+        }
+        seen.push(key);
         match key {
-            "kill" => plan.kill_prob = num(key, value)?,
+            "kill" => plan.kill_prob = prob(key, value)?,
             "crash-after" => crash_after = Some(num(key, value)?),
             "delay" => plan.delay_ms_max = num(key, value)?,
             "fault-seed" => plan.seed = num(key, value)?,
-            "hang" => plan.hang_prob = num(key, value)?,
-            "hang-ms" => plan.hang_ms = num(key, value)?,
             "corrupt" => {
                 let (generation, kind) = value
                     .split_once(':')
@@ -1027,19 +1038,19 @@ fn parse_inject(spec: &str) -> Result<(muse_lifetime::FaultPlan, Option<u64>), C
                 };
                 plan.corrupt_generation = Some((num(key, generation)?, kind));
             }
-            "enospc" => io(&mut plan).enospc_prob = num(key, value)?,
-            "short-write" => io(&mut plan).short_write_prob = num(key, value)?,
-            "fsync-fail" => io(&mut plan).fsync_fail_prob = num(key, value)?,
-            "rename-fail" => io(&mut plan).rename_fail_prob = num(key, value)?,
-            "corrupt-record" => io(&mut plan).corrupt_record_prob = num(key, value)?,
-            "sink-fail" => io(&mut plan).sink_fail_prob = num(key, value)?,
+            "enospc" => io(&mut plan).enospc_prob = prob(key, value)?,
+            "short-write" => io(&mut plan).short_write_prob = prob(key, value)?,
+            "fsync-fail" => io(&mut plan).fsync_fail_prob = prob(key, value)?,
+            "rename-fail" => io(&mut plan).rename_fail_prob = prob(key, value)?,
+            "corrupt-record" => io(&mut plan).corrupt_record_prob = prob(key, value)?,
+            "sink-fail" => io(&mut plan).sink_fail_prob = prob(key, value)?,
             "sink-block-ms" => io(&mut plan).sink_block_ms = num(key, value)?,
             "io-seed" => io(&mut plan).seed = num(key, value)?,
             other => {
                 return Err(err(format!(
                     "--inject: unknown key {other:?} (kill, crash-after, corrupt, delay, \
-                     fault-seed, hang, hang-ms, enospc, short-write, fsync-fail, rename-fail, \
-                     corrupt-record, sink-fail, sink-block-ms, io-seed)"
+                     fault-seed, enospc, short-write, fsync-fail, rename-fail, corrupt-record, \
+                     sink-fail, sink-block-ms, io-seed)"
                 )))
             }
         }
@@ -1345,6 +1356,22 @@ mod tests {
         assert!(run_str("lifetime --smoke --inject corrupt=3").is_err());
         assert!(run_str("lifetime --smoke --inject corrupt=3:melt").is_err());
         assert!(run_str("lifetime --smoke --inject nope=1").is_err());
+        // The removed hang keys are unknown now.
+        assert!(run_str("lifetime --smoke --inject hang=0.5").is_err());
+        // A probability must be finite and in [0, 1].
+        for bad in [
+            "kill=NaN",
+            "kill=1.5",
+            "kill=-0.1",
+            "enospc=-3",
+            "sink-fail=inf",
+        ] {
+            let e = run_str(&format!("lifetime --smoke --inject {bad}")).unwrap_err();
+            assert!(e.0.contains("not a probability"), "{bad}: {e}");
+        }
+        // A repeated key is named, not silently overridden.
+        let e = run_str("lifetime --smoke --inject kill=0.1,kill=0.9").unwrap_err();
+        assert!(e.0.contains("kill given twice"), "{e}");
     }
 
     #[test]
@@ -1398,7 +1425,8 @@ mod tests {
 
     #[test]
     fn service_flags_are_validated() {
-        assert!(run_str("serve --watchdog-ms zzz").is_err());
+        let e = run_str("serve --watchdog-ms 5").unwrap_err();
+        assert!(e.0.contains("unknown flag --watchdog-ms"), "{e}");
         assert!(run_str("result").is_err());
         assert!(run_str("submit --code bogus --root /tmp/muse-cli-bad-spool").is_err());
         assert!(run_str("serve --once --inject sink-fail=zzz").is_err());

@@ -446,13 +446,6 @@ impl RateEstimate {
         }
     }
 
-    /// Half-width of the 95% interval as a standard error
-    /// (`(hi − lo) / 2·1.96`) — the combination unit of the
-    /// IS-vs-naive agreement tests.
-    pub fn std_error(&self) -> f64 {
-        (self.hi - self.lo) / (2.0 * Z_95)
-    }
-
     /// Compact human-readable form, pinned by regression tests:
     /// `"<4.69e-3 @95%"` for zero observed events (the rule-of-three
     /// upper bound — never a bare `0.000000`), otherwise
@@ -606,8 +599,10 @@ mod tests {
         }
         let e = RateEstimate::from_weighted(8, acc, 4, 2.0);
         assert!((e.mean - 4.0).abs() < 1e-9);
-        // Var(total) = 4 · 4 = 16 → se 4, half-width 1.96·4 = 7.84.
-        assert!((e.std_error() - 2.0).abs() < 1e-6, "se {}", e.std_error());
+        // Var(total) = 4 · 4 = 16 → se 4, half-width 1.96·4 = 7.84 over
+        // 2 machine-years.
+        let half = (e.hi - e.lo) / 2.0;
+        assert!((half - Z_95 * 2.0).abs() < 1e-6, "half-width {half}");
         assert!(e.lo >= 0.0 && e.hi > e.mean);
     }
 }

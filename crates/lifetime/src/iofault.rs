@@ -1,10 +1,11 @@
 //! Deterministic I/O chaos: [`IoFaultPlan`].
 //!
 //! Where [`FaultPlan`](crate::FaultPlan) injects *execution* failures
-//! (kills, hangs, delays), an `IoFaultPlan` injects *storage and sink*
-//! failures: into [`write_durable`], the one durable-write path (behind
-//! both the checkpoint store and the service result cache), and into
-//! wrapped telemetry sinks. Every decision is a
+//! (shard kills, completion delays, a corrupted checkpoint generation),
+//! an `IoFaultPlan` injects *storage and sink* failures: into
+//! [`write_durable`], the one durable-write path (behind both the
+//! checkpoint store and the service result cache), and into wrapped
+//! telemetry sinks. Every decision is a
 //! pure function of `(seed ⊕ domain, op index)` through the same
 //! counter-based [`Rng`] streams the simulator uses, so a chaos run is
 //! exactly reproducible: the same seed injects the same ENOSPC at the

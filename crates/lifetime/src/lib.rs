@@ -81,8 +81,8 @@ pub use muse_core::{Classifier, Entropy, MuseClassifier, Strike, WordRead};
 pub use muse_rs::RsClassifier;
 pub use shard::ShardPlan;
 pub use supervisor::{
-    retry_backoff_ms, run_sharded, run_sharded_with, FaultPlan, ResumeInfo, RunStats, RunnerConfig,
-    RunnerError, ShardedOutcome,
+    run_sharded, run_sharded_with, FaultPlan, ResumeInfo, RunStats, RunnerConfig, RunnerError,
+    ShardedOutcome,
 };
 pub use telemetry::{cell_label, FleetTelemetry};
 

@@ -1,17 +1,23 @@
 //! The resumable sharded runner: a supervisor that executes a
-//! [`ShardPlan`]'s shards concurrently, one per worker, retries failed
-//! shards with bounded exponential backoff, periodically persists a
-//! two-generation [`CheckpointStore`], and resumes bit-identically after
-//! any interruption.
+//! [`ShardPlan`]'s shards concurrently, one per worker, retries shards
+//! whose attempts were killed, persists a two-generation
+//! [`CheckpointStore`] after every completed shard, and resumes
+//! bit-identically after any interruption.
 //!
 //! Workers pull pending shards in ascending index order through
-//! [`muse_faultsim::pull_units`]; each shard's attempts (kills, hangs,
-//! the watchdog, retries and backoff) run on the worker that claimed it.
-//! Everything else — the completion map, checkpoint saves, warnings,
-//! metrics, heartbeats and stop checks — happens on the calling thread,
-//! which commits each shard as it lands. A checkpoint therefore holds
+//! [`muse_faultsim::pull_units`]; each shard's attempts (injected kills
+//! and their retries) run on the worker that claimed it. Everything
+//! else — the completion map, checkpoint saves, warnings, metrics,
+//! heartbeats and stop checks — happens on the calling thread, which
+//! commits each shard as it lands. A checkpoint therefore holds
 //! whichever shards had finished when it was written, not necessarily
 //! a contiguous prefix.
+//!
+//! A shard attempt is a pure, bounded computation: [`run_fleet_range`]
+//! over a fixed DIMM range, returning no error and waiting on no shared
+//! resource. So there is no per-attempt watchdog and no retry backoff —
+//! a retried attempt recomputes its range at once, and recovery from a
+//! crash or a stall is the crash-only path: checkpoint, resume, drain.
 //!
 //! # Guarantees
 //!
@@ -64,8 +70,6 @@ pub struct RunnerConfig {
     /// File-name prefix inside the directory (one prefix per concurrent
     /// run — e.g. per scenario-matrix cell).
     pub checkpoint_prefix: String,
-    /// Persist a generation after this many newly completed shards.
-    pub checkpoint_every: u32,
     /// Resume from the newest valid checkpoint instead of starting clean
     /// (slot files that all fail to decode draw a warning, then a clean
     /// start).
@@ -73,22 +77,11 @@ pub struct RunnerConfig {
     /// Retries per shard before the run fails (injected kills consume
     /// attempts).
     pub max_retries: u32,
-    /// First retry backoff in milliseconds (doubles per attempt).
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling in milliseconds.
-    pub backoff_cap_ms: u64,
     /// Run only this many shards *in this invocation* — the
     /// lowest-indexed pending ones — then checkpoint and return
     /// [`ShardedOutcome::Interrupted`]: the interruption hook used by the
     /// boundary-sweep tests and the CLI's crash injection.
     pub stop_after_shards: Option<u64>,
-    /// Per-shard watchdog: an attempt that has not produced its tally
-    /// within this many milliseconds is killed (the thread computing it
-    /// is abandoned, its late result discarded) and retried with backoff
-    /// — safe because a recompute is bit-identical by construction. Each
-    /// concurrent shard has its own watchdog. `None` disables the
-    /// watchdog and runs attempts on the worker itself.
-    pub shard_timeout_ms: Option<u64>,
     /// Cooperative drain flag, checked before a worker starts a shard
     /// and after every commit: once set, no further shard starts, the
     /// shards in flight finish and are checkpointed, and the run returns
@@ -105,13 +98,9 @@ impl Default for RunnerConfig {
             shards: 0,
             checkpoint_dir: None,
             checkpoint_prefix: "fleet".to_string(),
-            checkpoint_every: 1,
             resume: false,
             max_retries: 5,
-            backoff_base_ms: 10,
-            backoff_cap_ms: 1000,
             stop_after_shards: None,
-            shard_timeout_ms: None,
             stop: None,
         }
     }
@@ -134,12 +123,6 @@ pub struct FaultPlan {
     /// Corrupt this generation's checkpoint file right after it is
     /// written — the next resume must fall back to the previous one.
     pub corrupt_generation: Option<(u64, Corruption)>,
-    /// Probability that a given (shard, attempt) hangs for
-    /// [`Self::hang_ms`] before producing its result — the stall a
-    /// [`RunnerConfig::shard_timeout_ms`] watchdog exists to cut short.
-    pub hang_prob: f64,
-    /// Duration of an injected hang, in milliseconds.
-    pub hang_ms: u64,
     /// Deterministic I/O chaos threaded into the checkpoint store (and,
     /// via the service daemon, the result cache): injected ENOSPC, torn
     /// writes, fsync/rename failures, post-commit bit rot.
@@ -147,8 +130,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Seed of the injection streams when no plan is given (keeps the
-    /// backoff-jitter stream defined even for fault-free runs).
+    /// Seed of the injection streams of [`FaultPlan::default`].
     pub const DEFAULT_SEED: u64 = 0xFA17;
 }
 
@@ -159,8 +141,6 @@ impl Default for FaultPlan {
             kill_prob: 0.0,
             delay_ms_max: 0,
             corrupt_generation: None,
-            hang_prob: 0.0,
-            hang_ms: 60_000,
             io: None,
         }
     }
@@ -173,17 +153,6 @@ impl FaultPlan {
             && Rng::for_shard(self.seed, shard as u64, attempt as u64).chance(self.kill_prob)
     }
 
-    /// Does this plan hang `shard`'s `attempt`-th execution?
-    pub fn hangs(&self, shard: u32, attempt: u32) -> bool {
-        self.hang_prob > 0.0
-            && Rng::for_shard(
-                self.seed ^ 0x4A46_4A46_4A46_4A46,
-                shard as u64,
-                attempt as u64,
-            )
-            .chance(self.hang_prob)
-    }
-
     /// Injected completion delay for `shard`, in milliseconds.
     pub fn delay_ms(&self, shard: u32) -> u64 {
         if self.delay_ms_max == 0 {
@@ -191,30 +160,6 @@ impl FaultPlan {
         }
         Rng::for_shard(self.seed ^ 0xDE1A_DE1A_DE1A_DE1A, shard as u64, 0).below(self.delay_ms_max)
     }
-}
-
-/// Backoff before retrying `shard`'s failed `attempt`: exponential in
-/// the attempt (base [`RunnerConfig::backoff_base_ms`], capped at
-/// [`RunnerConfig::backoff_cap_ms`]) with deterministic ±50% jitter
-/// drawn from a salted [`Rng::for_shard`] stream — mass shard retries
-/// across a fleet must not synchronize into thundering herds. Sleep
-/// duration never feeds into a tally, so determinism holds regardless.
-pub fn retry_backoff_ms(runner: &RunnerConfig, fault_seed: u64, shard: u32, attempt: u32) -> u64 {
-    let base = runner
-        .backoff_base_ms
-        .saturating_mul(1u64 << attempt.min(20))
-        .min(runner.backoff_cap_ms);
-    if base == 0 {
-        return 0;
-    }
-    // below(1000) ∈ [0, 1000) maps to a factor in [0.5, 1.5).
-    let r = Rng::for_shard(
-        fault_seed ^ 0x7177_E201_7177_E201,
-        shard as u64,
-        attempt as u64,
-    )
-    .below(1000);
-    (base / 2) + base.saturating_mul(r) / 1000
 }
 
 /// What a resumed run found on disk.
@@ -244,11 +189,8 @@ pub struct RunStats {
     pub shards_resumed: u32,
     /// Shards computed in this invocation.
     pub shards_run: u32,
-    /// Attempts lost to injected kills or watchdog timeouts (each
-    /// retried with backoff).
+    /// Attempts lost to injected kills (each retried at once).
     pub retries: u32,
-    /// Attempts killed by the shard watchdog (a subset of `retries`).
-    pub watchdog_kills: u32,
     /// Checkpoint generations written in this invocation.
     pub checkpoint_writes: u32,
     /// Resume details when a checkpoint was loaded.
@@ -355,9 +297,9 @@ impl From<std::io::Error> for RunnerError {
 /// are at least as many pending shards as threads). Each finished
 /// shard's tally partial is recorded in a completion map on the calling
 /// thread. With a checkpoint directory configured, the map is persisted
-/// every [`RunnerConfig::checkpoint_every`] shards (atomic two-generation
-/// writes), and `resume: true` continues from the newest valid checkpoint
-/// — recomputing nothing that was persisted, and everything that was not.
+/// after every completed shard (atomic two-generation writes), and
+/// `resume: true` continues from the newest valid checkpoint —
+/// recomputing nothing that was persisted, and everything that was not.
 ///
 /// # Errors
 ///
@@ -492,24 +434,13 @@ struct ShardWork<'r> {
     tracer: Option<&'r Tracer>,
 }
 
-/// One failed attempt of a shard, reported back to the calling thread.
-struct AttemptFailure {
-    attempt: u32,
-    error: String,
-    /// The shard watchdog killed this attempt.
-    watchdog: bool,
-    /// Backoff slept before the next attempt; `None` when this failure
-    /// exhausted the retry budget.
-    backoff_ms: Option<u64>,
-}
-
 /// A shard as it leaves its worker.
 struct FinishedShard {
     shard: u32,
-    /// The shard's tally, or the number of attempts made before the
-    /// retry budget ran out.
-    tally: Result<LifetimeTally, u32>,
-    failures: Vec<AttemptFailure>,
+    /// The shard's tally; `None` once the retry budget ran out.
+    tally: Option<LifetimeTally>,
+    /// The error of each failed attempt, in attempt order.
+    failures: Vec<String>,
     wall_ms: u64,
 }
 
@@ -521,9 +452,9 @@ impl ShardWork<'_> {
     }
 
     /// Runs `shard` to completion on the current worker: attempts, with
-    /// kills, hangs and the watchdog injected as the fault plan says,
-    /// retried with backoff until one succeeds or the budget runs out.
-    /// Returns `None` without running anything once a drain is requested.
+    /// kills injected as the fault plan says, retried at once until one
+    /// succeeds or the budget runs out. Returns `None` without running
+    /// anything once a drain is requested.
     fn run(&self, shard: u32) -> Option<FinishedShard> {
         if drain_requested(self.runner) {
             return None;
@@ -535,45 +466,32 @@ impl ShardWork<'_> {
             dimm_hi: range.end,
         });
         let started = Instant::now();
-        let fault_seed = self.faults.map_or(FaultPlan::DEFAULT_SEED, |f| f.seed);
         let mut failures = Vec::new();
-        let mut attempt = 0u32;
         let tally = loop {
-            let (error, watchdog) = match self.attempt(shard, attempt, range.clone()) {
-                Ok(tally) => break Ok(tally),
-                Err(failure) => failure,
-            };
-            let backoff_ms = (attempt < self.runner.max_retries)
-                .then(|| retry_backoff_ms(self.runner, fault_seed, shard, attempt));
-            if let Some(backoff_ms) = backoff_ms {
-                self.emit(&TraceEvent::ShardRetry {
-                    shard,
-                    attempt,
-                    backoff_ms,
-                    error: error.clone(),
-                });
+            let attempt = failures.len() as u32;
+            match self.attempt(shard, attempt, range.clone()) {
+                Ok(tally) => break Some(tally),
+                Err(error) if attempt < self.runner.max_retries => {
+                    self.emit(&TraceEvent::ShardRetry {
+                        shard,
+                        attempt,
+                        error: error.clone(),
+                    });
+                    failures.push(error);
+                }
+                Err(error) => {
+                    failures.push(error);
+                    break None;
+                }
             }
-            failures.push(AttemptFailure {
-                attempt,
-                error,
-                watchdog,
-                backoff_ms,
-            });
-            let Some(backoff) = backoff_ms else {
-                break Err(attempt + 1);
-            };
-            if backoff > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(backoff));
-            }
-            attempt += 1;
         };
-        if tally.is_ok() {
+        if tally.is_some() {
             if let Some(delay) = self.faults.map(|f| f.delay_ms(shard)).filter(|&d| d > 0) {
                 std::thread::sleep(std::time::Duration::from_millis(delay));
             }
         }
         let wall_ms = elapsed_ms(started);
-        if tally.is_ok() {
+        if tally.is_some() {
             self.emit(&TraceEvent::ShardEnd {
                 shard,
                 wall_ms,
@@ -588,14 +506,13 @@ impl ShardWork<'_> {
         })
     }
 
-    /// One attempt at `shard`: its tally, or the failure message and
-    /// whether the watchdog was what killed it.
+    /// One attempt at `shard`: its tally, or why the attempt failed.
     fn attempt(
         &self,
         shard: u32,
         attempt: u32,
         range: std::ops::Range<u64>,
-    ) -> Result<LifetimeTally, (String, bool)> {
+    ) -> Result<LifetimeTally, String> {
         let (code, env, config) = (self.code, self.env, self.config);
         if self.faults.is_some_and(|f| f.kills(shard, attempt)) {
             // Killed mid-flight: half the shard's work happens, then the
@@ -603,26 +520,9 @@ impl ShardWork<'_> {
             // recomputes the shard from its streams.
             let mid = range.start + (range.end - range.start) / 2;
             let _ = run_fleet_range(code, env, config, range.start..mid);
-            return Err(("injected kill".to_string(), false));
+            return Err("injected kill".to_string());
         }
-        // An injected hang stalls the attempt; a watchdog cuts the stall
-        // short, without one it merely delays.
-        let hang_ms = self
-            .faults
-            .filter(|f| f.hangs(shard, attempt))
-            .map_or(0, |f| f.hang_ms);
-        match self.runner.shard_timeout_ms {
-            Some(timeout_ms) => {
-                run_attempt_watchdogged(code, env, config, range, hang_ms, timeout_ms)
-                    .ok_or_else(|| (format!("watchdog timeout after {timeout_ms}ms"), true))
-            }
-            None => {
-                if hang_ms > 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(hang_ms));
-                }
-                Ok(run_fleet_range(code, env, config, range))
-            }
-        }
+        Ok(run_fleet_range(code, env, config, range))
     }
 }
 
@@ -633,7 +533,6 @@ struct ShardedRun<'r> {
     code: &'r FleetCode,
     env: &'r Environment,
     config: &'r FleetConfig,
-    runner: &'r RunnerConfig,
     faults: Option<&'r FaultPlan>,
     telemetry: &'r FleetTelemetry<'r>,
     hash: u64,
@@ -644,7 +543,6 @@ struct ShardedRun<'r> {
     stats: RunStats,
     started: Instant,
     instruments: Option<RunInstruments>,
-    pending_since_save: u32,
     trials_prev: u64,
 }
 
@@ -655,7 +553,7 @@ impl<'r> ShardedRun<'r> {
         code: &'r FleetCode,
         env: &'r Environment,
         config: &'r FleetConfig,
-        runner: &'r RunnerConfig,
+        runner: &RunnerConfig,
         faults: Option<&'r FaultPlan>,
         telemetry: &'r FleetTelemetry<'r>,
     ) -> Result<Self, RunnerError> {
@@ -672,7 +570,6 @@ impl<'r> ShardedRun<'r> {
             code,
             env,
             config,
-            runner,
             faults,
             telemetry,
             hash,
@@ -683,7 +580,6 @@ impl<'r> ShardedRun<'r> {
             stats: RunStats::default(),
             started: Instant::now(),
             instruments: telemetry.metrics.map(RunInstruments::resolve),
-            pending_since_save: 0,
             trials_prev: muse_faultsim::trials_completed(),
         };
         if let Some(store) = &run.store {
@@ -773,8 +669,7 @@ impl<'r> ShardedRun<'r> {
     }
 
     /// Records a finished shard: retry accounting and warnings, the
-    /// completion map, metrics and heartbeat, and a checkpoint every
-    /// [`RunnerConfig::checkpoint_every`] commits.
+    /// completion map, metrics and heartbeat, and a checkpoint.
     fn commit(&mut self, finished: FinishedShard) -> Result<(), RunnerError> {
         let FinishedShard {
             shard,
@@ -783,26 +678,20 @@ impl<'r> ShardedRun<'r> {
             wall_ms,
         } = finished;
         let ins = self.instruments.as_ref();
-        for failure in &failures {
-            self.stats.retries += 1;
-            if failure.watchdog {
-                self.stats.watchdog_kills += 1;
-                if let Some(ins) = ins {
-                    ins.watchdog_kills.inc();
-                }
+        // The last failure of a failed shard exhausted the budget and
+        // was not retried.
+        let retried = failures.len() - usize::from(tally.is_none());
+        for (attempt, error) in failures[..retried].iter().enumerate() {
+            if let Some(ins) = ins {
+                ins.shard_retries.inc();
             }
-            if let Some(backoff) = failure.backoff_ms {
-                if let Some(ins) = ins {
-                    ins.shard_retries.inc();
-                }
-                self.telemetry.warn(&format!(
-                    "warning: shard {shard} attempt {} failed ({}); \
-                     retrying after {backoff}ms backoff",
-                    failure.attempt, failure.error
-                ));
-            }
+            self.telemetry.warn(&format!(
+                "warning: shard {shard} attempt {attempt} failed ({error}); retrying"
+            ));
         }
-        let tally = tally.map_err(|attempts| RunnerError::ShardFailed { shard, attempts })?;
+        let attempts = failures.len() as u32;
+        self.stats.retries += attempts;
+        let tally = tally.ok_or(RunnerError::ShardFailed { shard, attempts })?;
         self.done.insert(shard, tally);
         self.stats.shards_run += 1;
 
@@ -827,12 +716,7 @@ impl<'r> ShardedRun<'r> {
             }
         }
         self.report_progress();
-
-        self.pending_since_save += 1;
-        if self.pending_since_save >= self.runner.checkpoint_every.max(1) {
-            self.save()?;
-        }
-        Ok(())
+        self.save()
     }
 
     /// Heartbeat event, progress gauges and heartbeat callback for the
@@ -888,7 +772,6 @@ impl<'r> ShardedRun<'r> {
 
     /// Writes the next checkpoint generation (a no-op without a store).
     fn save(&mut self) -> Result<(), RunnerError> {
-        self.pending_since_save = 0;
         let Some(store) = &self.store else {
             return Ok(());
         };
@@ -921,12 +804,9 @@ impl<'r> ShardedRun<'r> {
         Ok(())
     }
 
-    /// Flushes unsaved shards and closes the run: complete when every
-    /// shard is done, interrupted (at a shard boundary) otherwise.
-    fn finish(mut self) -> Result<ShardedOutcome, RunnerError> {
-        if self.pending_since_save > 0 {
-            self.save()?;
-        }
+    /// Closes the run: complete when every shard is done, interrupted
+    /// (at a shard boundary) otherwise.
+    fn finish(self) -> Result<ShardedOutcome, RunnerError> {
         self.emit(&TraceEvent::RunEnd {
             shards_done: self.done.len() as u32,
             wall_ms: elapsed_ms(self.started),
@@ -975,93 +855,7 @@ impl<'r> ShardedRun<'r> {
     }
 }
 
-/// Runs one shard attempt under the watchdog: the computation happens on
-/// a detached thread and the worker that owns the shard waits at most
-/// `timeout_ms` for its tally. On timeout the worker is abandoned — it
-/// holds only clones and a dead channel sender, so a late result is
-/// silently dropped and an injected hang leaks nothing past `hang_ms` —
-/// and `None` signals a watchdog kill, safe to retry because every
-/// recompute is bit-identical by construction.
-fn run_attempt_watchdogged(
-    code: &FleetCode,
-    env: &Environment,
-    config: &FleetConfig,
-    range: std::ops::Range<u64>,
-    hang_ms: u64,
-    timeout_ms: u64,
-) -> Option<LifetimeTally> {
-    let (tx, rx) = std::sync::mpsc::channel();
-    let code = code.clone();
-    let env = env.clone();
-    let config = *config;
-    let spawned = std::thread::Builder::new()
-        .name("muse-shard".into())
-        .spawn(move || {
-            if hang_ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(hang_ms));
-            }
-            let _ = tx.send(run_fleet_range(&code, &env, &config, range));
-        });
-    if spawned.is_err() {
-        // Spawn failure (resource exhaustion) counts as a failed attempt
-        // and goes through the same retry-with-backoff path.
-        return None;
-    }
-    rx.recv_timeout(std::time::Duration::from_millis(timeout_ms))
-        .ok()
-}
-
 fn len_of(plan: &ShardPlan, shard: u32) -> u64 {
     let r = plan.range(shard);
     r.end - r.start
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn backoff_jitter_is_bounded_deterministic_and_desynchronized() {
-        let runner = RunnerConfig {
-            backoff_base_ms: 100,
-            backoff_cap_ms: 10_000,
-            ..RunnerConfig::default()
-        };
-        for attempt in 0..6 {
-            let base = 100u64 << attempt;
-            let mut distinct = std::collections::BTreeSet::new();
-            for shard in 0..32 {
-                let b = retry_backoff_ms(&runner, 0xFA17, shard, attempt);
-                assert_eq!(b, retry_backoff_ms(&runner, 0xFA17, shard, attempt));
-                assert!(
-                    b >= base / 2 && b < base + base / 2 + 1,
-                    "attempt {attempt} shard {shard}: {b} outside ±50% of {base}"
-                );
-                distinct.insert(b);
-            }
-            // The whole point: concurrent retries of many shards must
-            // not all sleep the same duration.
-            assert!(distinct.len() > 8, "jitter too coarse: {distinct:?}");
-        }
-        // Zero base stays zero (tests rely on instant retries).
-        let fast = RunnerConfig {
-            backoff_base_ms: 0,
-            ..RunnerConfig::default()
-        };
-        assert_eq!(retry_backoff_ms(&fast, 0xFA17, 3, 2), 0);
-    }
-
-    #[test]
-    fn hang_decisions_are_deterministic_and_separate_from_kills() {
-        let plan = FaultPlan {
-            kill_prob: 0.5,
-            hang_prob: 0.5,
-            ..FaultPlan::default()
-        };
-        let kills: Vec<bool> = (0..64).map(|s| plan.kills(s, 0)).collect();
-        let hangs: Vec<bool> = (0..64).map(|s| plan.hangs(s, 0)).collect();
-        assert_eq!(kills, (0..64).map(|s| plan.kills(s, 0)).collect::<Vec<_>>());
-        assert_eq!(hangs, (0..64).map(|s| plan.hangs(s, 0)).collect::<Vec<_>>());
-        assert_ne!(kills, hangs, "hang stream must be salted away from kills");
-    }
 }

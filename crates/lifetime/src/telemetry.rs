@@ -106,7 +106,6 @@ impl<'a> FleetTelemetry<'a> {
 pub(crate) struct RunInstruments {
     pub shards_completed: Arc<Counter>,
     pub shard_retries: Arc<Counter>,
-    pub watchdog_kills: Arc<Counter>,
     pub io_errors: Arc<Counter>,
     pub checkpoint_writes: Arc<Counter>,
     pub dimms_simulated: Arc<Counter>,
@@ -133,10 +132,6 @@ impl RunInstruments {
             shard_retries: metrics.counter(
                 "muse_lifetime_shard_retries_total",
                 "Shard attempts that failed and were retried",
-            ),
-            watchdog_kills: metrics.counter(
-                "muse_lifetime_watchdog_kills_total",
-                "Shard attempts killed by the per-shard watchdog timeout",
             ),
             io_errors: metrics.counter(
                 "muse_io_errors_total",

@@ -29,8 +29,13 @@ fn rs_t1() -> FleetCode {
         .expect("RS t=1 in scenario_codes")
 }
 
+/// The 95% interval's half-width as a standard error: `(hi − lo) / 2·1.96`.
+fn std_error(e: &RateEstimate) -> f64 {
+    (e.hi - e.lo) / (2.0 * 1.959_964)
+}
+
 fn combined_sigma(a: &RateEstimate, b: &RateEstimate) -> f64 {
-    (a.std_error().powi(2) + b.std_error().powi(2)).sqrt()
+    (std_error(a).powi(2) + std_error(b).powi(2)).sqrt()
 }
 
 #[test]

@@ -219,9 +219,7 @@ fn runner(dir: &TempDir) -> RunnerConfig {
         shards: 4,
         checkpoint_dir: Some(dir.0.clone()),
         checkpoint_prefix: "chaos".to_string(),
-        checkpoint_every: 1,
         resume: true,
-        backoff_base_ms: 0,
         ..RunnerConfig::default()
     }
 }
@@ -285,36 +283,4 @@ fn torn_and_rotted_checkpoints_resume_bit_identically() {
         baseline.tally,
         "resume through torn/rotted checkpoints must stay bit-identical"
     );
-}
-
-/// Hangs and torn writes together: the watchdog cuts the stalls, the
-/// CRC layer adjudicates the torn records, and the final tallies are
-/// still bit-identical.
-#[test]
-fn watchdog_and_torn_writes_together_stay_bit_identical() {
-    let (code, env, config) = setup();
-    let baseline = simulate_fleet(&code, &env, &config);
-    let faults = FaultPlan {
-        hang_prob: 0.75,
-        hang_ms: 300,
-        io: Some(IoFaultPlan {
-            seed: 0xD06_F00D,
-            short_write_prob: 0.4,
-            ..IoFaultPlan::default()
-        }),
-        ..FaultPlan::default()
-    };
-    let dir = TempDir::new("watchdog-torn");
-    let config_run = RunnerConfig {
-        shard_timeout_ms: Some(20),
-        max_retries: 30,
-        ..runner(&dir)
-    };
-    let outcome = run_sharded(&code, &env, &config, &config_run, Some(&faults)).unwrap();
-    let stats = outcome.stats();
-    assert!(
-        stats.watchdog_kills > 0,
-        "the hangs must have tripped the watchdog: {stats:?}"
-    );
-    assert_eq!(outcome.report().unwrap().tally, baseline.tally);
 }

@@ -190,17 +190,9 @@ pub struct ServiceConfig {
     /// to drain — finish the current shard, checkpoint, re-queue the
     /// in-flight job, and return cleanly.
     pub drain: Arc<AtomicBool>,
-    /// Per-shard watchdog timeout forwarded to
-    /// [`RunnerConfig::shard_timeout_ms`].
-    pub watchdog_ms: Option<u64>,
     /// Retries per shard before a job fails loudly.
     pub max_retries: u32,
-    /// First retry backoff in milliseconds (doubles per attempt, with
-    /// ±50% deterministic jitter).
-    pub backoff_base_ms: u64,
-    /// Checkpoint after this many newly completed shards.
-    pub checkpoint_every: u32,
-    /// Chaos injection (kills, hangs, and the nested I/O plan applied
+    /// Chaos injection (kills, delays, and the nested I/O plan applied
     /// to checkpoints and the result cache).
     pub faults: Option<FaultPlan>,
 }
@@ -212,10 +204,7 @@ impl Default for ServiceConfig {
             once: false,
             poll_ms: 200,
             drain: Arc::new(AtomicBool::new(false)),
-            watchdog_ms: None,
             max_retries: 4,
-            backoff_base_ms: 20,
-            checkpoint_every: 1,
             faults: None,
         }
     }
@@ -296,10 +285,8 @@ pub struct JobResult {
     pub cache_hit: bool,
     /// Shards computed in the finishing invocation.
     pub shards_run: u32,
-    /// Shard attempts retried (kills + watchdog timeouts).
+    /// Shard attempts lost to injected kills.
     pub retries: u32,
-    /// Attempts killed by the shard watchdog.
-    pub watchdog_kills: u32,
     /// The raw tally counters (weighted accumulators live only in the
     /// binary cache record; the rates above already incorporate them).
     pub tally: LifetimeTally,
@@ -317,7 +304,6 @@ impl JobResult {
             cache_hit,
             shards_run: stats.shards_run,
             retries: stats.retries,
-            watchdog_kills: stats.watchdog_kills,
             tally: report.tally,
         }
     }
@@ -336,7 +322,6 @@ impl JobResult {
             .bool("cache_hit", self.cache_hit)
             .u64("shards_run", u64::from(self.shards_run))
             .u64("retries", u64::from(self.retries))
-            .u64("watchdog_kills", u64::from(self.watchdog_kills))
             .u64("epochs", t.epochs)
             .u64("degraded_epochs", t.degraded_epochs)
             .u64("corrected_words", t.corrected_words)
@@ -390,7 +375,6 @@ impl JobResult {
             cache_hit: obj.bool("cache_hit").map_err(get)?,
             shards_run: obj.u32("shards_run").map_err(get)?,
             retries: obj.u32("retries").map_err(get)?,
-            watchdog_kills: obj.u32("watchdog_kills").map_err(get)?,
             tally,
         })
     }
@@ -654,11 +638,8 @@ fn run_job(
         shards: spec.shards,
         checkpoint_dir: Some(spool.checkpoint_dir(id)),
         checkpoint_prefix: "job".to_string(),
-        checkpoint_every: config.checkpoint_every,
         resume: true,
         max_retries: config.max_retries,
-        backoff_base_ms: config.backoff_base_ms,
-        shard_timeout_ms: config.watchdog_ms,
         stop: Some(Arc::clone(&config.drain)),
         ..RunnerConfig::default()
     };

@@ -2,9 +2,14 @@
 //!
 //! A long-running service that accepts lifetime-run jobs (code ×
 //! environment × horizon × estimator), executes them through the
-//! sharded supervisor with per-shard watchdog timeouts, and serves
-//! repeated configurations from a CRC-checked, `config_hash`-fenced
-//! on-disk result cache — a repeated config never recomputes.
+//! sharded supervisor, and serves repeated configurations from a
+//! CRC-checked, `config_hash`-fenced on-disk result cache — a repeated
+//! config never recomputes.
+//!
+//! A shard attempt is a pure, bounded computation, so the supervisor
+//! sets no per-shard timeout and retries a killed attempt at once; a
+//! daemon that dies or is killed mid-job is recovered by the crash-only
+//! path below (checkpoint, orphan adoption, resume), not by a watchdog.
 //!
 //! # Crash-only design: the spool directory
 //!
@@ -47,11 +52,11 @@
 //! Checkpoints and cache records commit through the same `write_durable`,
 //! which threads an [`IoFaultPlan`](muse_lifetime::IoFaultPlan) (the
 //! spool's own files pass none); `tests/chaos.rs` sweeps
-//! injected kills, shard hangs (watchdog), ENOSPC, torn writes, rename
-//! and fsync failures, cache-record corruption, and failing/blocked
-//! telemetry sinks, asserting the invariant the whole crate is built
-//! around: **bit-identical tallies or a loud, resumable failure — never
-//! wrong numbers, never a hang.**
+//! injected kills, ENOSPC, torn writes, rename and fsync failures,
+//! cache-record corruption, and failing/blocked telemetry sinks,
+//! asserting the invariant the whole crate is built around:
+//! **bit-identical tallies or a loud, resumable failure — never wrong
+//! numbers.**
 
 #![deny(missing_docs)]
 

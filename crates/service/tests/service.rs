@@ -45,7 +45,6 @@ impl Harness {
         let config = ServiceConfig {
             root: self.root.clone(),
             once: true,
-            backoff_base_ms: 0,
             ..ServiceConfig::default()
         };
         let warns = Arc::clone(&self.warns);
@@ -236,4 +235,27 @@ fn jobs_over_the_horizon_budget_fail_without_running() {
     );
     let error = std::fs::read_to_string(h.spool.failed_dir().join(format!("{id}.err"))).unwrap();
     assert!(error.contains("exceeds the budget"), "{error}");
+}
+
+#[test]
+fn a_result_with_the_dropped_watchdog_field_still_decodes() {
+    // Earlier `muse-result/v1` files also carry `watchdog_kills`; the
+    // reader looks fields up by name, so a `done/` result written then
+    // still reads back.
+    let result = JobResult {
+        id: "00000000000000aa".to_string(),
+        code: "MUSE(80,69)".to_string(),
+        env: "smoke".to_string(),
+        machine_years: 2.5,
+        due_per_machine_year: 0.25,
+        sdc_per_machine_year: 0.0,
+        cache_hit: false,
+        shards_run: 4,
+        retries: 3,
+        tally: muse_lifetime::LifetimeTally::default(),
+    };
+    let json = result.to_json();
+    let old = json.replace("\"retries\":3,", "\"retries\":3,\"watchdog_kills\":0,");
+    assert_ne!(old, json);
+    assert_eq!(JobResult::from_json(&old).unwrap(), result);
 }

@@ -10,7 +10,7 @@
 //! ## Trace layer (`muse-trace/v1`)
 //!
 //! [`TraceEvent`]s — run/shard lifecycle, checkpoint writes, shard
-//! retries with backoff, resume adoption, estimator weight-cap
+//! retries, resume adoption, estimator weight-cap
 //! saturation, heartbeats — are encoded as flat, schema-versioned JSON
 //! lines and fed through a *bounded* channel to a writer thread by
 //! [`Tracer`].  Emission never blocks: under backpressure events are

@@ -25,15 +25,6 @@ pub struct ProgressSnapshot {
 }
 
 impl ProgressSnapshot {
-    /// Fraction of shards complete in `[0, 1]`.
-    pub fn fraction_done(&self) -> f64 {
-        if self.total_shards == 0 {
-            1.0
-        } else {
-            f64::from(self.shards_done) / f64::from(self.total_shards)
-        }
-    }
-
     /// Renders the one-line heartbeat, e.g.
     ///
     /// ```text
@@ -133,7 +124,6 @@ mod tests {
         assert!(line.contains("DUE 1.5e-3"), "{line}");
         assert!(line.contains("SDC 2.5e-4"), "{line}");
         assert!(!line.contains("dropped"), "{line}");
-        assert!((snap.fraction_done() - 0.375).abs() < 1e-12);
 
         let noisy = ProgressSnapshot {
             dropped_events: 4,

@@ -74,14 +74,12 @@ pub enum TraceEvent {
         /// DIMMs simulated by the shard.
         dimms: u64,
     },
-    /// A shard attempt failed and will be retried after a backoff delay.
+    /// A shard attempt failed and will be retried at once.
     ShardRetry {
         /// Shard index within the plan.
         shard: u32,
         /// Attempt number that just failed (0-based).
         attempt: u32,
-        /// Backoff delay before the next attempt, in milliseconds.
-        backoff_ms: u64,
         /// The failure message.
         error: String,
     },
@@ -197,12 +195,10 @@ impl TraceEvent {
             TraceEvent::ShardRetry {
                 shard,
                 attempt,
-                backoff_ms,
                 error,
             } => {
                 b.u64("shard", u64::from(*shard))
                     .u64("attempt", u64::from(*attempt))
-                    .u64("backoff_ms", *backoff_ms)
                     .str("error", error);
             }
             TraceEvent::CheckpointWritten {
@@ -295,7 +291,6 @@ impl TraceEvent {
             "shard_retry" => TraceEvent::ShardRetry {
                 shard: obj.u32("shard")?,
                 attempt: obj.u32("attempt")?,
-                backoff_ms: obj.u64("backoff_ms")?,
                 error: obj.str("error")?.to_string(),
             },
             "checkpoint_written" => TraceEvent::CheckpointWritten {
@@ -527,7 +522,6 @@ mod tests {
             TraceEvent::ShardRetry {
                 shard: 2,
                 attempt: 0,
-                backoff_ms: 50,
                 error: "injected fault: \"io\"".into(),
             },
             TraceEvent::ShardEnd {
@@ -568,6 +562,18 @@ mod tests {
             assert_eq!(seq, i as u64);
             assert_eq!(back, event, "line was {line}");
         }
+    }
+
+    #[test]
+    fn a_shard_retry_line_with_the_dropped_backoff_field_still_parses() {
+        // Earlier traces also carry `backoff_ms`; extra fields are ignored.
+        let line = r#"{"schema":"muse-trace/v1","seq":7,"event":"shard_retry","shard":2,"attempt":0,"backoff_ms":50,"error":"injected kill"}"#;
+        let expected = TraceEvent::ShardRetry {
+            shard: 2,
+            attempt: 0,
+            error: "injected kill".into(),
+        };
+        assert_eq!(TraceEvent::parse_line(line).unwrap(), (7, expected));
     }
 
     #[test]

@@ -78,7 +78,6 @@ fn build_event(
         4 => TraceEvent::ShardRetry {
             shard: x,
             attempt: y,
-            backoff_ms: a,
             error: s1,
         },
         5 => TraceEvent::CheckpointWritten {
