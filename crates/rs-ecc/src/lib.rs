@@ -16,9 +16,10 @@
 //! [`RsCode::locate_errors_fixed`] run the whole decode decision for both
 //! `t` values in the error-value domain (GF syndromes of the corruption alone, one
 //! table multiply per touched symbol) without materializing a codeword;
-//! [`RsCode::decode_combined`] adds Forney-style combined
+//! [`RsCode::decode_combined_ctx`] adds Forney-style combined
 //! error-and-erasure decoding (`ν` erasures + `e` errors, `2e + ν ≤ 2t`)
-//! for degraded (known-failed-chip) operation, and [`RsClassifier`]
+//! for degraded (known-failed-chip) operation, in closed form against the
+//! per-erased-set constants of [`RsCode::combined_context`], and [`RsClassifier`]
 //! packages it all as the one RS read classifier: the workspace's unified
 //! `muse_core::Classifier` backend for the fleet, and
 //! [`RsClassifier::read_healthy`] for MSED trials.

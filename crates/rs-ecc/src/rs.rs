@@ -1,4 +1,6 @@
-//! Symbol-domain Reed-Solomon code with a PGZ decoder.
+//! Symbol-domain Reed-Solomon code with a PGZ decoder, Vandermonde erasure
+//! solving, and closed-form combined error-and-erasure decoding for
+//! degraded reads.
 
 use std::fmt;
 
@@ -314,12 +316,15 @@ impl RsCode {
     /// assignment satisfies all of them (errors outside the erased set).
     ///
     /// This is [`Self::decode_erasures`] without the codeword: because the
-    /// code is linear, `syndromes(cw ⊕ e) = syndromes(e)`, so Monte-Carlo
-    /// loops feed it syndromes accumulated straight from the error pattern
+    /// code is linear, `syndromes(cw ⊕ e) = syndromes(e)`, so it takes
+    /// syndromes accumulated straight from the error pattern
     /// ([`RsMemoryCode::error_syndromes`](crate::RsMemoryCode::error_syndromes))
-    /// and never materialize a word. Solves the leading `k × k` Vandermonde
+    /// and never materializes a word. Solves the leading `k × k` Vandermonde
     /// system by Gaussian elimination, then checks the `2t − k` remaining
-    /// syndrome equations.
+    /// syndrome equations. It allocates per call, so the degraded read path
+    /// uses the closed form of [`Self::decode_combined_ctx`] instead; this
+    /// general solver backs [`Self::decode_erasures`] and is the reference
+    /// the combined-decoding oracles compare against.
     ///
     /// # Panics
     ///
@@ -390,23 +395,12 @@ impl RsCode {
     /// Syndrome-domain error location: the PGZ procedure of
     /// [`Self::decode`] applied directly to a (nonzero) syndrome vector,
     /// returning the `(position, magnitude)` corrections the decoder would
-    /// apply, or `None` for a detected-uncorrectable pattern.
+    /// apply in a fixed-capacity [`RsCorrections`], or `None` for a
+    /// detected-uncorrectable pattern.
     ///
     /// Feed it [`RsMemoryCode::error_syndromes`](crate::RsMemoryCode::error_syndromes)
     /// output to classify trials without a codeword. All-zero syndromes are
     /// the caller's "clean" fast path, not a location problem.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `synd.len() != 2t` or all syndromes are zero.
-    pub fn locate_errors(&self, synd: &[u16]) -> Option<Vec<(usize, u16)>> {
-        self.locate_errors_fixed(synd)
-            .map(|l| l.corrections().to_vec())
-    }
-
-    /// [`Self::locate_errors`] without the allocation: the corrections come
-    /// back in a fixed-capacity [`RsCorrections`] — the form the Monte-Carlo
-    /// hot loops consume.
     ///
     /// # Panics
     ///
@@ -424,79 +418,12 @@ impl RsCode {
         }
     }
 
-    /// Forney-style **combined error-and-erasure** decoding in the syndrome
-    /// domain: corrects `e` unknown errors on top of `ν` known-position
-    /// erasures whenever `2e + ν ≤ 2t`, returning the full
-    /// `(position, xor-magnitude)` correction list (the `ν` erasure fills —
-    /// zero magnitudes included — plus any located error), or `None` for a
-    /// detected-uncorrectable pattern.
-    ///
-    /// The procedure multiplies the syndrome polynomial by the erasure
-    /// locator `Γ(x) = Π (1 − X_i x)`: in the modified syndromes
-    /// `Ξ_j = Σ_k Γ_k·S_{j−k}` (`j ≥ ν`) the erasure contributions cancel,
-    /// leaving pure error syndromes of capacity `⌊(2t − ν)/2⌋`. All-zero
-    /// `Ξ` reduces to the plain erasure solve
-    /// ([`Self::erasure_magnitudes`]); otherwise the surviving geometric
-    /// ratio `Ξ_{j+1}/Ξ_j = α^q` locates the single error the `t ≤ 2`
-    /// geometries admit, and the full Vandermonde solve (with its residual
-    /// syndrome checks) produces the magnitudes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `synd.len() != 2t`, positions are out of range or
-    /// duplicated, or more than `2t` positions are given.
-    ///
-    /// # Examples
-    ///
-    /// A `t = 2` code correcting a transient error *under* an erased chip —
-    /// the degraded-mode read a plain erasure decoder flags as DUE:
-    ///
-    /// ```
-    /// use muse_rs::RsCode;
-    ///
-    /// # fn main() -> Result<(), muse_rs::RsError> {
-    /// let rs = RsCode::new(8, 18, 14)?; // RS(144,112), t = 2
-    /// let data: Vec<u16> = (0..14).map(|i| (i * 29) as u16 & 0xFF).collect();
-    /// let mut cw = rs.encode(&data);
-    /// cw[6] ^= 0x5A;  // the known-failed (erased) chip returns garbage
-    /// cw[11] ^= 0x03; // an unknown transient strikes elsewhere
-    ///
-    /// let synd = rs.syndromes(&cw);
-    /// let corrections = rs.decode_combined(&synd, &[6]).expect("2e + ν = 3 ≤ 2t");
-    /// for (pos, mag) in corrections {
-    ///     cw[pos] ^= mag;
-    /// }
-    /// assert_eq!(&cw[4..], data.as_slice());
-    ///
-    /// // One more unknown error exceeds the budget and must flag DUE.
-    /// let mut bad = rs.encode(&data);
-    /// bad[6] ^= 0x5A;
-    /// bad[11] ^= 0x03;
-    /// bad[2] ^= 0x47;
-    /// assert_eq!(rs.decode_combined(&rs.syndromes(&bad), &[6]), None);
-    /// # Ok(())
-    /// # }
-    /// ```
-    pub fn decode_combined(&self, synd: &[u16], erasures: &[usize]) -> Option<Vec<(usize, u16)>> {
-        assert_eq!(synd.len(), 2 * self.t, "expected {} syndromes", 2 * self.t);
-        if erasures.is_empty() {
-            // No erasures: plain error location (clean words included).
-            if synd.iter().all(|&s| s == 0) {
-                return Some(Vec::new());
-            }
-            return self.locate_errors(synd);
-        }
-        let ctx = self.combined_context(erasures);
-        self.decode_combined_ctx(synd, &ctx)
-            .map(|c| c.corrections().to_vec())
-    }
-
     /// Precomputes every per-erasure-set constant of
-    /// [`Self::decode_combined`] — the erasure locator `Γ(x)`, the inverse
-    /// of the leading `ν × ν` syndrome Vandermonde, and the residual-check
-    /// rows `α^(l·p_i)` — so repeated degraded reads against the same
-    /// erased set ([`Self::decode_combined_ctx`]) do none of that work.
-    /// `RsClassifier::resolve` builds one of these per degraded context.
+    /// [`Self::decode_combined_ctx`] — the erasure locator `Γ(x)`, the
+    /// inverse of the leading `ν × ν` syndrome Vandermonde, and the
+    /// residual-check rows `α^(l·p_i)` — so repeated degraded reads against
+    /// the same erased set do none of that work. `RsClassifier::resolve`
+    /// builds one of these per degraded context.
     ///
     /// # Panics
     ///
@@ -563,15 +490,69 @@ impl RsCode {
         }
     }
 
-    /// [`Self::decode_combined`] against a precomputed
-    /// [`CombinedContext`]: identical classifications, with the erasure
-    /// locator, inverse Vandermonde, and residual rows hoisted out of the
-    /// per-read path and the correction list returned in fixed-capacity
-    /// form (no allocation on the erasure-only fast path).
+    /// Forney-style **combined error-and-erasure** decoding in the syndrome
+    /// domain, against the erased set of a precomputed [`CombinedContext`]:
+    /// corrects `e` unknown errors on top of `ν` known-position erasures
+    /// whenever `2e + ν ≤ 2t`, returning the full `(position, xor-magnitude)`
+    /// correction list (the `ν` erasure fills — zero magnitudes included —
+    /// plus any located error), or `None` for a detected-uncorrectable
+    /// pattern.
+    ///
+    /// The procedure multiplies the syndrome polynomial by the erasure
+    /// locator `Γ(x) = Π (1 + X_i x)`: in the modified syndromes
+    /// `Ξ_j = Σ_k Γ_k·S_{j−k}` (`j ≥ ν`) the erasure contributions cancel,
+    /// leaving pure error syndromes of capacity `⌊(2t − ν)/2⌋`, which for
+    /// `t ≤ 2` and `ν ≥ 1` is at most one error. A single error `Y` at
+    /// `X_q = α^q` leaves `Ξ_j = Y·X_q^j·Γ(X_q⁻¹)`, so the surviving
+    /// geometric ratio `Ξ_{j+1}/Ξ_j = X_q` locates it and
+    /// `Y = Ξ_ν / (X_q^ν·Γ(X_q⁻¹))` gives its value (`Γ(X_q⁻¹) ≠ 0` because
+    /// `q` is not erased); all-zero `Ξ` means `Y = 0`. Either way the
+    /// erasure fills are `V⁻¹·(S_l + Y·X_q^l)` over `l < ν` and every
+    /// trailing equation `l ≥ ν` must hold with `Y·X_q^l` added. That is
+    /// the unique solution of the leading `ν + 1` syndrome equations, so it
+    /// equals what [`Self::erasure_magnitudes`] returns for the positions
+    /// plus `q`; that general solver stays behind [`Self::decode_erasures`]
+    /// and serves as the tests' reference. Per read there is no allocation,
+    /// no elimination and no integer division: powers of `X_q` come from
+    /// running products.
     ///
     /// # Panics
     ///
     /// Panics if `synd.len() != 2t`.
+    ///
+    /// # Examples
+    ///
+    /// A `t = 2` code correcting a transient error *under* an erased chip —
+    /// the degraded-mode read a plain erasure decoder flags as DUE:
+    ///
+    /// ```
+    /// use muse_rs::RsCode;
+    ///
+    /// # fn main() -> Result<(), muse_rs::RsError> {
+    /// let rs = RsCode::new(8, 18, 14)?; // RS(144,112), t = 2
+    /// let ctx = rs.combined_context(&[6]); // the known-failed (erased) chip
+    /// let data: Vec<u16> = (0..14).map(|i| (i * 29) as u16 & 0xFF).collect();
+    /// let mut cw = rs.encode(&data);
+    /// cw[6] ^= 0x5A;  // the erased chip returns garbage
+    /// cw[11] ^= 0x03; // an unknown transient strikes elsewhere
+    ///
+    /// let synd = rs.syndromes(&cw);
+    /// let located = rs.decode_combined_ctx(&synd, &ctx).expect("2e + ν = 3 ≤ 2t");
+    /// assert_eq!(located.corrections(), &[(6, 0x5A), (11, 0x03)]);
+    /// for &(pos, mag) in located.corrections() {
+    ///     cw[pos] ^= mag;
+    /// }
+    /// assert_eq!(&cw[4..], data.as_slice());
+    ///
+    /// // One more unknown error exceeds the budget and must flag DUE.
+    /// let mut bad = rs.encode(&data);
+    /// bad[6] ^= 0x5A;
+    /// bad[11] ^= 0x03;
+    /// bad[2] ^= 0x47;
+    /// assert_eq!(rs.decode_combined_ctx(&rs.syndromes(&bad), &ctx), None);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn decode_combined_ctx(
         &self,
         synd: &[u16],
@@ -582,83 +563,62 @@ impl RsCode {
         let nu = ctx.positions.len();
         // Modified syndromes Ξ_j (j ≥ ν): erasure contributions vanish.
         let mut modified = [0u16; 4];
-        let n_modified = 2 * self.t - nu;
-        let mut all_zero = true;
-        for (slot, j) in modified[..n_modified].iter_mut().zip(nu..2 * self.t) {
-            let mut acc = 0u16;
+        let modified = &mut modified[..2 * self.t - nu];
+        for (slot, j) in modified.iter_mut().zip(nu..) {
             for (k, &g) in ctx.gamma.iter().enumerate() {
-                acc = gf.add(acc, gf.mul(g, synd[j - k]));
+                *slot ^= gf.mul(g, synd[j - k]);
             }
-            *slot = acc;
-            all_zero &= acc == 0;
         }
-        if all_zero {
-            // No errors outside the erased set: the precomputed inverse
-            // Vandermonde gives the erasure fills directly (Ξ = 0 is
-            // equivalent to the residual checks of the plain solve
-            // passing, but the hoisted rows re-check the trailing
-            // equations all the same).
-            let mut out = RsCorrections::default();
-            if synd.iter().all(|&s| s == 0) {
-                // Clean read under erasure: all-zero fills.
-                for (i, &p) in ctx.positions.iter().enumerate() {
-                    out.pairs[i] = (p, 0);
-                }
-                out.len = nu as u8;
-                return Some(out);
+        // The located error (q, Y) and X_q = α^q, or none when Ξ = 0.
+        let (mut error, mut x_q) = (None, 0);
+        if modified.iter().any(|&x| x != 0) {
+            // A genuine single error makes every Ξ_j nonzero with constant
+            // consecutive ratio X_q; fewer than two Ξ leave no capacity.
+            // Only the first ratio is taken: the trailing checks below fail
+            // for any Ξ that is not geometric.
+            if modified.len() < 2 || modified[0] == 0 {
+                return None;
             }
-            for (i, &p) in ctx.positions.iter().enumerate() {
-                let mut mag = 0u16;
-                for (j, &s) in synd[..nu].iter().enumerate() {
-                    mag = gf.add(mag, gf.mul(ctx.vinv[i * nu + j], s));
-                }
-                out.pairs[i] = (p, mag);
+            x_q = gf.div(modified[1], modified[0]);
+            let q = gf.log(x_q)? as usize;
+            if q >= self.n || ctx.positions.contains(&q) {
+                return None;
             }
-            out.len = nu as u8;
-            for (l, &s) in synd.iter().enumerate().skip(nu) {
-                let row = &ctx.check_rows[(l - nu) * nu..(l - nu) * nu + nu];
-                let mut acc = s;
-                for (&r, &(_, e)) in row.iter().zip(&out.pairs[..nu]) {
-                    acc = gf.add(acc, gf.mul(e, r));
-                }
-                if acc != 0 {
-                    return None;
-                }
-            }
-            return Some(out);
+            // X_q^ν·Γ(X_q⁻¹) = Σ_k Γ_k·X_q^(ν−k), by Horner in X_q; nonzero
+            // because q is not erased, and Ξ_ν ≠ 0 makes Y nonzero.
+            let scaled_gamma = ctx.gamma.iter().fold(0, |acc, &g| gf.mul(acc, x_q) ^ g);
+            error = Some((q, gf.div(modified[0], scaled_gamma)));
         }
-        if n_modified < 2 {
-            // Errors present but no remaining correction capacity.
-            return None;
-        }
-        // t ≤ 2 leaves capacity for exactly one error: a genuine single
-        // error at q makes every Ξ_j = C·α^{q·j} nonzero with constant
-        // consecutive ratio α^q.
-        let modified = &modified[..n_modified];
-        if modified.contains(&0) {
-            return None;
-        }
-        let ratio = gf.div(modified[1], modified[0]);
-        if modified.windows(2).any(|w| gf.div(w[1], w[0]) != ratio) {
-            return None;
-        }
-        let q = gf.log(ratio)? as usize;
-        if q >= self.n || ctx.positions.contains(&q) {
-            return None;
-        }
-        let mut positions: Vec<usize> = ctx.positions.clone();
-        positions.push(q);
-        // The full Vandermonde solve re-checks any remaining syndrome
-        // equations; a zero "error" magnitude is inconsistent with Ξ ≠ 0.
-        let mags = self.erasure_magnitudes(synd, &positions)?;
-        if *mags.last().expect("ν + 1 ≥ 1 magnitudes") == 0 {
-            return None;
+        // Y·X_q^l for l = 0..2t, as a running product.
+        let mut error_term = [0u16; 4];
+        let mut term = error.map_or(0, |(_, y)| y);
+        for slot in &mut error_term[..2 * self.t] {
+            *slot = term;
+            term = gf.mul(term, x_q);
         }
         let mut out = RsCorrections::default();
-        for (i, (&p, &m)) in positions.iter().zip(&mags).enumerate() {
-            out.pairs[i] = (p, m);
+        for (i, &p) in ctx.positions.iter().enumerate() {
+            let row = &ctx.vinv[i * nu..(i + 1) * nu];
+            let mut mag = 0u16;
+            for ((&v, &s), &e) in row.iter().zip(synd).zip(&error_term) {
+                mag ^= gf.mul(v, s ^ e);
+            }
+            out.pairs[i] = (p, mag);
         }
-        out.len = positions.len() as u8;
+        out.len = nu as u8;
+        for (l, row) in (nu..2 * self.t).zip(ctx.check_rows.chunks_exact(nu)) {
+            let mut acc = synd[l] ^ error_term[l];
+            for (&r, &(_, e)) in row.iter().zip(&out.pairs[..nu]) {
+                acc ^= gf.mul(e, r);
+            }
+            if acc != 0 {
+                return None;
+            }
+        }
+        if let Some(located) = error {
+            out.pairs[nu] = located;
+            out.len += 1;
+        }
         Some(out)
     }
 
@@ -1081,10 +1041,10 @@ mod tests {
                 if synd.iter().all(|&s| s == 0) {
                     continue; // errors cancelled: a clean word
                 }
-                match (rs.locate_errors(&synd), rs.decode(&bad)) {
+                match (rs.locate_errors_fixed(&synd), rs.decode(&bad)) {
                     (None, RsDecoded::Detected) => {}
                     (Some(located), RsDecoded::Corrected { mut errors, .. }) => {
-                        let mut located = located;
+                        let mut located = located.corrections().to_vec();
                         located.sort_unstable();
                         errors.sort_unstable();
                         assert_eq!(located, errors, "n={n} trial {trial}");

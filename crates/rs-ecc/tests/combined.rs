@@ -1,7 +1,9 @@
 //! Property tests for Forney-style combined error-and-erasure decoding:
 //! random `(e, ν)` sweeps with `2e + ν ≤ 2t` for both supported `t` values,
 //! boundary cases (`2e + ν = 2t`), beyond-capacity behaviour, and a
-//! cross-check against a brute-force wide-decoder oracle.
+//! cross-check against a brute-force wide-decoder oracle. Every sweep also
+//! runs over GF(16), where the exponents of a full-length code wrap the
+//! group order.
 
 use muse_rs::RsCode;
 
@@ -67,10 +69,33 @@ fn oracle(rs: &RsCode, corrupted: &[u16], erasures: &[usize]) -> Option<Vec<u16>
     found
 }
 
+/// The combined decoder's corrections for an erased set: plain error
+/// location for `ν = 0` (a clean word needs none), else the hoisted
+/// context and [`RsCode::decode_combined_ctx`].
+fn combined(rs: &RsCode, synd: &[u16], erasures: &[usize]) -> Option<Vec<(usize, u16)>> {
+    let located = if erasures.is_empty() {
+        if synd.iter().all(|&s| s == 0) {
+            return Some(Vec::new());
+        }
+        rs.locate_errors_fixed(synd)
+    } else {
+        rs.decode_combined_ctx(synd, &rs.combined_context(erasures))
+    };
+    located.map(|l| l.corrections().to_vec())
+}
+
+/// The largest symbol value of the code's field (a mask for draws).
+fn symbol_mask(rs: &RsCode) -> u64 {
+    u64::from(rs.field().size() - 1)
+}
+
 fn codes() -> Vec<RsCode> {
     vec![
         RsCode::new(8, 18, 16).unwrap(), // t = 1
         RsCode::new(8, 18, 14).unwrap(), // t = 2
+        // t = 2 at full length over GF(16): q·ν and l·q pass the group
+        // order 15, so every exponent the decoder forms wraps.
+        RsCode::new(4, 15, 11).unwrap(),
     ]
 }
 
@@ -82,29 +107,30 @@ fn recovers_every_in_capacity_error_erasure_mix() {
     for rs in codes() {
         let t2 = 2 * rs.t();
         let n = rs.n_symbols();
+        let mask = symbol_mask(&rs);
         let mut rng = Xs(0xC0DE_C0DE ^ t2 as u64);
         for nu in 0..=t2 {
             let e_max = (t2 - nu) / 2;
             for e in 0..=e_max {
                 for trial in 0..150u32 {
                     let data: Vec<u16> = (0..rs.k_symbols())
-                        .map(|_| (rng.next() & 0xFF) as u16)
+                        .map(|_| (rng.next() & mask) as u16)
                         .collect();
                     let cw = rs.encode(&data);
                     let erasures = distinct(&mut rng, n, nu, &[]);
                     let error_pos = distinct(&mut rng, n, e, &erasures);
                     let mut bad = cw.clone();
                     for &p in &erasures {
-                        bad[p] ^= (rng.next() & 0xFF) as u16; // may be zero
+                        bad[p] ^= (rng.next() & mask) as u16; // may be zero
                     }
                     let mut injected_errors = Vec::new();
                     for &p in &error_pos {
-                        let v = 1 + (rng.next() % 255) as u16;
+                        let v = 1 + (rng.next() % mask) as u16;
                         bad[p] ^= v;
                         injected_errors.push((p, v));
                     }
                     let synd = rs.syndromes(&bad);
-                    let corrections = rs.decode_combined(&synd, &erasures).unwrap_or_else(|| {
+                    let corrections = combined(&rs, &synd, &erasures).unwrap_or_else(|| {
                         panic!("t={} ν={nu} e={e} trial {trial}: in-capacity DUE", rs.t())
                     });
                     let mut fixed = bad.clone();
@@ -140,6 +166,7 @@ fn beyond_capacity_never_silently_recovers() {
     for rs in codes() {
         let t2 = 2 * rs.t();
         let n = rs.n_symbols();
+        let mask = symbol_mask(&rs);
         let mut rng = Xs(0xBAD0_5EED ^ t2 as u64);
         let mut dues = 0u32;
         let mut trials = 0u32;
@@ -150,20 +177,20 @@ fn beyond_capacity_never_silently_recovers() {
             }
             for _ in 0..200u32 {
                 let data: Vec<u16> = (0..rs.k_symbols())
-                    .map(|_| (rng.next() & 0xFF) as u16)
+                    .map(|_| (rng.next() & mask) as u16)
                     .collect();
                 let cw = rs.encode(&data);
                 let erasures = distinct(&mut rng, n, nu, &[]);
                 let error_pos = distinct(&mut rng, n, e, &erasures);
                 let mut bad = cw.clone();
                 for &p in &erasures {
-                    bad[p] ^= (rng.next() & 0xFF) as u16;
+                    bad[p] ^= (rng.next() & mask) as u16;
                 }
                 for &p in &error_pos {
-                    bad[p] ^= 1 + (rng.next() % 255) as u16;
+                    bad[p] ^= 1 + (rng.next() % mask) as u16;
                 }
                 trials += 1;
-                match rs.decode_combined(&rs.syndromes(&bad), &erasures) {
+                match combined(&rs, &rs.syndromes(&bad), &erasures) {
                     None => dues += 1,
                     Some(corrections) => {
                         let mut fixed = bad.clone();
@@ -199,7 +226,7 @@ fn beyond_capacity_constructed_cases_flag_due() {
     let mut bad = rs.encode(&data);
     bad[3] ^= 0x11; // the erased chip
     bad[9] ^= 0x47; // the extra unknown error
-    assert_eq!(rs.decode_combined(&rs.syndromes(&bad), &[3]), None);
+    assert_eq!(combined(&rs, &rs.syndromes(&bad), &[3]), None);
 
     // t = 2, two erasures + two extra errors: 2e + ν = 6 > 4.
     let rs = RsCode::new(8, 18, 14).unwrap();
@@ -209,7 +236,7 @@ fn beyond_capacity_constructed_cases_flag_due() {
     bad[5] ^= 0xAA;
     bad[10] ^= 0x13;
     bad[16] ^= 0x77;
-    assert_eq!(rs.decode_combined(&rs.syndromes(&bad), &[2, 5]), None);
+    assert_eq!(combined(&rs, &rs.syndromes(&bad), &[2, 5]), None);
 }
 
 #[test]
@@ -219,27 +246,28 @@ fn matches_brute_force_oracle_on_arbitrary_corruption() {
     // in-capacity ones: cross-check on fully random corruption (0..4
     // errors, 1..2t erasures — ν ≥ 1 leaves capacity for at most one
     // error, which the position-enumeration oracle covers; ν = 0 is plain
-    // `locate_errors`, cross-checked in the rs module's own tests).
+    // `locate_errors_fixed`, cross-checked in the rs module's own tests).
     for rs in codes() {
         let t2 = 2 * rs.t();
         let n = rs.n_symbols();
+        let mask = symbol_mask(&rs);
         let mut rng = Xs(0x04AC_1E00 ^ t2 as u64);
         for trial in 0..2_000u32 {
             let data: Vec<u16> = (0..rs.k_symbols())
-                .map(|_| (rng.next() & 0xFF) as u16)
+                .map(|_| (rng.next() & mask) as u16)
                 .collect();
             let cw = rs.encode(&data);
             let nu = 1 + (rng.next() % t2 as u64) as usize;
             let erasures = distinct(&mut rng, n, nu, &[]);
             let mut bad = cw.clone();
             for &p in &erasures {
-                bad[p] ^= (rng.next() & 0xFF) as u16;
+                bad[p] ^= (rng.next() & mask) as u16;
             }
             for _ in 0..rng.next() % 4 {
-                bad[(rng.next() % n as u64) as usize] ^= (rng.next() & 0xFF) as u16;
+                bad[(rng.next() % n as u64) as usize] ^= (rng.next() & mask) as u16;
             }
             let synd = rs.syndromes(&bad);
-            let fast = rs.decode_combined(&synd, &erasures).map(|corrections| {
+            let fast = combined(&rs, &synd, &erasures).map(|corrections| {
                 let mut fixed = bad.clone();
                 for &(p, m) in &corrections {
                     fixed[p] ^= m;
@@ -252,6 +280,85 @@ fn matches_brute_force_oracle_on_arbitrary_corruption() {
                 wide,
                 "t={} trial {trial}: erasures {erasures:?}",
                 rs.t()
+            );
+        }
+    }
+}
+
+/// Brute-force unique-explanation oracle in the syndrome domain, built on
+/// [`RsCode::erasure_magnitudes`] alone: the erasure-only fills when they
+/// satisfy every syndrome, else the one position `q` outside the erased set
+/// whose erasures-plus-`q` solve leaves a nonzero value at `q`, within the
+/// remaining capacity (`None` when no explanation or more than one exists).
+fn explanation(rs: &RsCode, synd: &[u16], erasures: &[usize]) -> Option<Vec<(usize, u16)>> {
+    if let Some(mags) = rs.erasure_magnitudes(synd, erasures) {
+        return Some(erasures.iter().copied().zip(mags).collect());
+    }
+    if (2 * rs.t() - erasures.len()) / 2 == 0 {
+        return None;
+    }
+    let mut found = None;
+    for q in (0..rs.n_symbols()).filter(|q| !erasures.contains(q)) {
+        let mut positions = erasures.to_vec();
+        positions.push(q);
+        let Some(mags) = rs.erasure_magnitudes(synd, &positions) else {
+            continue;
+        };
+        if *mags.last().expect("nonempty") == 0 {
+            continue;
+        }
+        if found.is_some() {
+            return None;
+        }
+        found = Some(positions.into_iter().zip(mags).collect());
+    }
+    found
+}
+
+#[test]
+#[ignore = "deep: 2^20 degraded reads per geometry; run in release"]
+fn decode_combined_ctx_matches_explanation_oracle_at_depth() {
+    // Every geometry the fleet decodes degraded, plus the wrapping GF(16)
+    // code: 2^20 error patterns each, ν cycling through 1..=2t, with the
+    // erased symbols' garbage (possibly zero) and 0..3 further symbol
+    // errors anywhere. The corrections must equal the oracle's exactly,
+    // fills and located error alike.
+    const READS: u32 = 1 << 20;
+    for rs in codes() {
+        let (n, t2) = (rs.n_symbols(), 2 * rs.t());
+        let mask = symbol_mask(&rs);
+        let mut rng = Xs(0xDEE9_5EED ^ ((n as u64) << 8) ^ t2 as u64);
+        let (mut located, mut detected) = (0u32, 0u32);
+        for read in 0..READS {
+            let nu = 1 + read as usize % t2;
+            let erasures = distinct(&mut rng, n, nu, &[]);
+            let mut errors = vec![0u16; n];
+            for &p in &erasures {
+                errors[p] ^= (rng.next() & mask) as u16;
+            }
+            for _ in 0..rng.next() % 4 {
+                errors[(rng.next() % n as u64) as usize] ^= 1 + (rng.next() % mask) as u16;
+            }
+            let synd = rs.syndromes(&errors);
+            let fast = combined(&rs, &synd, &erasures);
+            match &fast {
+                None => detected += 1,
+                Some(c) if c.len() > nu => located += 1,
+                Some(_) => {}
+            }
+            assert_eq!(
+                fast,
+                explanation(&rs, &synd, &erasures),
+                "RS({n},{}) over GF(2^{}) read {read}: erasures {erasures:?}, errors {errors:?}",
+                rs.k_symbols(),
+                rs.field().width()
+            );
+        }
+        assert!(detected > 0, "RS({n}) flags no read DUE");
+        if t2 == 4 {
+            assert!(
+                located > READS / 8,
+                "RS({n}) t=2 located only {located} errors"
             );
         }
     }
