@@ -4,11 +4,12 @@
 //!
 //! For each MUSE column the largest valid multiplier of the corresponding
 //! width is found by search; MSED rates come from the Monte-Carlo simulator
-//! (10 000 double-device errors, like the paper).
+//! (10 000 double-device errors, like the paper). The RS rows also print
+//! the exact rates over every double-device strike (`rs_msed_exact`).
 
 use muse_bench::print_table;
 use muse_core::{find_multipliers, Direction, ErrorModel, MuseCode, SearchOptions, SymbolMap};
-use muse_faultsim::{muse_msed, rs_msed, MsedConfig, RsDetectMode};
+use muse_faultsim::{muse_msed, rs_msed, rs_msed_exact, MsedConfig, RsDetectMode};
 use muse_rs::RsMemoryCode;
 
 fn main() {
@@ -36,21 +37,25 @@ fn main() {
     let mut rs_rows = Vec::new();
     for (extra, s) in [(0u32, 8u32), (2, 7), (4, 6), (6, 5)] {
         let code = RsMemoryCode::new(s, 144, 1).expect("geometry");
-        let confined = rs_msed(&code, 4, RsDetectMode::DeviceConfined, config);
-        let plain = rs_msed(&code, 4, RsDetectMode::SymbolSyndromes, config);
-        rs_rows.push(vec![
+        let mut row = vec![
             format!("{extra}"),
             format!("RS s={s}"),
             paper_rs[extra as usize].map_or("Ø".into(), |v| format!("{v:.2}")),
-            format!("{:.2}", confined.detection_rate()),
-            format!("{:.2}", plain.detection_rate()),
+        ];
+        for mode in [RsDetectMode::DeviceConfined, RsDetectMode::SymbolSyndromes] {
+            let sampled = rs_msed(&code, 4, mode, config).detection_rate();
+            let exact = rs_msed_exact(&code, 4, mode).detection_rate();
+            row.extend([format!("{sampled:.2}"), format!("{exact:.3}")]);
+        }
+        row.push(
             if s == 8 {
                 "chipkill"
             } else {
                 "NOT practical (symbol spans devices)"
             }
             .to_string(),
-        ]);
+        );
+        rs_rows.push(row);
     }
     print_table(
         "Table IV (RS rows): MSED % for 2-device errors, 144-bit codeword",
@@ -59,7 +64,9 @@ fn main() {
             "code",
             "paper",
             "device-confined",
+            "exact",
             "symbol-only",
+            "exact",
             "note",
         ],
         &rs_rows,

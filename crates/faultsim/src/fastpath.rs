@@ -269,6 +269,26 @@ impl StrikeBlock<'_> {
         }
         &out[..self.k]
     }
+
+    /// Trial `t`'s two-device strike as the unordered case it hits,
+    /// `(low device, high device, low pattern − 1, high pattern − 1)`: the
+    /// same devices and patterns [`Self::strikes`] resolves, read straight
+    /// off the raw columns (the second pick skips the first device, as in
+    /// [`place_distinct`]). Requires `k = 2`.
+    #[inline]
+    pub fn pair(&self, t: usize) -> (usize, usize, usize, usize) {
+        debug_assert_eq!(self.k, 2, "a pair needs a two-device strike");
+        let (first, second) = (self.picks[t] as usize, self.picks[self.len + t] as usize);
+        let (a, b) = (
+            self.patterns[t] as usize,
+            self.patterns[self.len + t] as usize,
+        );
+        if second >= first {
+            (first, second + 1, a, b)
+        } else {
+            (second, first, b, a)
+        }
+    }
 }
 
 /// Fixed-capacity record of one columnar-replay trial — the MSED hot path

@@ -103,7 +103,7 @@ pub(crate) fn require_kernel<'a>(
     })
 }
 pub use fit::{measure_mode, project_fit, FailureMode, FitProjection, ModeOutcome};
-pub use msed::{muse_msed, random_payload, rs_msed, MsedConfig, MsedStats, Outcome, RsDetectMode};
+pub use msed::{muse_msed, rs_msed, rs_msed_exact, MsedConfig, MsedStats, Outcome, RsDetectMode};
 pub use ondie::{simulate_stack, OndieStats, Stack};
 pub use rng::{screen_kernel, Bounded32, CellStream, CountCdf, Rng};
 pub use rowhammer::{

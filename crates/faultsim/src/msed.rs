@@ -29,14 +29,21 @@
 //!
 //! Every route draws from per-block streams, so tallies are bit-identical
 //! at any `threads` setting. [`rs_msed`] draws its device strikes through
-//! the same sampler as the per-strike MUSE route.
+//! the same sampler as the per-strike MUSE route. A healthy RS read is a
+//! pure function of its strike, so a two-device RS run with at least as
+//! many trials as distinct strikes (`C(n, 2)·(2^w − 1)²`, 141 750 for x4
+//! devices) classifies each strike once into an outcome table and looks
+//! its trials up; the draws, and so the tallies, are the per-trial loop's.
+//! [`rs_msed_exact`] counts the same table: exact Table IV RS rates.
 
-use muse_core::{Classifier, Entropy, MuseClassifier, MuseCode, ReadOutcome, SyndromeKernel, Word};
+#[cfg(test)]
+use muse_core::Word;
+use muse_core::{Classifier, Entropy, MuseClassifier, MuseCode, ReadOutcome, SyndromeKernel};
 #[cfg(test)]
 use muse_rs::RsMemoryDecoded;
 use muse_rs::{RsClassifier, RsMemoryCode};
 
-use crate::engine::{SimEngine, Tally};
+use crate::engine::{pull_units, SimEngine, Tally};
 use crate::fastpath::{
     self, msed_inline_trial, InlineTrial, StrikeColumns, StrikeSampler, TrialPlan,
 };
@@ -90,6 +97,16 @@ impl MsedStats {
 
     fn record(&mut self, outcome: Outcome) {
         self.record_many(outcome, 1);
+    }
+
+    /// Tallies from per-outcome counts indexed by `Outcome as usize`.
+    fn from_counts(counts: [u64; 4]) -> Self {
+        Self {
+            detected: counts[Outcome::Detected as usize],
+            corrected: counts[Outcome::Corrected as usize],
+            miscorrected: counts[Outcome::Miscorrected as usize],
+            silent: counts[Outcome::Silent as usize],
+        }
     }
 
     /// Tallies a batch of identical outcomes in one addition — the lane
@@ -329,10 +346,21 @@ pub enum RsDetectMode {
 /// and classifies them with [`RsClassifier::read_healthy`], the one RS
 /// read classifier: the strikes fold into per-symbol error values (a
 /// device may straddle symbols), and the read ends in the error-value
-/// domain without ever encoding a codeword — a symbol content is drawn
-/// only for the range check of a shortened top symbol. The `mode` then
-/// judges miscorrections ([`RsDetectMode`]). The wide encode/decode
-/// pipeline survives as the property-test oracle only.
+/// domain without ever encoding a codeword. The `mode` then judges
+/// miscorrections ([`RsDetectMode`]). The wide encode/decode pipeline
+/// survives as the property-test oracle only.
+///
+/// Two-device runs with at least as many trials as there are distinct
+/// strikes — `C(n, 2)·(2^w − 1)²` for `n` devices of `w` bits, 141 750 for
+/// x4 devices on 144 bits — classify every strike once into an outcome
+/// table (of at most 2^24 one-byte cases, built on `config.threads`
+/// workers) and look each trial up instead of decoding it. Smaller runs
+/// decode trial by trial, since the table would cost more decodes than
+/// the run itself. Both routes draw
+/// the same strikes from the same per-block streams, so their tallies are
+/// bit-identical: after a block's strike columns fill, its stream feeds
+/// only the shortened-top range check, whose verdict does not depend on
+/// the content it draws, and no later block reads it.
 ///
 /// # Panics
 ///
@@ -345,8 +373,7 @@ pub fn rs_msed(
     mode: RsDetectMode,
     config: MsedConfig,
 ) -> MsedStats {
-    let classifier = || RsClassifier::new(code, device_bits);
-    let n_devices = classifier().devices();
+    let n_devices = RsClassifier::new(code, device_bits).devices();
     let k = config.failing_devices;
     assert!(
         (1..=n_devices).contains(&k),
@@ -358,7 +385,7 @@ pub fn rs_msed(
         return SimEngine::new(config.threads).run_blocked(
             config.seed,
             config.trials,
-            || (classifier(), Vec::new()),
+            || (RsClassifier::new(code, device_bits), Vec::new()),
             |range, rng, (classifier, strikes), stats: &mut MsedStats| {
                 for _ in range {
                     strikes.clear();
@@ -368,13 +395,54 @@ pub fn rs_msed(
             },
         );
     }
-    // Structure-of-arrays draws, like the MUSE fast path: whole strike
-    // columns fill per 1024-trial block, and the live block RNG is touched
-    // per trial only by the shortened-top range check.
+    let cases = PairOutcomes::case_count(n_devices, device_bits);
+    if k == 2 && cases <= config.trials && cases <= PairOutcomes::MAX_CASES {
+        rs_msed_table(code, device_bits, mode, &sampler, config)
+    } else {
+        rs_msed_per_trial(code, device_bits, mode, &sampler, config)
+    }
+}
+
+/// The exact two-device MSED tallies of a Reed-Solomon memory code: one
+/// count per distinct strike — every device pair, every pair of nonzero
+/// `device_bits`-wide patterns — over the `C(n, 2)·(2^w − 1)²` cases, from
+/// the outcome table [`rs_msed`] samples (so the same decision, not a
+/// second one). A uniformly drawn strike hits each case with equal
+/// probability, so each count over [`MsedStats::total`] is the exact
+/// probability `rs_msed` estimates at `failing_devices = 2`.
+///
+/// # Panics
+///
+/// Panics if `device_bits`-wide devices do not tile the code's channel,
+/// or if the table would exceed 2^24 cases (devices wider than 8 bits).
+pub fn rs_msed_exact(code: &RsMemoryCode, device_bits: u32, mode: RsDetectMode) -> MsedStats {
+    let table = PairOutcomes::build(code, device_bits, mode, 0);
+    let mut counts = [0u64; 4];
+    for &outcome in &table.cases {
+        counts[usize::from(outcome)] += 1;
+    }
+    MsedStats::from_counts(counts)
+}
+
+/// The per-trial columnar route: whole strike columns fill per 1024-trial
+/// block, like the MUSE fast path, and each trial is decoded. The live
+/// block RNG is touched per trial only by the shortened-top range check.
+fn rs_msed_per_trial(
+    code: &RsMemoryCode,
+    device_bits: u32,
+    mode: RsDetectMode,
+    sampler: &StrikeSampler,
+    config: MsedConfig,
+) -> MsedStats {
     SimEngine::new(config.threads).run_blocked(
         config.seed,
         config.trials,
-        || (classifier(), StrikeColumns::default()),
+        || {
+            (
+                RsClassifier::new(code, device_bits),
+                StrikeColumns::default(),
+            )
+        },
         |range, rng, (classifier, cols), stats: &mut MsedStats| {
             let len = (range.end - range.start) as usize;
             let block = sampler.fill(rng, cols, len);
@@ -385,6 +453,125 @@ pub fn rs_msed(
             }
         },
     )
+}
+
+/// The table route for two-device runs: the same strike columns as
+/// [`rs_msed_per_trial`], each trial looked up in a [`PairOutcomes`]
+/// table instead of decoded. The block RNG draws nothing after the fill.
+fn rs_msed_table(
+    code: &RsMemoryCode,
+    device_bits: u32,
+    mode: RsDetectMode,
+    sampler: &StrikeSampler,
+    config: MsedConfig,
+) -> MsedStats {
+    let table = PairOutcomes::build(code, device_bits, mode, config.threads);
+    SimEngine::new(config.threads).run_blocked(
+        config.seed,
+        config.trials,
+        StrikeColumns::default,
+        |range, rng, cols, stats: &mut MsedStats| {
+            let len = (range.end - range.start) as usize;
+            let block = sampler.fill(rng, cols, len);
+            let mut counts = [0u64; 4];
+            for t in 0..len {
+                counts[usize::from(table.get(block.pair(t)))] += 1;
+            }
+            stats.merge(MsedStats::from_counts(counts));
+        },
+    )
+}
+
+/// The outcome of every two-device strike on one RS geometry and detect
+/// mode: one byte (`Outcome as u8`) per unordered case `(d0 < d1, pattern
+/// of d0, pattern of d1)`, row `d0` after row `d0 − 1`, patterns `1..=P`
+/// stored at `0..P` (`P = 2^w − 1`).
+struct PairOutcomes {
+    devices: usize,
+    patterns: usize,
+    cases: Vec<u8>,
+}
+
+impl PairOutcomes {
+    /// The largest table built, in cases (bytes): x8 devices on 144 bits
+    /// take 9.9M; x16 devices would take 1.5·10^11.
+    const MAX_CASES: u64 = 1 << 24;
+
+    /// `C(n, 2)·(2^w − 1)²`: the distinct strikes of `n` devices of `w`
+    /// bits.
+    fn case_count(devices: usize, device_bits: u32) -> u64 {
+        let patterns = (1u64 << device_bits) - 1;
+        (devices * (devices - 1) / 2) as u64 * patterns * patterns
+    }
+
+    /// Classifies every case, one device row per [`pull_units`] unit on
+    /// `threads` workers (`0` ⇒ one per CPU).
+    fn build(code: &RsMemoryCode, device_bits: u32, mode: RsDetectMode, threads: usize) -> Self {
+        let devices = RsClassifier::new(code, device_bits).devices();
+        let cases = Self::case_count(devices, device_bits);
+        assert!(
+            cases <= Self::MAX_CASES,
+            "{cases} two-device cases exceed the {}-case outcome table",
+            Self::MAX_CASES
+        );
+        let patterns = (1u16 << device_bits) - 1;
+        let mut rows = vec![Vec::new(); devices - 1];
+        pull_units(
+            SimEngine::new(threads).threads(),
+            devices - 1,
+            |lo| {
+                let mut classifier = RsClassifier::new(code, device_bits);
+                let mut row = Vec::new();
+                for hi in lo + 1..devices {
+                    for a in 1..=patterns {
+                        for b in 1..=patterns {
+                            let strikes = [(lo, a), (hi, b)];
+                            let outcome =
+                                rs_outcome(&mut classifier, mode, &mut ZeroContent, &strikes);
+                            row.push(outcome as u8);
+                        }
+                    }
+                }
+                row
+            },
+            |lo, row| {
+                rows[lo] = row;
+                true
+            },
+        );
+        Self {
+            devices,
+            patterns: usize::from(patterns),
+            cases: rows.concat(),
+        }
+    }
+
+    /// The position of case `(lo, hi, a, b)`, `lo < hi`, patterns less one.
+    #[inline]
+    fn index(&self, (lo, hi, a, b): (usize, usize, usize, usize)) -> usize {
+        // Rows before `lo` hold Σ_{i<lo} (n − 1 − i) = lo·(2n − 1 − lo)/2
+        // pairs; `hi` is the (hi − lo − 1)-th pair of its row.
+        let pair = lo * (2 * self.devices - 3 - lo) / 2 + hi - 1;
+        (pair * self.patterns + a) * self.patterns + b
+    }
+
+    /// The outcome byte of case `(lo, hi, a, b)`.
+    #[inline]
+    fn get(&self, case: (usize, usize, usize, usize)) -> u8 {
+        self.cases[self.index(case)]
+    }
+}
+
+/// The stored content every [`PairOutcomes`] read draws: zero. A healthy
+/// RS read's verdict does not depend on it (the shortened-top range check
+/// sees only the injected and corrected bits above the top symbol's
+/// width), so any constant gives the outcome every drawn content gives.
+struct ZeroContent;
+
+impl Entropy for ZeroContent {
+    fn next_u64(&mut self) -> u64 {
+        0
+    }
 }
 
 /// Classifies one RS MSED trial: the read's outcome, with `mode` applied
@@ -465,15 +652,6 @@ fn error_confined_to_device(
     let low = base + value.trailing_zeros();
     let high = base + (u16::BITS - 1 - value.leading_zeros());
     low / device_bits == high / device_bits
-}
-
-/// A `Word` with uniformly random low `bits`.
-pub fn random_payload(rng: &mut Rng, bits: u32) -> Word {
-    let mut limbs = [0u64; 5];
-    for limb in &mut limbs {
-        *limb = rng.next_u64();
-    }
-    Word::from_limbs(limbs) & Word::mask(bits)
 }
 
 #[cfg(test)]
@@ -651,6 +829,64 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// Runs the table route and the per-trial decodes on the same seed
+    /// and demands bit-identical tallies: the table at 1 and 3 threads,
+    /// and the public dispatch, which must pick the table here.
+    fn assert_routes_agree(code: &RsMemoryCode, device_bits: u32, trials: u64, seed: u64) {
+        let devices = code.n_bits() as usize / device_bits as usize;
+        let cases = PairOutcomes::case_count(devices, device_bits);
+        assert!(trials >= cases, "{trials} trials take the per-trial route");
+        let sampler = StrikeSampler::new(vec![device_bits; devices], 2);
+        for mode in [RsDetectMode::SymbolSyndromes, RsDetectMode::DeviceConfined] {
+            let config = |threads| MsedConfig {
+                failing_devices: 2,
+                trials,
+                seed,
+                threads,
+            };
+            let decoded = rs_msed_per_trial(code, device_bits, mode, &sampler, config(3));
+            assert_eq!(decoded.total(), trials);
+            let name = format!("{} x{device_bits} {mode:?}", code.name());
+            for threads in [1, 3] {
+                let looked_up = rs_msed_table(code, device_bits, mode, &sampler, config(threads));
+                assert_eq!(looked_up, decoded, "{name} threads={threads}");
+            }
+            assert_eq!(
+                rs_msed(code, device_bits, mode, config(3)),
+                decoded,
+                "{name}"
+            );
+        }
+    }
+
+    /// The table route equals the per-trial decodes bit for bit on cheap
+    /// geometries: x1 (10 296 cases) and x2 (23 004 cases, devices
+    /// straddling 7- and 5-bit symbols) devices under whole and shortened
+    /// top symbols, at trials just past the case count (a partial last
+    /// block included).
+    #[test]
+    fn rs_table_route_matches_per_trial_decodes() {
+        for device_bits in [1u32, 2] {
+            for symbol_bits in [8u32, 7, 5] {
+                let code = RsMemoryCode::new(symbol_bits, 144, 1).unwrap();
+                let devices = 144 / device_bits as usize;
+                let trials = PairOutcomes::case_count(devices, device_bits) + 77;
+                assert_routes_agree(&code, device_bits, trials, 11);
+            }
+        }
+    }
+
+    /// The same equivalence at depth: every Table IV RS row on x4 devices
+    /// (141 750 cases) and the t = 2 code, at 1M trials.
+    #[test]
+    #[ignore = "release-mode depth check; CI runs it with --ignored"]
+    fn rs_table_route_matches_per_trial_decodes_at_depth() {
+        for (symbol_bits, t) in [(8u32, 1usize), (7, 1), (6, 1), (5, 1), (8, 2)] {
+            let code = RsMemoryCode::new(symbol_bits, 144, t).unwrap();
+            assert_routes_agree(&code, 4, 1_000_000, MsedConfig::default().seed);
         }
     }
 

@@ -38,8 +38,6 @@ use muse_secded::SecDed;
 use muse_secded::{SecDecoded, Word};
 
 use crate::engine::{SimEngine, Tally};
-#[cfg(test)]
-use crate::random_payload;
 use crate::rng::{Bounded32, CountCdf};
 use crate::Rng;
 
@@ -278,6 +276,13 @@ pub fn simulate_stack(
             )
         }
     }
+}
+
+/// A `Word` with uniformly random low `bits`: five raw limbs, masked.
+#[cfg(test)]
+fn random_payload(rng: &mut Rng, bits: u32) -> Word {
+    let limbs = [(); 5].map(|()| rng.next_u64());
+    Word::from_limbs(limbs) & Word::mask(bits)
 }
 
 /// The wide-word reference pipeline: encodes and decodes real on-die words.

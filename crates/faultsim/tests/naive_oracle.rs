@@ -5,8 +5,14 @@
 //! between the two within Monte-Carlo error checks the fast path's
 //! sampling model, not only its arithmetic.
 
-use muse_core::{presets, Decoded, MuseCode};
-use muse_faultsim::{muse_msed, random_payload, MsedConfig, MsedStats, Outcome, Rng};
+use muse_core::{presets, Decoded, MuseCode, Word};
+use muse_faultsim::{muse_msed, MsedConfig, MsedStats, Outcome, Rng};
+
+/// A payload with uniformly random low `bits`: five raw limbs, masked.
+fn random_payload(rng: &mut Rng, bits: u32) -> Word {
+    let limbs = [(); 5].map(|()| rng.next_u64());
+    Word::from_limbs(limbs) & Word::mask(bits)
+}
 
 /// Serial wide-path MSED estimation. `config.threads` is ignored — this
 /// path is single-threaded by construction.

@@ -133,7 +133,9 @@ impl<'a> RsClassifier<'a> {
     /// Classifies one healthy read struck by `(device, xor pattern)`
     /// strikes — the MSED entry point, mirroring
     /// `MuseClassifier::read_healthy`. The entropy is drawn only by the
-    /// shortened-top range check.
+    /// shortened-top range check, and the outcome (with its corrections)
+    /// does not depend on the value drawn: a healthy read is a function of
+    /// its strikes.
     #[inline]
     pub fn read_healthy<E: Entropy>(
         &mut self,
@@ -206,9 +208,11 @@ impl<'a> RsClassifier<'a> {
         if top_bits < self.symbol_bits {
             // Shortened code: the top symbol stores only `top_bits`, so a
             // correction setting bits above them reveals a multi-symbol
-            // error. Only this check needs a stored content; it is drawn
-            // uniformly, and never for a whole top symbol, which cannot
-            // fail the check.
+            // error. The stored content sets no bit above `top_mask`, so
+            // the verdict rests on `injected ^ value` alone: any content
+            // gives the same outcome. One is still drawn, uniformly (never
+            // for a whole top symbol, which cannot fail the check), because
+            // callers pin the entropy stream this draw advances.
             let top = self.code.n_symbols() - 1;
             if let Some(&(_, value)) = corrections.iter().find(|c| c.0 == top) {
                 let top_mask = ((1u32 << top_bits) - 1) as u16;
@@ -346,6 +350,50 @@ mod tests {
                 let fast = backend.classify(&RsContext::Healthy, &strikes, &mut Zeros);
                 assert_eq!(fast, wide, "s={symbol_bits} x{device_bits} trial {trial}");
             }
+        }
+    }
+
+    /// Entropy that reads every stored content as all ones, counting its
+    /// draws.
+    struct Ones(usize);
+
+    impl Entropy for Ones {
+        fn next_u64(&mut self) -> u64 {
+            self.0 += 1;
+            u64::MAX
+        }
+    }
+
+    /// The shortened-top range check needs no stored content: every x4
+    /// two-device strike on the shortened Table IV rows (s = 7 and s = 5)
+    /// reads the same outcome and corrections under an all-zeros and an
+    /// all-ones content — so under either MSED detect mode, which judges
+    /// only those two.
+    #[test]
+    fn healthy_reads_ignore_the_top_content() {
+        for symbol_bits in [7u32, 5] {
+            let code = RsMemoryCode::new(symbol_bits, 144, 1).unwrap();
+            assert!(code.top_symbol_bits() < symbol_bits, "shortened top");
+            let mut backend = RsClassifier::new(&code, 4);
+            let mut ones = Ones(0);
+            for lo in 0..backend.devices() {
+                for hi in lo + 1..backend.devices() {
+                    for a in 1..16u16 {
+                        for b in 1..16u16 {
+                            let strikes = [(lo, a), (hi, b)];
+                            let zeros = backend.read_healthy(&mut Zeros, &strikes);
+                            let fixed = backend.corrections().to_vec();
+                            let read = backend.read_healthy(&mut ones, &strikes);
+                            assert_eq!(
+                                (read, backend.corrections()),
+                                (zeros, &fixed[..]),
+                                "s={symbol_bits} {strikes:?}"
+                            );
+                        }
+                    }
+                }
+            }
+            assert!(ones.0 > 0, "s={symbol_bits}: no read drew a top content");
         }
     }
 

@@ -4,6 +4,12 @@
 use muse::core::{presets, Decoded, Word};
 use muse::faultsim::Rng;
 
+/// A payload with uniformly random low `bits`: five raw limbs, masked.
+fn random_payload(rng: &mut Rng, bits: u32) -> Word {
+    let limbs = [(); 5].map(|()| rng.next_u64());
+    Word::from_limbs(limbs) & Word::mask(bits)
+}
+
 /// Corrupts device `dev` in the *storage* (wire) domain, where each device's
 /// bits are contiguous.
 fn fail_device_in_storage(
@@ -77,7 +83,7 @@ fn random_payloads_random_single_device_errors() {
         presets::muse_268_256(),
     ] {
         for _ in 0..50 {
-            let payload = muse::faultsim::random_payload(&mut rng, code.k_bits());
+            let payload = random_payload(&mut rng, code.k_bits());
             let cw = code.encode(&payload);
             let dev = rng.below(code.symbol_map().num_symbols() as u64) as usize;
             let bits = code.symbol_map().bits_of(dev);
@@ -106,7 +112,7 @@ fn muse_and_rs_agree_on_the_clean_path() {
     let muse = presets::muse_144_132();
     let rs = muse::rs::RsMemoryCode::new(8, 144, 1).unwrap();
     for _ in 0..50 {
-        let payload = muse::faultsim::random_payload(&mut rng, 128);
+        let payload = random_payload(&mut rng, 128);
         assert_eq!(
             muse.payload_of(&muse.encode(&payload)) & Word::mask(128),
             payload
