@@ -8,7 +8,7 @@
 //! Every trial `i` of a run seeded with `s` draws randomness exclusively
 //! from [`Rng::for_trial`]`(s, i)` — a pure function of `(s, i)`. Trial
 //! outcomes therefore do not depend on which worker executes them or in
-//! what order, and per-worker tallies are merged in ascending trial-range
+//! what order, and per-range tallies are merged in ascending trial-range
 //! order. A simulation produces **bit-identical results at any thread
 //! count**, including `threads = 1`; `faultsim/tests/determinism.rs` pins
 //! this property for every simulator.
@@ -18,9 +18,11 @@
 //! [`pull_units`] runs numbered units of work on scoped workers that
 //! claim indices in ascending order from one atomic counter, and hands
 //! every result to a commit callback on the calling thread, which is
-//! itself one of the workers. [`SimEngine`] splits a run into one
-//! contiguous trial range per worker and pulls those ranges; each range
-//! owns a scratch value (built by `init`) and a local tally, and the
+//! itself one of the workers. [`SimEngine`] splits a run into eight
+//! contiguous trial ranges per worker and pulls those ranges, so a worker
+//! slowed by the rest of the host leaves its ranges to the others instead
+//! of holding the run back. Each worker owns one scratch value (built by
+//! `init`) for every range it runs, each range a local tally, and the
 //! tallies are merged in range order once all are in. The lifetime
 //! crate's sharded supervisor pulls whole shards through the same
 //! primitive, committing each shard's tally and checkpoint as it lands.
@@ -30,12 +32,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// Process-wide count of completed trials across every [`SimEngine`] run.
 ///
-/// Workers add their whole chunk once at chunk completion — never inside
+/// Workers add their whole range once at range completion — never inside
 /// the trial loop — so the counter costs one relaxed atomic add per
-/// worker-chunk and cannot perturb trial outcomes (it touches no RNG
+/// range and cannot perturb trial outcomes (it touches no RNG
 /// stream). Observability consumers (the `muse-telemetry` metrics
 /// registry) snapshot it to derive trials/s.
 static TRIALS_COMPLETED: AtomicU64 = AtomicU64::new(0);
+
+/// Contiguous ranges a [`SimEngine`] run is split into per worker. Workers
+/// pull ranges as they finish, so a run ends when its work is done rather
+/// than when the slowest worker finishes a fixed share: with one range
+/// each, a worker whose CPU the host slows by a third slows the whole run
+/// by a third. Each range costs one tally merge.
+const RANGES_PER_WORKER: u64 = 8;
 
 /// Total trials completed by every engine run in this process so far.
 ///
@@ -66,10 +75,23 @@ pub fn trials_completed() -> u64 {
 ///
 /// Re-raises a panic from `work` or `commit` once every worker has
 /// stopped.
-pub fn pull_units<R, W, C>(threads: usize, units: usize, work: W, mut commit: C)
+pub fn pull_units<R, W, C>(threads: usize, units: usize, work: W, commit: C)
 where
     R: Send,
     W: Fn(usize) -> R + Sync,
+    C: FnMut(usize, R) -> bool,
+{
+    pull_units_with(threads, units, || (), |(), unit| work(unit), commit);
+}
+
+/// [`pull_units`] with per-worker state: every worker, the caller
+/// included, builds one state with `init` before it claims a unit and
+/// lends it to `work` for each unit it runs.
+fn pull_units_with<S, R, I, W, C>(threads: usize, units: usize, init: I, work: W, mut commit: C)
+where
+    R: Send,
+    I: Fn() -> S + Sync,
+    W: Fn(&mut S, usize) -> R + Sync,
     C: FnMut(usize, R) -> bool,
 {
     // Both atomics are `Relaxed`: they publish no data (results travel
@@ -92,18 +114,20 @@ where
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::scope(|scope| {
         for _ in 1..workers {
-            let (tx, claim, work) = (tx.clone(), &claim, &work);
+            let (tx, claim, init, work) = (tx.clone(), &claim, &init, &work);
             scope.spawn(move || {
+                let mut state = init();
                 while let Some(unit) = claim() {
-                    if tx.send((unit, work(unit))).is_err() {
+                    if tx.send((unit, work(&mut state, unit))).is_err() {
                         break;
                     }
                 }
             });
         }
         drop(tx);
+        let mut state = init();
         while let Some(unit) = claim() {
-            deliver(unit, work(unit));
+            deliver(unit, work(&mut state, unit));
             while let Ok((unit, result)) = rx.try_recv() {
                 deliver(unit, result);
             }
@@ -229,13 +253,12 @@ impl SimEngine {
         F: Fn(std::ops::Range<u64>, &mut Rng, &mut S, &mut T) + Sync,
     {
         const B: u64 = SimEngine::TRIAL_BLOCK;
-        self.run_ranges(trials.div_ceil(B), |blocks| {
-            let mut scratch = init();
+        self.run_ranges(trials.div_ceil(B), init, |scratch, blocks| {
             let mut tally = T::default();
             for b in blocks.clone() {
                 let mut rng = Rng::for_block(seed, b);
                 let range = b * B..((b + 1) * B).min(trials);
-                block(range, &mut rng, &mut scratch, &mut tally);
+                block(range, &mut rng, scratch, &mut tally);
             }
             let lo = blocks.start * B;
             let hi = (blocks.end * B).min(trials);
@@ -247,46 +270,47 @@ impl SimEngine {
     /// Runs `trials` trials with per-worker scratch state and merges their
     /// tallies.
     ///
-    /// `init` builds one scratch value per worker range (reused across that
-    /// range's trials — allocate buffers here, not per trial); `trial`
-    /// receives the global trial index, the trial's private RNG stream, the
-    /// scratch, and the worker-local tally.
+    /// `init` builds one scratch value per worker (reused across every
+    /// trial the worker runs — allocate buffers here, not per trial);
+    /// `trial` receives the global trial index, the trial's private RNG
+    /// stream, the scratch, and the range-local tally.
     pub fn run_with<T, S, I, F>(&self, seed: u64, trials: u64, init: I, trial: F) -> T
     where
         T: Tally,
         I: Fn() -> S + Sync,
         F: Fn(u64, &mut Rng, &mut S, &mut T) + Sync,
     {
-        self.run_ranges(trials, |range| {
-            let mut scratch = init();
+        self.run_ranges(trials, init, |scratch, range| {
             let mut tally = T::default();
             for i in range.clone() {
                 let mut rng = Rng::for_trial(seed, i);
-                trial(i, &mut rng, &mut scratch, &mut tally);
+                trial(i, &mut rng, scratch, &mut tally);
             }
             TRIALS_COMPLETED.fetch_add(range.end - range.start, Ordering::Relaxed);
             tally
         })
     }
 
-    /// Splits `0..items` into one contiguous range per worker, pulls the
-    /// ranges through [`pull_units`], and merges their tallies in range
-    /// order.
-    fn run_ranges<T, F>(&self, items: u64, range: F) -> T
+    /// Splits `0..items` into [`RANGES_PER_WORKER`] contiguous ranges
+    /// per worker, pulls the ranges through [`pull_units_with`] with one
+    /// `init` scratch per worker, and merges their tallies in range order.
+    fn run_ranges<T, S, I, F>(&self, items: u64, init: I, range: F) -> T
     where
         T: Tally,
-        F: Fn(std::ops::Range<u64>) -> T + Sync,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, std::ops::Range<u64>) -> T + Sync,
     {
         let threads = self.threads().min(items.max(1) as usize);
-        let chunk = items.div_ceil(threads as u64).max(1);
+        let chunk = items.div_ceil(threads as u64 * RANGES_PER_WORKER).max(1);
         let units = items.div_ceil(chunk) as usize;
         let mut parts: Vec<Option<T>> = (0..units).map(|_| None).collect();
-        pull_units(
+        pull_units_with(
             threads,
             units,
-            |unit| {
+            init,
+            |scratch, unit| {
                 let lo = unit as u64 * chunk;
-                range(lo..(lo + chunk).min(items))
+                range(scratch, lo..(lo + chunk).min(items))
             },
             |unit, tally| {
                 parts[unit] = Some(tally);

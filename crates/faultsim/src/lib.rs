@@ -6,14 +6,14 @@
 //! All simulators run on a shared three-layer engine:
 //!
 //! 1. **[`SimEngine`] — batched parallel trial execution.** A run's
-//!    `trials` are split into contiguous ranges, one per worker, that
+//!    `trials` are split into contiguous ranges, several per worker, that
 //!    scoped worker threads pull through [`pull_units`]. In per-trial
 //!    mode ([`SimEngine::run`]) trial `i` draws randomness exclusively
 //!    from the counter-based stream [`Rng::for_trial`]`(seed, i)`; in
 //!    blocked mode ([`SimEngine::run_blocked`]) a fixed 1024-trial block
 //!    `b` draws from [`Rng::for_block`]`(seed, b)`, amortizing generator
 //!    state across the block. Either way, outcomes are a pure function of
-//!    the seed and the fixed trial/block boundaries, and per-worker
+//!    the seed and the fixed trial/block boundaries, and per-range
 //!    tallies merge associatively — **results are bit-identical at any
 //!    thread count** (the determinism contract, pinned by
 //!    `tests/determinism.rs`).
