@@ -114,12 +114,14 @@ impl FastModuloUnit {
     }
 
     /// The first (wide) multiplier.
-    pub fn inverse_multiplier(&self) -> &ConstMultiplier {
+    #[cfg(test)]
+    fn inverse_multiplier(&self) -> &ConstMultiplier {
         &self.mul_inverse
     }
 
     /// The second (narrow) multiplier.
-    pub fn modulus_multiplier(&self) -> &ConstMultiplier {
+    #[cfg(test)]
+    fn modulus_multiplier(&self) -> &ConstMultiplier {
         &self.mul_modulus
     }
 

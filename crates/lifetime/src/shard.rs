@@ -10,6 +10,10 @@
 
 use std::ops::Range;
 
+/// DIMMs per shard of the default plan ([`ShardPlan::new`] with
+/// `count == 0`), before the plan's clamp to 2..=16 shards.
+const DIMMS_PER_SHARD: u64 = 256;
+
 /// A fixed partition of `dimms` DIMMs into `count` contiguous shards.
 ///
 /// Shard `s` covers `dimms/count` DIMMs, with the first `dimms % count`
@@ -22,11 +26,22 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// A plan splitting `dimms` into `count` shards. `count == 0` picks a
-    /// default (16, capped at one DIMM per shard); any `count` is clamped
-    /// to `[1, dimms]` so no shard is empty.
+    /// A plan splitting `dimms` into `count` shards; any `count` is
+    /// clamped to `[1, dimms]` so no shard is empty.
+    ///
+    /// `count == 0` picks the default: one shard per 256 DIMMs, at least
+    /// 2 and at most 16. Each shard costs one checkpoint save, so a shard
+    /// must hold enough work that its save is a small share of it: a
+    /// 256-DIMM shard at the default 12-hour scrub and 5-year horizon is
+    /// about 0.94M DIMM-epochs, a few ms of walk, against a save of a
+    /// fraction of a ms. The floor of 2 keeps one interior boundary, so a
+    /// drain, `stop_after_shards` or an injected crash can stop a default
+    /// run halfway.
     pub fn new(dimms: u64, count: u32) -> Self {
-        let want = if count == 0 { 16 } else { count as u64 };
+        let want = match count {
+            0 => (dimms / DIMMS_PER_SHARD).clamp(2, 16),
+            k => u64::from(k),
+        };
         Self {
             dimms,
             count: want.clamp(1, dimms.max(1)) as u32,
@@ -79,9 +94,38 @@ mod tests {
 
     #[test]
     fn zero_count_defaults_and_clamps() {
-        assert_eq!(ShardPlan::new(1024, 0).count(), 16);
-        assert_eq!(ShardPlan::new(3, 0).count(), 3);
+        for (dimms, count) in [
+            (0u64, 1u32),
+            (1, 1),
+            (3, 2),
+            (64, 2),
+            (511, 2),
+            (512, 2),
+            (1024, 4),
+            (4095, 15),
+            (4096, 16),
+            (1 << 20, 16),
+        ] {
+            assert_eq!(ShardPlan::new(dimms, 0).count(), count, "dimms={dimms}");
+        }
         assert_eq!(ShardPlan::new(3, 100).count(), 3);
-        assert_eq!(ShardPlan::new(0, 0).count(), 1);
+        assert_eq!(ShardPlan::new(1024, 16).count(), 16);
+    }
+
+    #[test]
+    fn default_plan_bounds_shard_size_and_count() {
+        for dimms in 0..=10_000u64 {
+            let count = u64::from(ShardPlan::new(dimms, 0).count());
+            // One shard even for an empty fleet, else at least two.
+            let floor = dimms.clamp(1, 2);
+            assert!(count >= floor && count <= 16, "dimms={dimms} count={count}");
+            if count > floor {
+                // The smallest shard of the plan.
+                assert!(
+                    dimms / count >= DIMMS_PER_SHARD,
+                    "dimms={dimms} count={count}"
+                );
+            }
+        }
     }
 }

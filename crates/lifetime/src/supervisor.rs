@@ -2,7 +2,9 @@
 //! [`ShardPlan`]'s shards concurrently, one per worker, retries shards
 //! whose attempts were killed, persists a two-generation
 //! [`CheckpointStore`] after every completed shard, and resumes
-//! bit-identically after any interruption.
+//! bit-identically after any interruption. The default plan sizes
+//! shards by fleet size (one per 256 DIMMs, 2 to 16), so a save costs a
+//! few percent of the shard it protects: a 512-DIMM job saves twice.
 //!
 //! Workers pull pending shards in ascending index order through
 //! [`muse_faultsim::pull_units`]; each shard's attempts (injected kills
@@ -62,8 +64,10 @@ use crate::{Environment, FleetCode, FleetConfig, LifetimeReport, LifetimeTally};
 /// Supervisor policy for one sharded run.
 #[derive(Debug, Clone)]
 pub struct RunnerConfig {
-    /// Shard count (`0` ⇒ the [`ShardPlan`] default). A resumed run
-    /// adopts the checkpoint's shard count instead.
+    /// Shard count. `0` picks the [`ShardPlan::new`] default: one shard
+    /// per 256 DIMMs, 2 to 16, so each checkpoint save is a small share
+    /// of the work it protects and a run keeps one interior boundary to
+    /// stop at. A resumed run adopts the checkpoint's shard count instead.
     pub shards: u32,
     /// Directory for checkpoints; `None` runs sharded but unpersisted.
     pub checkpoint_dir: Option<PathBuf>,

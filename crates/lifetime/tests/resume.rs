@@ -12,7 +12,7 @@ use std::sync::Arc;
 use muse_lifetime::{
     run_sharded, run_sharded_with, simulate_fleet, smoke_setup, CheckpointStore, Corruption,
     Environment, Estimator, FaultPlan, FleetCode, FleetConfig, FleetTelemetry, RunnerConfig,
-    RunnerError, ShardedOutcome,
+    RunnerError, ShardPlan, ShardedOutcome,
 };
 
 /// A small degraded fleet under the aggressive smoke environment so every
@@ -213,6 +213,56 @@ fn concurrent_shards_interrupt_at_every_boundary_and_resume_bit_identically() {
         sweep_every_boundary(config, threads);
         sweep_every_boundary(is_config(config), threads);
     }
+}
+
+#[test]
+fn default_plan_interrupts_halfway_and_resumes_bit_identically() {
+    // `shards: 0` on 64 DIMMs is the default plan's floor of two shards:
+    // stop at its interior boundary, resume, and match the unsharded run.
+    let (code, env, config) = setup();
+    let config = FleetConfig {
+        dimms: 64,
+        years: 1.0,
+        ..config
+    };
+    let baseline = simulate_fleet(&code, &env, &config).tally;
+    let plan = ShardPlan::new(config.dimms, 0);
+    assert_eq!(plan.count(), 2);
+    let dir = TempDir::new("default-plan");
+    let runner = RunnerConfig {
+        shards: 0,
+        ..runner(&dir)
+    };
+    let first = run_sharded(
+        &code,
+        &env,
+        &config,
+        &RunnerConfig {
+            stop_after_shards: Some(u64::from(plan.count() / 2)),
+            ..runner.clone()
+        },
+        None,
+    )
+    .expect("interrupted run");
+    assert!(matches!(first, ShardedOutcome::Interrupted { .. }));
+    let outcome = run_sharded(
+        &code,
+        &env,
+        &config,
+        &RunnerConfig {
+            resume: true,
+            ..runner
+        },
+        None,
+    )
+    .expect("resumed run");
+    let info = outcome
+        .stats()
+        .resume
+        .clone()
+        .expect("checkpoint was loaded");
+    assert_eq!((info.shards_done, info.total_shards), (1, 2));
+    assert_eq!(complete(outcome).tally, baseline);
 }
 
 #[test]

@@ -55,7 +55,8 @@ impl PowerReport {
     }
 
     /// System total (DRAM + ECC engines), mW.
-    pub fn total_mw(&self) -> f64 {
+    #[cfg(test)]
+    fn total_mw(&self) -> f64 {
         self.dram_mw() + self.ecc_mw
     }
 }

@@ -35,7 +35,11 @@ fn chaos_spec() -> JobSpec {
 
 /// The unperturbed truth every chaos run must reproduce bit-for-bit.
 fn baseline() -> LifetimeTally {
-    let (code, env, config) = chaos_spec().resolve().unwrap();
+    baseline_of(&chaos_spec())
+}
+
+fn baseline_of(spec: &JobSpec) -> LifetimeTally {
+    let (code, env, config) = spec.resolve().unwrap();
     simulate_fleet(&code, &env, &config).tally
 }
 
@@ -58,7 +62,11 @@ impl Harness {
     }
 
     fn submit(&self) -> String {
-        let (id, _) = self.spool.submit(&chaos_spec()).unwrap();
+        self.submit_spec(&chaos_spec())
+    }
+
+    fn submit_spec(&self, spec: &JobSpec) -> String {
+        let (id, _) = self.spool.submit(spec).unwrap();
         id
     }
 
@@ -306,4 +314,43 @@ fn drain_mid_run_checkpoints_and_restart_resumes_bit_identically() {
     assert_eq!(report.jobs_completed, 1, "{report:?}");
     assert!(h.warned("drain: job"), "{:?}", h.warns.lock().unwrap());
     assert_eq!(h.result(&id).tally, baseline());
+}
+
+#[test]
+fn default_plan_drains_at_its_interior_boundary_and_resumes_bit_identically() {
+    // `shards: 0` gives the 24-DIMM job the default plan's floor of two
+    // shards. One worker and a long injected delay on shard 0 make the
+    // drain land while shard 0 is in flight, so the job stops at the
+    // plan's one interior boundary.
+    let spec = JobSpec {
+        shards: 0,
+        threads: 1,
+        ..chaos_spec()
+    };
+    let h = Harness::new("drain-default");
+    let id = h.submit_spec(&spec);
+    let faults = FaultPlan {
+        delay_ms_max: 400,
+        ..FaultPlan::default()
+    };
+    let delay = faults.delay_ms(0);
+    assert!(delay >= 100, "shard 0's injected delay is only {delay} ms");
+    let config = h.config(Some(faults));
+    let drain = Arc::clone(&config.drain);
+    let trip = std::thread::spawn(move || {
+        std::thread::sleep(std::time::Duration::from_millis(delay / 2));
+        drain.store(true, Ordering::Relaxed);
+    });
+    let report = h.serve(&config);
+    trip.join().unwrap();
+    assert!(report.drained, "{report:?}");
+    assert_eq!(report.jobs_completed, 0, "{report:?}");
+    assert!(
+        h.warned("(1 of 2 shards done)"),
+        "{:?}",
+        h.warns.lock().unwrap()
+    );
+    let report = h.serve(&h.config(None));
+    assert_eq!(report.jobs_completed, 1, "{report:?}");
+    assert_eq!(h.result(&id).tally, baseline_of(&spec));
 }
