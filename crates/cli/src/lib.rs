@@ -20,8 +20,8 @@
 //!   fleet flags are `submit`'s, read and checked by one function with
 //!   a job's rules: `--bias` implies importance sampling (`is`), and
 //!   `is` alone runs at bias 16. Checkpoints (`--checkpoint-dir`),
-//!   `--resume`, `--shards` (default: one shard per 256 DIMMs, 2 to
-//!   16), fault injection (`--inject`) and
+//!   `--resume`, `--shards` (default: the fleet-sized
+//!   `ShardPlan::new` plan), fault injection (`--inject`) and
 //!   observability (`--trace` JSONL events, a `--metrics` Prometheus
 //!   textfile, `--progress` heartbeats on stderr) route every cell
 //!   through the crash-safe sharded supervisor; tallies stay
@@ -148,16 +148,25 @@ pub fn usage() -> String {
     let commands: Vec<String> = COMMANDS.iter().map(Command::usage).collect();
     let presets: Vec<&str> = presets::ALL.iter().map(|p| p.0).collect();
     format!(
-        "muse-tool — residue codes for modern memories\n\nUSAGE:\n  {}\n\n{SHARDS}\n\nPRESETS: {}",
+        "muse-tool — residue codes for modern memories\n\nUSAGE:\n  {}\n\n{}\n\nPRESETS: {}",
         commands.join("\n").replace('\n', "\n  "),
+        default_shards(),
         presets.join(" ")
     )
 }
 
 /// What `--shards` means when it is not given (or is 0).
-const SHARDS: &str = "--shards 0 (the default) cuts one shard per 256 DIMMs, 2 to 16: each shard \
-     costs one checkpoint save,\nso a shard holds enough work that its save is a small share \
-     of it, and two shards keep one\nboundary a crash or drain can stop at.";
+fn default_shards() -> String {
+    use muse_lifetime::ShardPlan;
+    format!(
+        "--shards 0 (the default) cuts one shard per {} DIMMs, {} to {}: each shard costs \
+         one checkpoint save,\nso a shard holds enough work that its save is a small share \
+         of it, and the floor keeps one\nboundary a crash or drain can stop at.",
+        ShardPlan::DIMMS_PER_SHARD,
+        ShardPlan::MIN_DEFAULT_COUNT,
+        ShardPlan::MAX_DEFAULT_COUNT,
+    )
+}
 
 /// A command line parsed against its subcommand's declaration.
 struct Args<'a> {

@@ -24,8 +24,8 @@
 //! of holding the run back. Each worker owns one scratch value (built by
 //! `init`) for every range it runs, each range a local tally, and the
 //! tallies are merged in range order once all are in. The lifetime
-//! crate's sharded supervisor pulls whole shards through the same
-//! primitive, committing each shard's tally and checkpoint as it lands.
+//! crate's sharded supervisor runs one shard at a time through the
+//! engine, so every worker pulls ranges of the same shard.
 
 use crate::Rng;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -75,7 +75,7 @@ pub fn trials_completed() -> u64 {
 ///
 /// Re-raises a panic from `work` or `commit` once every worker has
 /// stopped.
-pub fn pull_units<R, W, C>(threads: usize, units: usize, work: W, commit: C)
+pub(crate) fn pull_units<R, W, C>(threads: usize, units: usize, work: W, commit: C)
 where
     R: Send,
     W: Fn(usize) -> R + Sync,

@@ -7,7 +7,7 @@
 //!
 //! 1. **[`SimEngine`] — batched parallel trial execution.** A run's
 //!    `trials` are split into contiguous ranges, several per worker, that
-//!    scoped worker threads pull through [`pull_units`]. In per-trial
+//!    scoped worker threads pull from one atomic counter. In per-trial
 //!    mode ([`SimEngine::run`]) trial `i` draws randomness exclusively
 //!    from the counter-based stream [`Rng::for_trial`]`(seed, i)`; in
 //!    blocked mode ([`SimEngine::run_blocked`]) a fixed 1024-trial block
@@ -84,7 +84,7 @@ mod ondie;
 mod rng;
 mod rowhammer;
 
-pub use engine::{pull_units, trials_completed, SimEngine, Tally};
+pub use engine::{trials_completed, SimEngine, Tally};
 
 /// The syndrome kernel of `code`, or a panic naming the subsystem — the
 /// wide-word fallbacks are retired, so a kernel-less code (outside

@@ -10,10 +10,6 @@
 
 use std::ops::Range;
 
-/// DIMMs per shard of the default plan ([`ShardPlan::new`] with
-/// `count == 0`), before the plan's clamp to 2..=16 shards.
-const DIMMS_PER_SHARD: u64 = 256;
-
 /// A fixed partition of `dimms` DIMMs into `count` contiguous shards.
 ///
 /// Shard `s` covers `dimms/count` DIMMs, with the first `dimms % count`
@@ -26,20 +22,37 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
+    /// DIMMs per shard of the default plan ([`Self::new`] with
+    /// `count == 0`), before its clamp to
+    /// [`Self::MIN_DEFAULT_COUNT`]`..=`[`Self::MAX_DEFAULT_COUNT`] shards.
+    pub const DIMMS_PER_SHARD: u64 = 256;
+    /// Fewest shards of the default plan: one interior boundary.
+    pub const MIN_DEFAULT_COUNT: u32 = 2;
+    /// Most shards of the default plan.
+    pub const MAX_DEFAULT_COUNT: u32 = 16;
+
     /// A plan splitting `dimms` into `count` shards; any `count` is
     /// clamped to `[1, dimms]` so no shard is empty.
     ///
-    /// `count == 0` picks the default: one shard per 256 DIMMs, at least
-    /// 2 and at most 16. Each shard costs one checkpoint save, so a shard
-    /// must hold enough work that its save is a small share of it: a
-    /// 256-DIMM shard at the default 12-hour scrub and 5-year horizon is
-    /// about 0.94M DIMM-epochs, a few ms of walk, against a save of a
-    /// fraction of a ms. The floor of 2 keeps one interior boundary, so a
-    /// drain, `stop_after_shards` or an injected crash can stop a default
-    /// run halfway.
+    /// `count == 0` picks the default: one shard per
+    /// [`Self::DIMMS_PER_SHARD`] DIMMs, at least
+    /// [`Self::MIN_DEFAULT_COUNT`] and at most [`Self::MAX_DEFAULT_COUNT`].
+    /// Each shard costs one checkpoint save, so a shard should hold
+    /// enough work that its save is a small share of it. The rule counts
+    /// DIMMs, not DIMM-epochs, so that share holds at the default 12-hour
+    /// scrub and 5-year horizon only: there a 256-DIMM shard is about
+    /// 0.94M DIMM-epochs, a few ms of walk, against a save of a fraction
+    /// of a ms. A shorter horizon or longer scrub interval makes saves a
+    /// larger share again, and a longer horizon makes each shard (and
+    /// the work a crash loses) larger. The floor of 2 keeps one interior
+    /// boundary, so a drain, `stop_after_shards` or an injected crash can
+    /// stop a default run halfway.
     pub fn new(dimms: u64, count: u32) -> Self {
         let want = match count {
-            0 => (dimms / DIMMS_PER_SHARD).clamp(2, 16),
+            0 => (dimms / Self::DIMMS_PER_SHARD).clamp(
+                u64::from(Self::MIN_DEFAULT_COUNT),
+                u64::from(Self::MAX_DEFAULT_COUNT),
+            ),
             k => u64::from(k),
         };
         Self {
@@ -122,7 +135,7 @@ mod tests {
             if count > floor {
                 // The smallest shard of the plan.
                 assert!(
-                    dimms / count >= DIMMS_PER_SHARD,
+                    dimms / count >= ShardPlan::DIMMS_PER_SHARD,
                     "dimms={dimms} count={count}"
                 );
             }

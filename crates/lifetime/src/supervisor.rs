@@ -1,19 +1,17 @@
 //! The resumable sharded runner: a supervisor that executes a
-//! [`ShardPlan`]'s shards concurrently, one per worker, retries shards
-//! whose attempts were killed, persists a two-generation
-//! [`CheckpointStore`] after every completed shard, and resumes
-//! bit-identically after any interruption. The default plan sizes
-//! shards by fleet size (one per 256 DIMMs, 2 to 16), so a save costs a
-//! few percent of the shard it protects: a 512-DIMM job saves twice.
+//! [`ShardPlan`]'s shards one after another, retries shards whose
+//! attempts were killed, persists a two-generation [`CheckpointStore`]
+//! after every completed shard, and resumes bit-identically after any
+//! interruption.
 //!
-//! Workers pull pending shards in ascending index order through
-//! [`muse_faultsim::pull_units`]; each shard's attempts (injected kills
-//! and their retries) run on the worker that claimed it. Everything
-//! else — the completion map, checkpoint saves, warnings, metrics,
-//! heartbeats and stop checks — happens on the calling thread, which
-//! commits each shard as it lands. A checkpoint therefore holds
-//! whichever shards had finished when it was written, not necessarily
-//! a contiguous prefix.
+//! Each shard runs on all of the run's threads: the engine splits its
+//! DIMMs into ranges that the workers pull, so every thread stays busy
+//! whatever the shard count, and the plan only sets how often a
+//! checkpoint is saved (see [`ShardPlan::new`] for the default).
+//! Everything else — the completion map, checkpoint saves, warnings,
+//! metrics, heartbeats and stop checks — happens on the calling thread
+//! between shards. A checkpoint written by this runner holds a prefix of
+//! the pending shards; one adopted from elsewhere may hold any set.
 //!
 //! A shard attempt is a pure, bounded computation: [`run_fleet_range`]
 //! over a fixed DIMM range, returning no error and waiting on no shared
@@ -49,8 +47,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use muse_faultsim::{pull_units, Rng, SimEngine, Tally};
-use muse_telemetry::{estimate_eta_ms, ProgressSnapshot, TraceEvent, Tracer};
+use muse_faultsim::{Rng, SimEngine, Tally};
+use muse_telemetry::{estimate_eta_ms, ProgressSnapshot, TraceEvent};
 
 use crate::checkpoint::{config_hash, Checkpoint, CheckpointStore, Corruption};
 use crate::iofault::IoFaultPlan;
@@ -64,10 +62,10 @@ use crate::{Environment, FleetCode, FleetConfig, LifetimeReport, LifetimeTally};
 /// Supervisor policy for one sharded run.
 #[derive(Debug, Clone)]
 pub struct RunnerConfig {
-    /// Shard count. `0` picks the [`ShardPlan::new`] default: one shard
-    /// per 256 DIMMs, 2 to 16, so each checkpoint save is a small share
-    /// of the work it protects and a run keeps one interior boundary to
-    /// stop at. A resumed run adopts the checkpoint's shard count instead.
+    /// Shard count. `0` picks the [`ShardPlan::new`] default, sized by
+    /// fleet size so each checkpoint save is a small share of the work
+    /// it protects and a run keeps one interior boundary to stop at. A
+    /// resumed run adopts the checkpoint's shard count instead.
     pub shards: u32,
     /// Directory for checkpoints; `None` runs sharded but unpersisted.
     pub checkpoint_dir: Option<PathBuf>,
@@ -86,13 +84,12 @@ pub struct RunnerConfig {
     /// [`ShardedOutcome::Interrupted`]: the interruption hook used by the
     /// boundary-sweep tests and the CLI's crash injection.
     pub stop_after_shards: Option<u64>,
-    /// Cooperative drain flag, checked before a worker starts a shard
-    /// and after every commit: once set, no further shard starts, the
-    /// shards in flight finish and are checkpointed, and the run returns
-    /// [`ShardedOutcome::Interrupted`] exactly like
-    /// [`Self::stop_after_shards`]. The service daemon points this at
-    /// its SIGTERM/SIGINT flag so an in-flight job drains to resumable
-    /// state within one shard per worker.
+    /// Cooperative drain flag, checked before each shard starts: once
+    /// set, no further shard starts, the shard in flight finishes and is
+    /// checkpointed, and the run returns [`ShardedOutcome::Interrupted`]
+    /// exactly like [`Self::stop_after_shards`]. The service daemon
+    /// points this at its SIGTERM/SIGINT flag so an in-flight job drains
+    /// to resumable state within one shard.
     pub stop: Option<Arc<AtomicBool>>,
 }
 
@@ -294,14 +291,12 @@ impl From<std::io::Error> for RunnerError {
 
 /// Executes one fleet run through the resumable sharded supervisor.
 ///
-/// The fleet is split by a [`ShardPlan`] and pending shards run
-/// concurrently, one per worker, on [`FleetConfig::threads`] workers in
-/// total: workers pull shards in ascending index order, and a shard runs
-/// on `threads / workers` engine threads of its own (serially when there
-/// are at least as many pending shards as threads). Each finished
-/// shard's tally partial is recorded in a completion map on the calling
-/// thread. With a checkpoint directory configured, the map is persisted
-/// after every completed shard (atomic two-generation writes), and
+/// The fleet is split by a [`ShardPlan`] and pending shards run in
+/// ascending index order, each on all [`FleetConfig::threads`] engine
+/// threads. Each finished shard's tally partial is recorded in a
+/// completion map on the calling thread. With a checkpoint directory
+/// configured, the map is persisted after every completed shard
+/// (atomic two-generation writes), and
 /// `resume: true` continues from the newest valid checkpoint —
 /// recomputing nothing that was persisted, and everything that was not.
 ///
@@ -349,10 +344,9 @@ pub fn run_sharded(
 /// completed tallies but never touches an RNG stream, so the outcome
 /// (tallies, weighted sums, checkpoint contents) is bit-identical to a
 /// telemetry-off run at any thread count (`tests/telemetry.rs`). Warning
-/// and heartbeat callbacks run only on the calling thread; trace events
-/// of a shard (`ShardStart`, `ShardRetry`, `ShardEnd`) come from the
-/// worker running it, so events of different shards may interleave,
-/// while each shard's start still precedes its end.
+/// and heartbeat callbacks, like every trace event, run on the calling
+/// thread, so a shard's events (`ShardStart`, `ShardRetry`, `ShardEnd`)
+/// never interleave with another shard's.
 ///
 /// # Errors
 ///
@@ -367,8 +361,8 @@ pub fn run_sharded_with(
     telemetry: &FleetTelemetry<'_>,
 ) -> Result<ShardedOutcome, RunnerError> {
     let mut run = ShardedRun::adopt(code, env, config, runner, faults, telemetry)?;
-    // `stop_after_shards = N` dispatches only the N lowest-indexed
-    // pending shards.
+    // `stop_after_shards = N` runs only the N lowest-indexed pending
+    // shards.
     let pending: Vec<u32> = (0..run.plan.count())
         .filter(|shard| !run.done.contains_key(shard))
         .take(
@@ -377,44 +371,15 @@ pub fn run_sharded_with(
                 .map_or(usize::MAX, |n| usize::try_from(n).unwrap_or(usize::MAX)),
         )
         .collect();
-    let threads = SimEngine::new(config.threads).threads();
-    let workers = threads.min(pending.len()).max(1);
-    // Never oversubscribe: a shard gets the threads its siblings leave.
-    let shard_config = FleetConfig {
-        threads: (threads / workers).max(1),
-        ..*config
-    };
-    run.announce(workers * shard_config.threads);
-
-    let work = ShardWork {
-        code,
-        env,
-        config: &shard_config,
-        runner,
-        faults,
-        plan: run.plan,
-        tracer: telemetry.tracer,
-    };
-    let mut error = None;
-    pull_units(
-        workers,
-        pending.len(),
-        |unit| work.run(pending[unit]),
-        |_, finished| {
-            // `None`: the worker saw the drain flag and declined its shard.
-            let Some(finished) = finished else {
-                return false;
-            };
-            if let Err(e) = run.commit(finished) {
-                error.get_or_insert(e);
-            }
-            error.is_none() && !drain_requested(runner)
-        },
-    );
-    match error {
-        Some(e) => Err(e),
-        None => run.finish(),
+    run.announce();
+    for shard in pending {
+        if drain_requested(runner) {
+            break;
+        }
+        let finished = run.run_shard(shard, runner.max_retries);
+        run.commit(finished)?;
     }
+    run.finish()
 }
 
 /// `true` once the cooperative drain flag ([`RunnerConfig::stop`]) is set.
@@ -425,20 +390,7 @@ fn drain_requested(runner: &RunnerConfig) -> bool {
         .is_some_and(|stop| stop.load(Ordering::Relaxed))
 }
 
-/// The worker side of a sharded run: everything a shard attempt reads,
-/// all of it shareable across threads.
-struct ShardWork<'r> {
-    code: &'r FleetCode,
-    env: &'r Environment,
-    /// The run's config at the per-shard engine thread count.
-    config: &'r FleetConfig,
-    runner: &'r RunnerConfig,
-    faults: Option<&'r FaultPlan>,
-    plan: ShardPlan,
-    tracer: Option<&'r Tracer>,
-}
-
-/// A shard as it leaves its worker.
+/// A shard as its attempts leave it, before it is committed.
 struct FinishedShard {
     shard: u32,
     /// The shard's tally; `None` once the retry budget ran out.
@@ -448,91 +400,8 @@ struct FinishedShard {
     wall_ms: u64,
 }
 
-impl ShardWork<'_> {
-    fn emit(&self, event: &TraceEvent) {
-        if let Some(tracer) = self.tracer {
-            tracer.emit(event);
-        }
-    }
-
-    /// Runs `shard` to completion on the current worker: attempts, with
-    /// kills injected as the fault plan says, retried at once until one
-    /// succeeds or the budget runs out. Returns `None` without running
-    /// anything once a drain is requested.
-    fn run(&self, shard: u32) -> Option<FinishedShard> {
-        if drain_requested(self.runner) {
-            return None;
-        }
-        let range = self.plan.range(shard);
-        self.emit(&TraceEvent::ShardStart {
-            shard,
-            dimm_lo: range.start,
-            dimm_hi: range.end,
-        });
-        let started = Instant::now();
-        let mut failures = Vec::new();
-        let tally = loop {
-            let attempt = failures.len() as u32;
-            match self.attempt(shard, attempt, range.clone()) {
-                Ok(tally) => break Some(tally),
-                Err(error) if attempt < self.runner.max_retries => {
-                    self.emit(&TraceEvent::ShardRetry {
-                        shard,
-                        attempt,
-                        error: error.clone(),
-                    });
-                    failures.push(error);
-                }
-                Err(error) => {
-                    failures.push(error);
-                    break None;
-                }
-            }
-        };
-        if tally.is_some() {
-            if let Some(delay) = self.faults.map(|f| f.delay_ms(shard)).filter(|&d| d > 0) {
-                std::thread::sleep(std::time::Duration::from_millis(delay));
-            }
-        }
-        let wall_ms = elapsed_ms(started);
-        if tally.is_some() {
-            self.emit(&TraceEvent::ShardEnd {
-                shard,
-                wall_ms,
-                dimms: range.end - range.start,
-            });
-        }
-        Some(FinishedShard {
-            shard,
-            tally,
-            failures,
-            wall_ms,
-        })
-    }
-
-    /// One attempt at `shard`: its tally, or why the attempt failed.
-    fn attempt(
-        &self,
-        shard: u32,
-        attempt: u32,
-        range: std::ops::Range<u64>,
-    ) -> Result<LifetimeTally, String> {
-        let (code, env, config) = (self.code, self.env, self.config);
-        if self.faults.is_some_and(|f| f.kills(shard, attempt)) {
-            // Killed mid-flight: half the shard's work happens, then the
-            // worker dies and its partial tally is discarded — the retry
-            // recomputes the shard from its streams.
-            let mid = range.start + (range.end - range.start) / 2;
-            let _ = run_fleet_range(code, env, config, range.start..mid);
-            return Err("injected kill".to_string());
-        }
-        Ok(run_fleet_range(code, env, config, range))
-    }
-}
-
-/// The calling thread's side of a sharded run: the adopted plan, the
-/// completion map and checkpoint store, and every telemetry sink that is
-/// not safe to share with workers.
+/// A sharded run in progress: the adopted plan, the completion map and
+/// checkpoint store, and the run's telemetry sinks.
 struct ShardedRun<'r> {
     code: &'r FleetCode,
     env: &'r Environment,
@@ -625,10 +494,10 @@ impl<'r> ShardedRun<'r> {
         Ok(run)
     }
 
-    /// Emits the run's opening events: `RunStart` (reporting `threads`,
-    /// the run's total worker threads), weight-cap saturations, and the
-    /// adopted checkpoint.
-    fn announce(&self, threads: usize) {
+    /// Emits the run's opening events: `RunStart` (reporting the run's
+    /// engine threads), weight-cap saturations, and the adopted
+    /// checkpoint.
+    fn announce(&self) {
         let (config, plan) = (self.config, self.plan);
         self.emit(&TraceEvent::RunStart {
             label: self.telemetry.label.clone(),
@@ -639,7 +508,7 @@ impl<'r> ShardedRun<'r> {
                 len_of(&plan, 0)
             },
             estimator: config.estimator.name().to_string(),
-            threads: threads as u32,
+            threads: SimEngine::new(config.threads).threads() as u32,
         });
         for (channel, requested_bias, cap) in
             saturated_channels(&arrival_probabilities(self.env, config), config.estimator)
@@ -672,6 +541,76 @@ impl<'r> ShardedRun<'r> {
         }
     }
 
+    /// Runs `shard` to completion on all of the run's threads: attempts,
+    /// with kills injected as the fault plan says, retried at once until
+    /// one succeeds or `max_retries` retries are spent.
+    fn run_shard(&self, shard: u32, max_retries: u32) -> FinishedShard {
+        let range = self.plan.range(shard);
+        self.emit(&TraceEvent::ShardStart {
+            shard,
+            dimm_lo: range.start,
+            dimm_hi: range.end,
+        });
+        let started = Instant::now();
+        let mut failures = Vec::new();
+        let tally = loop {
+            let attempt = failures.len() as u32;
+            match self.attempt(shard, attempt, range.clone()) {
+                Ok(tally) => break Some(tally),
+                Err(error) if attempt < max_retries => {
+                    self.emit(&TraceEvent::ShardRetry {
+                        shard,
+                        attempt,
+                        error: error.clone(),
+                    });
+                    failures.push(error);
+                }
+                Err(error) => {
+                    failures.push(error);
+                    break None;
+                }
+            }
+        };
+        if tally.is_some() {
+            if let Some(delay) = self.faults.map(|f| f.delay_ms(shard)).filter(|&d| d > 0) {
+                std::thread::sleep(std::time::Duration::from_millis(delay));
+            }
+        }
+        let wall_ms = elapsed_ms(started);
+        if tally.is_some() {
+            self.emit(&TraceEvent::ShardEnd {
+                shard,
+                wall_ms,
+                dimms: range.end - range.start,
+            });
+        }
+        FinishedShard {
+            shard,
+            tally,
+            failures,
+            wall_ms,
+        }
+    }
+
+    /// One attempt at `shard`: its tally, or why the attempt failed.
+    fn attempt(
+        &self,
+        shard: u32,
+        attempt: u32,
+        range: std::ops::Range<u64>,
+    ) -> Result<LifetimeTally, String> {
+        let (code, env, config) = (self.code, self.env, self.config);
+        if self.faults.is_some_and(|f| f.kills(shard, attempt)) {
+            // Killed mid-flight: half the shard's work happens, then the
+            // attempt dies and its partial tally is discarded — the retry
+            // recomputes the shard from its streams.
+            let mid = range.start + (range.end - range.start) / 2;
+            let _ = run_fleet_range(code, env, config, range.start..mid);
+            return Err("injected kill".to_string());
+        }
+        Ok(run_fleet_range(code, env, config, range))
+    }
+
     /// Records a finished shard: retry accounting and warnings, the
     /// completion map, metrics and heartbeat, and a checkpoint.
     fn commit(&mut self, finished: FinishedShard) -> Result<(), RunnerError> {
@@ -702,8 +641,7 @@ impl<'r> ShardedRun<'r> {
         let dimms = len_of(&self.plan, shard);
         if let Some(ins) = ins {
             // The engine's trial counter is process-wide: its delta since
-            // the last commit spreads other in-flight shards' work across
-            // commits, but it sums to the run's total.
+            // the last commit also counts any other run in the process.
             let trials_now = muse_faultsim::trials_completed();
             ins.sim_trials
                 .add(trials_now.saturating_sub(self.trials_prev));

@@ -3,7 +3,8 @@
 //! kills, drains and corrupted checkpoints — and the
 //! merged tallies are bit-identical to an uninterrupted [`simulate_fleet`]
 //! run. [`setup`] pins one thread; the `concurrent_shards_*` tests rerun
-//! the same guarantees with shards in flight at 2 and 4 threads.
+//! the same guarantees with each shard's DIMM ranges run concurrently on
+//! 2 and 4 threads.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -205,9 +206,9 @@ fn is_interrupt_at_every_shard_boundary_resumes_bit_identically() {
 
 #[test]
 fn concurrent_shards_interrupt_at_every_boundary_and_resume_bit_identically() {
-    // With 2 and 4 workers the first leg runs shards concurrently and
-    // may commit them out of order; `stop_after_shards` still dispatches
-    // exactly the lowest-indexed pending shards.
+    // With 2 and 4 threads the first leg splits each shard across
+    // workers; `stop_after_shards` still runs exactly the lowest-indexed
+    // pending shards.
     let (_, _, config) = setup();
     for threads in [2, 4] {
         sweep_every_boundary(config, threads);
@@ -508,18 +509,18 @@ fn corrupt_newest_generation_falls_back_and_recomputes() {
 
 #[test]
 fn concurrent_shards_corrupt_newest_generation_falls_back() {
-    // Concurrent commits may land out of shard order, so generation 3
-    // can hold a non-contiguous set; it still holds exactly three.
+    // Threads split each shard, not the plan: generation 3 holds the
+    // same three shards at any thread count.
     corrupt_generation_falls_back(2);
     corrupt_generation_falls_back(4);
 }
 
 #[test]
 fn drain_commits_every_finished_shard_and_resumes_bit_identically() {
-    // The stop flag is raised at the first commit. Workers stop
-    // claiming, the shards in flight finish, and every committed shard
-    // reaches disk in its own checkpoint generation. Shards sleep an
-    // injected delay so they overlap in time.
+    // The stop flag is raised at the first commit, so no further shard
+    // starts at any thread count, and the committed shard reaches disk
+    // in its own checkpoint generation. Shards also sleep an injected
+    // delay, which a drain must not disturb.
     let (code, env, config) = setup();
     let baseline = simulate_fleet(&code, &env, &config).tally;
     let faults = FaultPlan {
@@ -549,13 +550,7 @@ fn drain_commits_every_finished_shard_and_resumes_bit_identically() {
         let ShardedOutcome::Interrupted { stats } = drained else {
             panic!("threads={threads}: the drain did not interrupt");
         };
-        // The caller commits between its own shards, so other workers
-        // may finish several before the first commit; a lone caller
-        // stops right after it.
-        assert!(stats.shards_run >= 1, "threads={threads}");
-        if threads == 1 {
-            assert_eq!(stats.shards_run, 1);
-        }
+        assert_eq!(stats.shards_run, 1, "threads={threads}");
         assert_eq!(
             stats.checkpoint_writes, stats.shards_run,
             "threads={threads}"

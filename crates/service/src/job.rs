@@ -54,9 +54,10 @@ pub struct JobSpec {
     pub estimator: String,
     /// Importance-sampling bias (ignored for `naive`).
     pub bias: f64,
-    /// Supervisor shard count. `0` picks the default plan: one shard per
-    /// 256 DIMMs, 2 to 16, so each checkpoint save is a small share of
-    /// the work it protects and a drain keeps one interior boundary.
+    /// Supervisor shard count. `0` picks the
+    /// [`ShardPlan::new`](muse_lifetime::ShardPlan::new) default, sized by
+    /// fleet size so each checkpoint save is a small share of the work it
+    /// protects and a drain keeps one interior boundary.
     pub shards: u32,
     /// Worker threads (`0` ⇒ one per CPU; excluded from the job id).
     pub threads: usize,

@@ -319,9 +319,9 @@ fn drain_mid_run_checkpoints_and_restart_resumes_bit_identically() {
 #[test]
 fn default_plan_drains_at_its_interior_boundary_and_resumes_bit_identically() {
     // `shards: 0` gives the 24-DIMM job the default plan's floor of two
-    // shards. One worker and a long injected delay on shard 0 make the
-    // drain land while shard 0 is in flight, so the job stops at the
-    // plan's one interior boundary.
+    // shards. A long injected delay on shard 0 makes the drain land
+    // while shard 0 is in flight, so the job stops at the plan's one
+    // interior boundary.
     let spec = JobSpec {
         shards: 0,
         threads: 1,

@@ -38,8 +38,7 @@ pub enum TraceEvent {
         dimms_per_shard: u64,
         /// Estimator in use (`naive` or `importance`).
         estimator: String,
-        /// Worker threads of the whole run: concurrent shards times the
-        /// engine threads each shard runs on.
+        /// Engine threads of the run; every shard runs on all of them.
         threads: u32,
     },
     /// A previous checkpoint was adopted at startup.
