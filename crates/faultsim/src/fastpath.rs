@@ -584,15 +584,15 @@ mod tests {
         let mut parts: Vec<u16> = (0..kernel.num_symbols())
             .map(|s| observed[s].unwrap_or(0) & kernel.payload_mask(s))
             .collect();
+        let fixed = parts.iter().enumerate().fold(0, |acc, (s, &vp)| {
+            kernel.add_mod(acc, kernel.residue(s, vp))
+        });
         let x = match x {
             // No check value sampled: any payload works — use the parts as
-            // they stand and derive X from them.
-            None => kernel.check_value_of_parts(&parts),
+            // they stand and derive X ≡ −Σ residues (mod m) from them.
+            None => (m - fixed) % m,
             Some(x) => {
                 // Solve: sum of all payload-part residues ≡ m − X (mod m).
-                let fixed = parts.iter().enumerate().fold(0, |acc, (s, &vp)| {
-                    kernel.add_mod(acc, kernel.residue(s, vp))
-                });
                 let target = (2 * m - x - fixed) % m;
                 // Window: ceil(log2 m) contiguous codeword bits ≥ r whose
                 // owners were all unobserved.

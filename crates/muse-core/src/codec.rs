@@ -12,6 +12,7 @@
 
 use std::fmt;
 
+use crate::errval::ShapedValues;
 use crate::{
     ErrorLookup, ErrorModel, ErrorValueInt, FastMod, FastModError, MultiplierRejection, SymbolMap,
     SyndromeKernel, Word,
@@ -167,10 +168,11 @@ impl MuseCode {
                 redundancy: r_bits,
             });
         }
-        let elc = ErrorLookup::build(&map, &model, m)?;
+        let shaped = ShapedValues::new(&map, &model);
+        let elc = ErrorLookup::from_values(&shaped.absolute(), m)?;
         let fastmod = FastMod::minimal(m, n_bits)?;
-        let kernel =
-            SyndromeKernel::supports(&map, m).then(|| SyndromeKernel::build(&map, &elc, m, r_bits));
+        let kernel = SyndromeKernel::supports(&map, m)
+            .then(|| SyndromeKernel::build(&map, &shaped, m, r_bits));
         let k_bits = n_bits - r_bits;
         let name = format!("MUSE({n_bits},{k_bits})");
         Ok(Self {

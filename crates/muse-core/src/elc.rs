@@ -5,9 +5,10 @@
 //! multi-symbol detection of Figure 4). In hardware this is a match-line
 //! CAM; in software a dense table indexed by remainder.
 
-use crate::{
-    enumerate_error_values, ErrorModel, ErrorValue, ErrorValueInt, MultiplierRejection, SymbolMap,
-};
+use crate::errval::Pow2Residues;
+#[cfg(test)]
+use crate::{enumerate_error_values, ErrorModel, SymbolMap};
+use crate::{ErrorValue, ErrorValueInt, MultiplierRejection};
 
 /// One ELC entry: the error value to subtract and the symbol it is confined
 /// to.
@@ -24,18 +25,19 @@ pub struct CorrectionEntry {
 /// # Examples
 ///
 /// ```
-/// use muse_core::{Direction, ErrorLookup, ErrorModel, SymbolMap};
+/// use muse_core::{enumerate_error_values, Direction, ErrorLookup, ErrorModel, SymbolMap};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let map = SymbolMap::sequential(144, 4)?;
 /// let model = ErrorModel::symbol(Direction::Bidirectional);
-/// let elc = ErrorLookup::build(&map, &model, 4065)?;
+/// let elc = ErrorLookup::from_values(&enumerate_error_values(&map, &model), 4065)?;
 /// // Section V: the MUSE(144,132) ELC has 1080 entries.
 /// assert_eq!(elc.len(), 1080);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct ErrorLookup {
     m: u64,
     table: Vec<Option<CorrectionEntry>>,
@@ -43,27 +45,22 @@ pub struct ErrorLookup {
 }
 
 impl ErrorLookup {
-    /// Builds the lookup for multiplier `m`, validating injectivity in the
-    /// process.
+    /// Builds the lookup from a pre-enumerated error-value list. Each
+    /// value's remainder is the signed sum of its set bits' `2^i mod m`, the
+    /// same reduction [`MultiplierValidator`](crate::MultiplierValidator)
+    /// uses, so the two accept and reject alike.
     ///
     /// # Errors
     ///
-    /// Returns a [`MultiplierRejection`] if `m` is not a valid multiplier
-    /// for the layout.
-    pub fn build(map: &SymbolMap, model: &ErrorModel, m: u64) -> Result<Self, MultiplierRejection> {
-        Self::from_values(&enumerate_error_values(map, model), m)
-    }
-
-    /// Builds the lookup from a pre-enumerated error-value list.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`MultiplierRejection`] if `m` is not valid over `values`.
+    /// Returns a [`MultiplierRejection`] if `m` is not valid over `values`:
+    /// the first value in list order with remainder zero or with a
+    /// remainder an earlier value already holds.
     pub fn from_values(values: &[ErrorValue], m: u64) -> Result<Self, MultiplierRejection> {
+        let pow = Pow2Residues::new(m);
         let mut table: Vec<Option<CorrectionEntry>> = vec![None; m as usize];
         let mut first_idx: Vec<u32> = vec![u32::MAX; m as usize];
         for (idx, ev) in values.iter().enumerate() {
-            let rem = ev.value.rem_euclid_u64(m);
+            let rem = pow.residue(&ev.value);
             if rem == 0 {
                 return Err(MultiplierRejection::ZeroRemainder { value_index: idx });
             }
@@ -115,6 +112,63 @@ impl ErrorLookup {
     /// that powers detection method 1 of Figure 4.
     pub fn unused_remainder_fraction(&self) -> f64 {
         1.0 - self.entries as f64 / (self.m - 1) as f64
+    }
+}
+
+#[cfg(test)]
+impl ErrorLookup {
+    /// Builds the lookup for multiplier `m`, validating injectivity in the
+    /// process: [`enumerate_error_values`] (once per symbol shape) feeds
+    /// [`Self::from_values`]. Test shorthand: [`MuseCode::new`](crate::MuseCode::new)
+    /// keeps the shape-grouped values for its kernel and calls
+    /// [`Self::from_values`] itself.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`MultiplierRejection`] if `m` is not a valid multiplier
+    /// for the layout.
+    pub(crate) fn build(
+        map: &SymbolMap,
+        model: &ErrorModel,
+        m: u64,
+    ) -> Result<Self, MultiplierRejection> {
+        Self::from_values(&enumerate_error_values(map, model), m)
+    }
+}
+
+/// The construction the shared residue routine replaced: each value reduced
+/// by a wide division. Kept as the oracle the fast build must match,
+/// rejections and their indices included.
+#[cfg(test)]
+impl ErrorLookup {
+    pub(crate) fn from_values_wide(
+        values: &[ErrorValue],
+        m: u64,
+    ) -> Result<Self, MultiplierRejection> {
+        let mut table: Vec<Option<CorrectionEntry>> = vec![None; m as usize];
+        let mut first_idx: Vec<u32> = vec![u32::MAX; m as usize];
+        for (idx, ev) in values.iter().enumerate() {
+            let rem = ev.value.rem_euclid_u64(m);
+            if rem == 0 {
+                return Err(MultiplierRejection::ZeroRemainder { value_index: idx });
+            }
+            if table[rem as usize].is_some() {
+                return Err(MultiplierRejection::Collision {
+                    first: first_idx[rem as usize] as usize,
+                    second: idx,
+                });
+            }
+            table[rem as usize] = Some(CorrectionEntry {
+                error: ev.value,
+                symbol: ev.symbol,
+            });
+            first_idx[rem as usize] = idx as u32;
+        }
+        Ok(Self {
+            m,
+            table,
+            entries: values.len(),
+        })
     }
 }
 

@@ -10,12 +10,15 @@
 //! Because every signed power-of-two representation of a value shares its
 //! lowest set bit, a value can only arise within the single symbol owning
 //! that bit — so each distinct value has a well-defined owning symbol.
-
-use std::collections::HashMap;
+//!
+//! A symbol's values depend on it only through its *shape* — its ordered
+//! bit offsets above its lowest (*base*) bit: they are the shape's values
+//! shifted up by the base. Every preset repeats one shape across all its
+//! symbols, so enumeration works once per shape.
 
 use muse_wideint::SignedWide;
 
-use crate::{ErrorModel, ErrorTerm, ErrorValueInt, SymbolMap};
+use crate::{ErrorModel, ErrorTerm, ErrorValueInt, SymbolMap, Word};
 
 /// A distinct error value together with the symbol able to produce it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,8 +31,10 @@ pub struct ErrorValue {
 
 /// Enumerates the distinct error values of `model` over `map`.
 ///
-/// The result is sorted by magnitude (ascending), then by sign, so it is
-/// deterministic across runs.
+/// Each distinct symbol shape is enumerated once and shifted onto every
+/// symbol of that shape. The result is sorted by signed value, most
+/// negative first, so it is deterministic across runs; the indices in a
+/// [`MultiplierRejection`](crate::MultiplierRejection) refer to this order.
 ///
 /// # Examples
 ///
@@ -46,13 +51,184 @@ pub struct ErrorValue {
 /// # }
 /// ```
 pub fn enumerate_error_values(map: &SymbolMap, model: &ErrorModel) -> Vec<ErrorValue> {
+    ShapedValues::new(map, model).absolute()
+}
+
+/// A layout's error values grouped by symbol shape: each distinct shape's
+/// values are enumerated once, at base bit 0, and a symbol's own values are
+/// its shape's shifted up by its base bit. Construction-time only: a
+/// [`MuseCode`](crate::MuseCode) keeps none of it.
+#[derive(Debug)]
+pub(crate) struct ShapedValues {
+    /// The distinct shapes, in order of first appearance.
+    pub(crate) shapes: Vec<Shape>,
+    /// Per symbol: the index of its shape in `shapes` and its base bit.
+    pub(crate) symbols: Vec<(usize, u32)>,
+}
+
+/// One symbol shape and the error values it produces at base bit 0.
+#[derive(Debug)]
+pub(crate) struct Shape {
+    /// Bit offsets above the base bit, in the symbol's content-bit order.
+    pub(crate) offsets: Vec<u32>,
+    /// The distinct error values, ascending.
+    pub(crate) values: Vec<ErrorValueInt>,
+}
+
+impl ShapedValues {
+    pub(crate) fn new(map: &SymbolMap, model: &ErrorModel) -> Self {
+        let mut shapes: Vec<Shape> = Vec::new();
+        let symbols = (0..map.num_symbols())
+            .map(|sym| {
+                let bits = map.bits_of(sym);
+                let base = bits.iter().copied().min().unwrap_or(0);
+                let offsets: Vec<u32> = bits.iter().map(|&bit| bit - base).collect();
+                // Layouts have few distinct shapes: a linear probe beats
+                // hashing the offset lists.
+                let shape = match shapes.iter().position(|s| s.offsets == offsets) {
+                    Some(shape) => shape,
+                    None => {
+                        shapes.push(Shape::new(offsets, model));
+                        shapes.len() - 1
+                    }
+                };
+                (shape, base)
+            })
+            .collect();
+        Self { shapes, symbols }
+    }
+
+    /// Every symbol's values shifted into place, in
+    /// [`enumerate_error_values`] order.
+    pub(crate) fn absolute(&self) -> Vec<ErrorValue> {
+        let total = self
+            .symbols
+            .iter()
+            .map(|&(shape, _)| self.shapes[shape].values.len())
+            .sum();
+        let mut out = Vec::with_capacity(total);
+        for (symbol, &(shape, base)) in self.symbols.iter().enumerate() {
+            out.extend(self.shapes[shape].values.iter().map(|v| ErrorValue {
+                value: SignedWide::new(*v.magnitude() << base, v.is_negative()),
+                symbol,
+            }));
+        }
+        out.sort_unstable_by_key(|a| a.value);
+        // Disjoint symbols cannot produce the same value (shared lowest set
+        // bit), so the per-shape dedup left nothing to merge.
+        debug_assert!(out.windows(2).all(|w| w[0].value < w[1].value));
+        out
+    }
+}
+
+impl Shape {
+    fn new(offsets: Vec<u32>, model: &ErrorModel) -> Self {
+        let mut values = Vec::new();
+        for term in model.terms() {
+            match *term {
+                ErrorTerm::Symbol(direction) => {
+                    values.extend(symbol_error_values(&offsets, direction));
+                }
+                ErrorTerm::SingleBit(direction) => {
+                    for &bit in &offsets {
+                        if direction.allows_rising() {
+                            values.push(SignedWide::from_bit(bit, true));
+                        }
+                        if direction.allows_falling() {
+                            values.push(SignedWide::from_bit(bit, false));
+                        }
+                    }
+                }
+            }
+        }
+        Self {
+            values: dedup_sorted(values),
+            offsets,
+        }
+    }
+}
+
+/// `2^i mod m` for every codeword bit position — the crate's one routine
+/// for reducing an error value mod `m`. An error value is a short signed
+/// sum of powers of two, so its residue is the signed sum of its set bits'
+/// table entries: no wide division.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Pow2Residues {
+    m: u64,
+    pow: Vec<u64>,
+}
+
+impl Pow2Residues {
+    pub(crate) fn new(m: u64) -> Self {
+        let mut table = Self::default();
+        table.reset(m);
+        table
+    }
+
+    /// Rebuilds the table for modulus `m`, reusing its buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is 0 or at least `2^63`.
+    pub(crate) fn reset(&mut self, m: u64) {
+        assert!(m != 0 && m <= 1 << 63, "modulus {m} out of range");
+        self.m = m;
+        self.pow.clear();
+        let mut pow = 1 % m;
+        for _ in 0..Word::BITS {
+            self.pow.push(pow);
+            pow <<= 1;
+            if pow >= m {
+                pow -= m;
+            }
+        }
+    }
+
+    /// `2^bit mod m`.
+    #[inline]
+    pub(crate) fn of_bit(&self, bit: u32) -> u64 {
+        self.pow[bit as usize]
+    }
+
+    /// `value mod m`, in `[0, m)`.
+    #[inline]
+    pub(crate) fn residue(&self, value: &ErrorValueInt) -> u64 {
+        let mut rem = 0;
+        for (limb, mut bits) in value.magnitude().to_limbs().into_iter().enumerate() {
+            while bits != 0 {
+                rem += self.pow[limb * 64 + bits.trailing_zeros() as usize];
+                if rem >= self.m {
+                    rem -= self.m;
+                }
+                bits &= bits - 1;
+            }
+        }
+        if value.is_negative() && rem != 0 {
+            self.m - rem
+        } else {
+            rem
+        }
+    }
+}
+
+/// The per-symbol enumeration the shape-based one replaced: every symbol's
+/// values enumerated at their own bit positions and deduplicated through a
+/// map. Kept as the oracle the shape-based enumeration must match.
+#[cfg(test)]
+pub(crate) fn enumerate_per_symbol(map: &SymbolMap, model: &ErrorModel) -> Vec<ErrorValue> {
+    use std::collections::HashMap;
+
     let mut seen: HashMap<ErrorValueInt, usize> = HashMap::new();
+    let mut record = |value: ErrorValueInt, symbol: usize| {
+        let prev = seen.insert(value, symbol);
+        assert!(prev.is_none() || prev == Some(symbol));
+    };
     for term in model.terms() {
         match term {
             ErrorTerm::Symbol(direction) => {
                 for sym in 0..map.num_symbols() {
                     for value in symbol_error_values(map.bits_of(sym), *direction) {
-                        record(&mut seen, value, sym);
+                        record(value, sym);
                     }
                 }
             }
@@ -60,10 +236,10 @@ pub fn enumerate_error_values(map: &SymbolMap, model: &ErrorModel) -> Vec<ErrorV
                 for bit in 0..map.n_bits() {
                     let sym = map.symbol_of_bit(bit);
                     if direction.allows_rising() {
-                        record(&mut seen, SignedWide::from_bit(bit, true), sym);
+                        record(SignedWide::from_bit(bit, true), sym);
                     }
                     if direction.allows_falling() {
-                        record(&mut seen, SignedWide::from_bit(bit, false), sym);
+                        record(SignedWide::from_bit(bit, false), sym);
                     }
                 }
             }
@@ -75,13 +251,6 @@ pub fn enumerate_error_values(map: &SymbolMap, model: &ErrorModel) -> Vec<ErrorV
         .collect();
     out.sort_by_key(|a| a.value);
     out
-}
-
-fn record(seen: &mut HashMap<ErrorValueInt, usize>, value: ErrorValueInt, symbol: usize) {
-    let prev = seen.insert(value, symbol);
-    // Disjoint symbols cannot produce the same value (shared lowest set bit),
-    // so any duplicate must come from the same symbol.
-    debug_assert!(prev.is_none() || prev == Some(symbol));
 }
 
 /// All distinct signed error values producible by flips within one symbol.

@@ -49,6 +49,8 @@ mod errval;
 mod fastmod;
 mod line;
 mod model;
+#[cfg(test)]
+mod oracle;
 pub mod presets;
 mod search;
 pub mod spec;

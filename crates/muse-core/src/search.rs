@@ -7,6 +7,7 @@
 
 use std::fmt;
 
+use crate::errval::Pow2Residues;
 use crate::{enumerate_error_values, ErrorModel, ErrorValue, SymbolMap};
 
 /// Why a candidate multiplier was rejected.
@@ -82,9 +83,9 @@ impl StampedOwner {
     }
 }
 
-/// Reusable multiplier validator: owns the remainder scratch so checking
-/// many candidates against the same (or different) value lists allocates
-/// nothing after the first call.
+/// Reusable multiplier validator: owns the remainder scratch and the
+/// `2^i mod m` table, so checking many candidates against the same (or
+/// different) value lists allocates nothing after the first call.
 ///
 /// # Examples
 ///
@@ -108,6 +109,7 @@ impl StampedOwner {
 #[derive(Debug, Clone, Default)]
 pub struct MultiplierValidator {
     scratch: StampedOwner,
+    pow: Pow2Residues,
 }
 
 impl MultiplierValidator {
@@ -117,14 +119,22 @@ impl MultiplierValidator {
     }
 
     /// Checks one multiplier against a pre-enumerated error-value list.
+    /// Each value's remainder is the signed sum of its set bits' `2^i mod
+    /// m`, the reduction [`ErrorLookup::from_values`](crate::ErrorLookup::from_values)
+    /// also uses.
     ///
     /// # Errors
     ///
     /// Returns the first [`MultiplierRejection`] encountered.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `m` is 0 or above `2^63`.
     pub fn validate(&mut self, values: &[ErrorValue], m: u64) -> Result<(), MultiplierRejection> {
+        self.pow.reset(m);
         self.scratch.begin(m);
         for (idx, ev) in values.iter().enumerate() {
-            let rem = ev.value.rem_euclid_u64(m);
+            let rem = self.pow.residue(&ev.value);
             if rem == 0 {
                 return Err(MultiplierRejection::ZeroRemainder { value_index: idx });
             }
@@ -258,57 +268,12 @@ pub fn find_multipliers(
 }
 
 fn scan(values: &[ErrorValue], candidates: &[u64]) -> Vec<u64> {
-    // Residues are recomputed per candidate from a power table: each error
-    // value is a short signed sum of powers of two, so `rem = Σ ±2^b mod m`.
-    let mut out = Vec::new();
-    let n_bits = values
+    let mut validator = MultiplierValidator::new();
+    candidates
         .iter()
-        .map(|v| v.value.magnitude().bit_len())
-        .max()
-        .unwrap_or(0);
-    // (bit positions, negative) per value for fast residue evaluation.
-    let decomposed: Vec<(Vec<u32>, bool)> = values
-        .iter()
-        .map(|v| {
-            let mag = v.value.magnitude();
-            let bits: Vec<u32> = (0..mag.bit_len()).filter(|&b| mag.bit(b)).collect();
-            (bits, v.value.is_negative())
-        })
-        .collect();
-    let mut pow = vec![0u64; n_bits as usize + 1];
-    let mut owner = StampedOwner::default();
-    for &m in candidates {
-        pow[0] = 1 % m;
-        for i in 1..pow.len() {
-            pow[i] = pow[i - 1] * 2 % m;
-        }
-        owner.begin(m);
-        let mut ok = true;
-        for (idx, (bits, negative)) in decomposed.iter().enumerate() {
-            let mut rem: u64 = 0;
-            for &b in bits {
-                rem += pow[b as usize];
-                if rem >= m {
-                    rem -= m;
-                }
-            }
-            if *negative && rem != 0 {
-                rem = m - rem;
-            }
-            if rem == 0 {
-                ok = false;
-                break;
-            }
-            if owner.claim(rem as usize, idx as u32).is_some() {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
-            out.push(m);
-        }
-    }
-    out
+        .copied()
+        .filter(|&m| validator.validate(values, m).is_ok())
+        .collect()
 }
 
 #[cfg(test)]

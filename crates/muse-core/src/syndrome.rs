@@ -18,6 +18,9 @@
 //!   such content exists. This reproduces the wide decoder's
 //!   overflow/underflow confinement check (Figure 4, method 2) exactly: a
 //!   correction is valid iff the subtraction stays inside the symbol.
+//!   Transitions depend on a symbol only through its shape (bit offsets
+//!   above its lowest bit), so each shape's blocks are computed once and
+//!   copied to every ELC entry of a symbol with that shape.
 //! * **Check-value folding** — `X = (m − payload·2^r mod m) mod m` from the
 //!   payload limbs with a short Horner fold using a division-free Barrett
 //!   reduction (the same Lemire-style multiply-high trick the hardware
@@ -31,7 +34,10 @@
 //! (`tests/syndrome_equivalence.rs`): for random payloads and corruptions
 //! the two paths agree on every preset code.
 
-use crate::{ErrorLookup, SymbolMap, Word};
+use crate::errval::{Pow2Residues, Shape, ShapedValues};
+#[cfg(test)]
+use crate::{errval::enumerate_per_symbol, ErrorLookup, ErrorModel};
+use crate::{SymbolMap, Word};
 
 /// Sentinel in the transition table: no valid corrected content.
 const NO_TRANSITION: u16 = u16::MAX;
@@ -39,6 +45,7 @@ const NO_TRANSITION: u16 = u16::MAX;
 /// Division-free `x mod m` for full-range `u64` inputs (Barrett/Lemire with
 /// a 128-bit magic; exact for any non-power-of-two `m ≥ 3`).
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq))]
 struct Mod64 {
     m: u64,
     magic: u128,
@@ -73,6 +80,7 @@ impl Mod64 {
 
 /// How a symbol's content is extracted from the payload limbs.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq))]
 enum Gather {
     /// All bits form one contiguous run inside a single payload limb:
     /// `content = (payload[limb] >> shift) & width_mask`.
@@ -84,6 +92,7 @@ enum Gather {
 
 /// Per-symbol metadata, packed for cache-friendly random access.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq))]
 struct SymbolMeta {
     width: u8,
     gather: Gather,
@@ -91,14 +100,6 @@ struct SymbolMeta {
     check_mask: u16,
     /// Start of this symbol's block in the flat residue table.
     residue_offset: u32,
-}
-
-/// One fast-ELC entry: the owning symbol and where its content-transition
-/// block starts in the flat table.
-#[derive(Debug, Clone, Copy)]
-struct FastEntry {
-    symbol: u32,
-    offset: u32,
 }
 
 /// Outcome of a residue-space decode step (mirrors
@@ -173,6 +174,7 @@ pub enum ReadOutcome {
 /// }
 /// ```
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct SyndromeKernel {
     m: u64,
     mod64: Mod64,
@@ -246,6 +248,49 @@ fn chunk_escapes(v: &Chunks, mask: &Chunks) -> bool {
     v.iter().zip(mask).any(|(&x, &m)| x & !m != 0)
 }
 
+/// The fast-ELC transition blocks of one symbol shape: for each of its
+/// relative error values `e`, in order, and each content `v`, the content
+/// `w` with `expand(v) − e = expand(w)`, or [`NO_TRANSITION`] when the
+/// subtraction escapes the shape (the wide decoder's confinement
+/// rejection, Figure 4 method 2). Offsets and values are relative to the
+/// base bit, and a shift does not change whether a correction escapes, so
+/// every symbol of the shape shares the blocks.
+fn shape_transitions(shape: &Shape) -> Vec<u16> {
+    let offsets = &shape.offsets;
+    let contents = 1usize << offsets.len();
+    let expand: Vec<Chunks> = (0..contents)
+        .map(|content| {
+            let mut v = [0u64; 5];
+            for (i, &off) in offsets.iter().enumerate() {
+                if content >> i & 1 == 1 {
+                    chunk_set_bit(&mut v, off);
+                }
+            }
+            v
+        })
+        .collect();
+    let mask = expand[contents - 1];
+    let mut out = Vec::with_capacity(shape.values.len() * contents);
+    for value in &shape.values {
+        let mag = value.magnitude().to_limbs();
+        for v in &expand {
+            let (corrected, escaped) = if value.is_negative() {
+                chunk_add(v, &mag)
+            } else {
+                chunk_sub(v, &mag)
+            };
+            out.push(if !escaped && !chunk_escapes(&corrected, &mask) {
+                offsets.iter().enumerate().fold(0u16, |acc, (i, &off)| {
+                    acc | (chunk_bit(&corrected, off) as u16) << i
+                })
+            } else {
+                NO_TRANSITION
+            });
+        }
+    }
+    out
+}
+
 impl SyndromeKernel {
     /// Sentinel in [`Self::raw_elc_fused`]: no ELC entry for this
     /// remainder (the [`FastDecode::Detected`] case).
@@ -265,61 +310,25 @@ impl SyndromeKernel {
         m < 1 << 32 && (0..map.num_symbols()).all(|s| map.bits_of(s).len() <= 12)
     }
 
-    /// Builds the kernel for a validated layout + ELC.
+    /// Builds the kernel for a layout whose error values (grouped by
+    /// symbol shape) `m` has validated: every value has a distinct nonzero
+    /// remainder, as [`ErrorLookup::from_values`](crate::ErrorLookup::from_values) checks.
+    ///
+    /// Transition blocks are computed once per (shape, relative error
+    /// value) and copied into place, one block per ELC entry in remainder
+    /// order. Remainders come from per-bit powers of two: a symbol's value
+    /// is its shape's value times `2^base`.
     ///
     /// # Panics
     ///
     /// Panics if [`Self::supports`] is false for the layout (callers gate
-    /// on it).
-    pub(crate) fn build(map: &SymbolMap, elc: &ErrorLookup, m: u64, r_bits: u32) -> Self {
+    /// on it), or if `m` is not valid for the values.
+    pub(crate) fn build(map: &SymbolMap, shaped: &ShapedValues, m: u64, r_bits: u32) -> Self {
         assert!(
-            m < 1 << 32,
-            "multiplier {m} exceeds the kernel's u64 fold range"
+            Self::supports(map, m),
+            "layout or multiplier {m} outside the kernel's tabulation limits"
         );
-        // All per-content arithmetic happens in chunked 320-bit space
-        // shifted down by each symbol's lowest bit: error values are
-        // confined to one symbol's bit positions, which may scatter across
-        // the whole codeword, but the wide words never need to materialize.
-        struct SymbolSpan {
-            base: u32,
-            expand: Vec<Chunks>,
-            mask: Chunks,
-        }
-        let spans: Vec<SymbolSpan> = (0..map.num_symbols())
-            .map(|s| {
-                let bits = map.bits_of(s);
-                assert!(bits.len() <= 12, "symbol too wide to tabulate");
-                let base = *bits.iter().min().expect("non-empty symbol");
-                let expand = (0..1usize << bits.len())
-                    .map(|content| {
-                        let mut v = [0u64; 5];
-                        for (i, &bit) in bits.iter().enumerate() {
-                            if content >> i & 1 == 1 {
-                                chunk_set_bit(&mut v, bit - base);
-                            }
-                        }
-                        v
-                    })
-                    .collect();
-                let mut mask = [0u64; 5];
-                for &bit in bits {
-                    chunk_set_bit(&mut mask, bit - base);
-                }
-                SymbolSpan { base, expand, mask }
-            })
-            .collect();
-        let pow2_mod = |exp: u32| -> u64 {
-            // 2^exp mod m by shifting in ≤32-bit steps (m < 2^32, exp < 320).
-            let mut result: u128 = 1 % m as u128;
-            let mut remaining = exp;
-            while remaining > 0 {
-                let step = remaining.min(32);
-                result = (result << step) % m as u128;
-                remaining -= step;
-            }
-            result as u64
-        };
-
+        let pow = Pow2Residues::new(m);
         let mut syms = Vec::with_capacity(map.num_symbols());
         let mut residues = Vec::new();
         let mut payload_sources = Vec::with_capacity(map.num_symbols());
@@ -331,7 +340,7 @@ impl SyndromeKernel {
             // R_s[x] = Σ_{i: x_i=1} 2^{B_s[i]} mod m, built incrementally
             // from the per-bit powers (residues are additive in content
             // bits), so no wide expansion is reduced.
-            let bit_pows: Vec<u64> = bits.iter().map(|&b| pow2_mod(b)).collect();
+            let bit_pows: Vec<u64> = bits.iter().map(|&b| pow.of_bit(b)).collect();
             let add = |a: u64, b: u64| {
                 let sum = a + b;
                 if sum >= m {
@@ -385,64 +394,57 @@ impl SyndromeKernel {
             check_sources.push(csrc);
         }
 
-        let mut elc_entry = vec![0u32; m as usize];
-        let mut entries = Vec::new();
-        let mut transitions = Vec::new();
-        for rem in 1..m {
-            let Some(entry) = elc.lookup(rem) else {
-                continue;
-            };
-            let bits = map.bits_of(entry.symbol);
-            let span = &spans[entry.symbol];
-            // The error value is a sum of ±2^b over this symbol's bits, so
-            // its magnitude shifted down by the span base fits the chunks.
-            let mag = entry.error.magnitude();
-            debug_assert!(mag.trailing_zeros() >= span.base);
-            let mag_chunks = (*mag >> span.base).to_limbs();
-            let negative = entry.error.is_negative();
-            let offset = transitions.len() as u32;
-            for content in 0..1usize << bits.len() {
-                // corrected = expand(v) − e; a borrow/carry escaping the
-                // symbol sets bits outside the mask, which is exactly the
-                // wide decoder's confinement rejection (Figure 4, method 2).
-                let (corrected, escaped) = if negative {
-                    chunk_add(&span.expand[content], &mag_chunks)
-                } else {
-                    chunk_sub(&span.expand[content], &mag_chunks)
-                };
-                transitions.push(if !escaped && !chunk_escapes(&corrected, &span.mask) {
-                    bits.iter().enumerate().fold(0u16, |acc, (i, &bit)| {
-                        acc | (chunk_bit(&corrected, bit - span.base) as u16) << i
-                    })
-                } else {
-                    NO_TRANSITION
-                });
-            }
-            entries.push(FastEntry {
-                symbol: entry.symbol as u32,
-                offset,
-            });
-            elc_entry[rem as usize] = entries.len() as u32;
-        }
-        // Fused classify table: one load yields symbol + transition offset.
-        // The packing limits (4096 symbols, 2^20 transition slots) sit far
-        // above anything the 12-bit-symbol tabulation limit admits.
+        // A fused entry packs a 12-bit symbol index and a 20-bit offset.
         assert!(map.num_symbols() < 1 << 12, "too many symbols to pack");
-        assert!(transitions.len() < 1 << 20, "transition table too large");
+        let total: usize = shaped
+            .symbols
+            .iter()
+            .map(|&(shape, _)| {
+                let shape = &shaped.shapes[shape];
+                shape.values.len() << shape.offsets.len()
+            })
+            .sum();
+        assert!(total < 1 << 20, "transition table too large");
+
+        // First pass: each remainder's symbol and the index of its value
+        // among the symbol shape's values, packed where the transition
+        // offset goes.
+        let relative: Vec<Vec<u64>> = shaped
+            .shapes
+            .iter()
+            .map(|shape| shape.values.iter().map(|v| pow.residue(v)).collect())
+            .collect();
         let mut elc_fused = vec![NO_ENTRY; m as usize];
-        for (rem, &idx) in elc_entry.iter().enumerate() {
-            if idx != 0 {
-                let e = entries[(idx - 1) as usize];
-                elc_fused[rem] = (e.offset << 12) | e.symbol;
+        for (symbol, &(shape, base)) in shaped.symbols.iter().enumerate() {
+            let scale = pow.of_bit(base);
+            for (index, &rel) in relative[shape].iter().enumerate() {
+                let rem = (rel * scale % m) as usize;
+                assert!(
+                    rem != 0 && elc_fused[rem] == NO_ENTRY,
+                    "multiplier {m} is not valid for the layout"
+                );
+                elc_fused[rem] = (index as u32) << 12 | symbol as u32;
             }
+        }
+        // Second pass, in remainder order: copy each entry's block from its
+        // shape and put the block's offset in place of the value index.
+        let blocks: Vec<Vec<u16>> = shaped.shapes.iter().map(shape_transitions).collect();
+        let mut transitions = Vec::with_capacity(total);
+        for packed in elc_fused.iter_mut().filter(|p| **p != NO_ENTRY) {
+            let symbol = *packed & 0xFFF;
+            let shape = shaped.symbols[symbol as usize].0;
+            let len = 1usize << shaped.shapes[shape].offsets.len();
+            let start = (*packed >> 12) as usize * len;
+            *packed = (transitions.len() as u32) << 12 | symbol;
+            transitions.extend_from_slice(&blocks[shape][start..start + len]);
         }
 
         let k_bits = map.n_bits() - r_bits;
         Self {
             m,
             mod64: Mod64::new(m),
-            pow_r: pow2_mod(r_bits),
-            pow_64: pow2_mod(64),
+            pow_r: pow.of_bit(r_bits),
+            pow_64: pow.of_bit(64),
             payload_limbs: k_bits.div_ceil(64) as usize,
             syms,
             residues,
@@ -526,29 +528,6 @@ impl SyndromeKernel {
             0
         } else {
             self.m - shifted
-        }
-    }
-
-    /// The check value `X` implied by the payload-part contents of every
-    /// symbol: `X = (m − Σ_s R_s[vp_s]) mod m` — the unique filling of the
-    /// check bits that makes the codeword divisible by `m`.
-    ///
-    /// Together with [`Self::apply_check_bits`] this is the building block
-    /// for generating codewords directly in content space (no payload
-    /// limbs at all) — the planned next step for the simulator hot path;
-    /// currently exercised by this module's tests only.
-    ///
-    /// `vp` must hold, for each symbol, its content restricted to
-    /// [`Self::payload_mask`] (check-region bits zero).
-    pub fn check_value_of_parts(&self, vp: &[u16]) -> u64 {
-        let t = vp
-            .iter()
-            .enumerate()
-            .fold(0, |acc, (s, &v)| self.add_mod(acc, self.residue(s, v)));
-        if t == 0 {
-            0
-        } else {
-            self.m - t
         }
     }
 
@@ -715,19 +694,6 @@ impl SyndromeKernel {
         }
     }
 
-    /// Every ELC entry as `(remainder, owning symbol)`, in remainder order
-    /// — the kernel-side view of the correctable-error hypothesis space the
-    /// combined erasure-plus-error solve
-    /// ([`ErasureTable::solve_combined`]) draws from (the solve itself
-    /// scans the table's occupied residues, the smaller side).
-    pub fn elc_entries(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
-        self.elc_fused
-            .iter()
-            .enumerate()
-            .filter(|&(_, &packed)| packed != NO_ENTRY)
-            .map(|(rem, &packed)| (rem as u64, (packed & 0xFFF) as usize))
-    }
-
     /// Builds the residue-space erasure solver for a fixed set of erased
     /// symbols (known-failed devices) — the degraded-mode analogue of
     /// [`MuseCode::recover_erasures`](crate::MuseCode::recover_erasures),
@@ -764,6 +730,157 @@ impl SyndromeKernel {
             .iter()
             .enumerate()
             .fold(0, |acc, (s, &v)| self.add_mod(acc, self.residue(s, v)))
+    }
+}
+
+#[cfg(test)]
+impl SyndromeKernel {
+    /// The check value `X` implied by the payload-part contents of every
+    /// symbol: `X = (m − Σ_s R_s[vp_s]) mod m` — the unique filling of the
+    /// check bits that makes the codeword divisible by `m`.
+    ///
+    /// `vp` must hold, for each symbol, its content restricted to
+    /// [`Self::payload_mask`] (check-region bits zero).
+    pub(crate) fn check_value_of_parts(&self, vp: &[u16]) -> u64 {
+        let t = vp
+            .iter()
+            .enumerate()
+            .fold(0, |acc, (s, &v)| self.add_mod(acc, self.residue(s, v)));
+        if t == 0 {
+            0
+        } else {
+            self.m - t
+        }
+    }
+
+    /// Every ELC entry as `(remainder, owning symbol)`, in remainder order
+    /// — the kernel-side view of the correctable-error hypothesis space the
+    /// combined erasure-plus-error solve
+    /// ([`ErasureTable::solve_combined`]) draws from (the solve itself
+    /// scans the table's occupied residues, the smaller side).
+    pub(crate) fn elc_entries(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        self.elc_fused
+            .iter()
+            .enumerate()
+            .filter(|&(_, &packed)| packed != NO_ENTRY)
+            .map(|(rem, &packed)| (rem as u64, (packed & 0xFFF) as usize))
+    }
+
+    /// The construction the shape-based [`Self::build`] replaced: the ELC
+    /// from the per-symbol enumeration and wide remainders, every symbol's
+    /// residues from its own powers of two, and every ELC entry's
+    /// transition block computed on its own, in chunked 320-bit
+    /// arithmetic. Kept as the oracle the shape-based build must match
+    /// table for table; the per-symbol metadata, which the shape-based
+    /// build did not change, is taken from it.
+    pub(crate) fn build_per_symbol(
+        map: &SymbolMap,
+        model: &ErrorModel,
+        m: u64,
+        r_bits: u32,
+    ) -> Self {
+        let elc = ErrorLookup::from_values_wide(&enumerate_per_symbol(map, model), m)
+            .expect("a valid multiplier");
+        // All per-content arithmetic happens in chunked 320-bit space
+        // shifted down by each symbol's lowest bit: error values are
+        // confined to one symbol's bit positions, which may scatter across
+        // the whole codeword, but the wide words never need to materialize.
+        struct SymbolSpan {
+            base: u32,
+            expand: Vec<Chunks>,
+            mask: Chunks,
+        }
+        let spans: Vec<SymbolSpan> = (0..map.num_symbols())
+            .map(|s| {
+                let bits = map.bits_of(s);
+                let base = *bits.iter().min().expect("non-empty symbol");
+                let expand = (0..1usize << bits.len())
+                    .map(|content| {
+                        let mut v = [0u64; 5];
+                        for (i, &bit) in bits.iter().enumerate() {
+                            if content >> i & 1 == 1 {
+                                chunk_set_bit(&mut v, bit - base);
+                            }
+                        }
+                        v
+                    })
+                    .collect();
+                let mut mask = [0u64; 5];
+                for &bit in bits {
+                    chunk_set_bit(&mut mask, bit - base);
+                }
+                SymbolSpan { base, expand, mask }
+            })
+            .collect();
+        let pow2_mod = |exp: u32| -> u64 {
+            // 2^exp mod m by shifting in ≤32-bit steps (m < 2^32, exp < 320).
+            let mut result: u128 = 1 % m as u128;
+            let mut remaining = exp;
+            while remaining > 0 {
+                let step = remaining.min(32);
+                result = (result << step) % m as u128;
+                remaining -= step;
+            }
+            result as u64
+        };
+
+        let mut residues = Vec::new();
+        for s in 0..map.num_symbols() {
+            let bits = map.bits_of(s);
+            // R_s[x] = Σ_{i: x_i=1} 2^{B_s[i]} mod m, built incrementally
+            // from the per-bit powers.
+            let bit_pows: Vec<u64> = bits.iter().map(|&b| pow2_mod(b)).collect();
+            let base_idx = residues.len();
+            residues.push(0);
+            for x in 1..1usize << bits.len() {
+                let rest = residues[base_idx + (x & (x - 1))];
+                residues.push((rest + bit_pows[x.trailing_zeros() as usize]) % m);
+            }
+        }
+
+        let mut elc_fused = vec![NO_ENTRY; m as usize];
+        let mut transitions = Vec::new();
+        for rem in 1..m {
+            let Some(entry) = elc.lookup(rem) else {
+                continue;
+            };
+            let bits = map.bits_of(entry.symbol);
+            let span = &spans[entry.symbol];
+            // The error value is a sum of ±2^b over this symbol's bits, so
+            // its magnitude shifted down by the span base fits the chunks.
+            let mag = entry.error.magnitude();
+            debug_assert!(mag.trailing_zeros() >= span.base);
+            let mag_chunks = (*mag >> span.base).to_limbs();
+            let negative = entry.error.is_negative();
+            let offset = transitions.len() as u32;
+            for content in 0..1usize << bits.len() {
+                // corrected = expand(v) − e; a borrow/carry escaping the
+                // symbol sets bits outside the mask, which is exactly the
+                // wide decoder's confinement rejection (Figure 4, method 2).
+                let (corrected, escaped) = if negative {
+                    chunk_add(&span.expand[content], &mag_chunks)
+                } else {
+                    chunk_sub(&span.expand[content], &mag_chunks)
+                };
+                transitions.push(if !escaped && !chunk_escapes(&corrected, &span.mask) {
+                    bits.iter().enumerate().fold(0u16, |acc, (i, &bit)| {
+                        acc | (chunk_bit(&corrected, bit - span.base) as u16) << i
+                    })
+                } else {
+                    NO_TRANSITION
+                });
+            }
+            elc_fused[rem as usize] = offset << 12 | entry.symbol as u32;
+        }
+
+        Self {
+            pow_r: pow2_mod(r_bits),
+            pow_64: pow2_mod(64),
+            residues,
+            elc_fused,
+            transitions,
+            ..Self::build(map, &ShapedValues::new(map, model), m, r_bits)
+        }
     }
 }
 
